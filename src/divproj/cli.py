@@ -11,6 +11,7 @@ that explicit flags override; DIVPROJ_THREADS is the fallback for
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -41,12 +42,20 @@ from .io import (
     write_sparse_triplets,
 )
 from .projection import PanelData, fit as projection_fit
+from .spectest import DEFAULT_RULE as SPEC_TEST_RULE
 from .spectest import spec_test
 from .weights import build_weights, check_diversified
 
 SCHEME_CHOICES = ("hadamard", "walsh", "sieve", "rolling", "initial")
 RULE_CHOICES = ("hard", "soft", "scad")
-EXPERIMENTS = ("fig1", "table2", "postsel", "table3")
+# `simulate --experiment` name -> (experiment, columns of results.csv)
+SIMULATIONS = {
+    "fig1": (experiment_cov, ["alpha", "rho_T", "N", "method", "C",
+                              "err_cov_mean", "err_cov_se", "err_inv_mean", "err_inv_se"]),
+    "table2": (experiment_forecast, ["alpha", "rho_T", "N", "T", "method", "mse_ratio_mean", "mse_ratio_se"]),
+    "postsel": (experiment_postsel, ["r", "method", "mean_z", "std_z", "coverage", "level"]),
+    "table3": (experiment_spectest, ["scheme", "gamma", "T", "N", "rejection_rate", "mc_se", "level"]),
+}
 
 
 class UsageError(Exception):
@@ -121,7 +130,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--factors", required=True, help="observed factors CSV (panel layout)")
     scheme_flags(p, need_R=False)
     p.add_argument("--rule", choices=RULE_CHOICES, default="scad")
-    p.add_argument("--C", type=float, default=2.0)
+    p.add_argument("--C", type=float, default=None, help="threshold constant (spec_test's default if omitted)")
     p.add_argument("--draws", type=int, default=2000)
     common(p)
 
@@ -132,9 +141,10 @@ def _build_parser() -> _Parser:
     common(p)
 
     p = sub.add_parser("simulate", help="reproduce a Monte Carlo study")
-    p.add_argument("--experiment", choices=EXPERIMENTS, required=True)
+    p.add_argument("--experiment", choices=tuple(SIMULATIONS), required=True)
     p.add_argument("--reps", type=int, default=None, help="replications (experiment default if omitted)")
-    p.add_argument("--C", type=float, default=None, help="threshold constant override")
+    p.add_argument("--C", type=float, default=None,
+                   help="threshold (fig1, table3) or lasso penalty (postsel) constant; experiment default if omitted")
     common(p)
 
     return parser
@@ -317,7 +327,8 @@ def _cmd_spectest(args) -> int:
     panel, W = _panel_and_weights(args, panel)
     if args.scheme == "initial":
         G = G[1:]
-    rule = ThresholdRule(kind=args.rule, constant_C=args.C)
+    C = SPEC_TEST_RULE.constant_C if args.C is None else args.C
+    rule = ThresholdRule(kind=args.rule, constant_C=C)
     res = spec_test(panel.X, G, W, rule=rule, n_draws=args.draws, seed=args.seed)
     outdir = ensure_outdir(args.out)
     write_json(
@@ -358,72 +369,60 @@ def _cmd_fdr(args) -> int:
     return 0
 
 
+def _write_fig1_panels(outdir: Path, rows: list) -> None:
+    """One CSV per (alpha, rho_T) panel of Figure 1 and per error kind."""
+    for alpha in sorted({r["alpha"] for r in rows}):
+        for rho in sorted({r["rho_T"] for r in rows}):
+            panel_rows = [r for r in rows if r["alpha"] == alpha and r["rho_T"] == rho]
+            for what in ("cov", "inv"):
+                write_rows_csv(
+                    outdir / f"fig1_{what}_alpha{alpha:g}_rho{rho:g}.csv",
+                    ["N", "method", "C", "err_mean", "err_se"],
+                    [
+                        {
+                            "N": r["N"], "method": r["method"], "C": r["C"],
+                            "err_mean": r[f"err_{what}_mean"], "err_se": r[f"err_{what}_se"],
+                        }
+                        for r in panel_rows
+                    ],
+                )
+
+
+def _experiment_arguments(experiment, args) -> dict:
+    """Every argument the experiment runs with: its defaults plus the CLI overrides."""
+    signature = inspect.signature(experiment)
+    overrides = {"seed": args.seed, "threads": args.threads}
+    if args.reps is not None:
+        overrides["n_reps"] = args.reps
+    if args.C is not None:
+        if "C" in signature.parameters:
+            overrides["C"] = args.C
+        elif "C_values" in signature.parameters:
+            overrides["C_values"] = (args.C,)
+        else:
+            raise UsageError(f"--C does not apply to --experiment {args.experiment}")
+    bound = signature.bind(**overrides)
+    bound.apply_defaults()
+    return bound.arguments
+
+
 def _cmd_simulate(args) -> int:
+    experiment, fields = SIMULATIONS[args.experiment]
+    arguments = _experiment_arguments(experiment, args)
     outdir = ensure_outdir(args.out)
-    seed, threads = args.seed, args.threads
-    if args.experiment == "fig1":
-        reps = args.reps if args.reps is not None else 100
-        c_values = (args.C,) if args.C is not None else (1.0, 2.0)
-        rows = experiment_cov(n_reps=reps, seed=seed, C_values=c_values, threads=threads)
-        fields = ["alpha", "rho_T", "N", "method", "C",
-                  "err_cov_mean", "err_cov_se", "err_inv_mean", "err_inv_se"]
-        write_rows_csv(outdir / "results.csv", fields, rows)
-        for alpha in sorted({r["alpha"] for r in rows}):
-            for rho in sorted({r["rho_T"] for r in rows}):
-                panel_rows = [r for r in rows if r["alpha"] == alpha and r["rho_T"] == rho]
-                for what in ("cov", "inv"):
-                    write_rows_csv(
-                        outdir / f"fig1_{what}_alpha{alpha:g}_rho{rho:g}.csv",
-                        ["N", "method", "C", "err_mean", "err_se"],
-                        [
-                            {
-                                "N": r["N"], "method": r["method"], "C": r["C"],
-                                "err_mean": r[f"err_{what}_mean"], "err_se": r[f"err_{what}_se"],
-                            }
-                            for r in panel_rows
-                        ],
-                    )
-        config = {"experiment": "fig1", "reps": reps, "seed": seed, "C_values": list(c_values),
-                  "sizes": [100, 200, 300], "alphas": [0.5, 1.0], "rho_Ts": [0.1, 0.7],
-                  "rule": "scad", "r": 1, "weights": "characteristic"}
-    elif args.experiment == "table2":
-        reps = args.reps if args.reps is not None else 20
-        rows = experiment_forecast(n_reps=reps, seed=seed, threads=threads)
-        fields = ["alpha", "rho_T", "N", "T", "method", "mse_ratio_mean", "mse_ratio_se"]
-        write_rows_csv(outdir / "results.csv", fields, rows)
-        config = {"experiment": "table2", "reps": reps, "seed": seed, "N": 100, "m": 50,
-                  "window_sizes": [50, 100], "rho_Ts": [0.0, 0.5, 0.9], "alphas": [1.0, 0.2],
-                  "coefficients": {"beta0": 1.5, "beta_lag": 0.5, "alpha_factors": [1.0, 1.0]},
-                  "presample_loadings": "B1 = 0.8 B + 0.5 Z, Z scaled like B",
-                  "epsilon": 1.0}
-    elif args.experiment == "postsel":
-        reps = args.reps if args.reps is not None else 200
-        samples, rows = experiment_postsel(n_reps=reps, seed=seed, threads=threads)
-        write_rows_csv(outdir / "results.csv", ["r", "method", "mean_z", "std_z", "coverage", "level"], rows)
+    rows = experiment(**arguments)
+    if args.experiment == "postsel":  # (z-statistic samples per setting, summary rows)
+        samples, rows = rows
         sample_rows = [
             {"setting": name, "rep": i, "z": z}
             for name in sorted(samples)
             for i, z in enumerate(samples[name])
         ]
         write_rows_csv(outdir / "postsel_z_samples.csv", ["setting", "rep", "z"], sample_rows)
-        config = {"experiment": "postsel", "reps": reps, "seed": seed, "N": 200, "T": 200,
-                  "beta": 1.0, "sparse_coefs": [1.0, -1.5, 0.5], "C": 4.1,
-                  "weights": "initial_transform", "r_values": [0, 2], "R_values": [1, 2, 3]}
-    else:  # table3
-        reps = args.reps if args.reps is not None else 1000
-        c = args.C if args.C is not None else 2.0
-        rows = experiment_spectest(n_reps=reps, seed=seed, C=c, threads=threads)
-        write_rows_csv(
-            outdir / "results.csv",
-            ["scheme", "gamma", "T", "N", "rejection_rate", "mc_se", "level"],
-            rows,
-        )
-        config = {"experiment": "table3", "reps": reps, "seed": seed, "N": 200, "r": 2,
-                  "gammas": [0.0, 0.2], "T_values": [100, 200], "level": 0.05,
-                  "rule": "scad", "C": c, "n_draws": 2000,
-                  "schemes": ["characteristic", "hadamard", "initial"]}
-    config["threads"] = threads
-    write_json(outdir / "config.json", config)
+    write_rows_csv(outdir / "results.csv", fields, rows)
+    if args.experiment == "fig1":
+        _write_fig1_panels(outdir, rows)
+    write_json(outdir / "config.json", {"experiment": args.experiment, **arguments})
     _write_manifest(outdir, args)
     return 0
 
@@ -451,6 +450,9 @@ def run(argv=None) -> int:
         return 1
     try:
         return _COMMANDS[args.subcommand](args)
+    except UsageError as exc:
+        print(f"divproj: {exc}", file=sys.stderr)
+        return 1
     except (DivprojError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"divproj: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,6 @@ class SparseCovariance:
     sigma_u: np.ndarray        # N x N symmetric
     omega: float               # omega_NT used in the thresholds
     nonzero_offdiag: int
-    threshold_grid: np.ndarray  # N x N matrix of tau_ij
 
     @property
     def n_series(self) -> int:
@@ -113,7 +112,7 @@ def sparse_idio_cov(residuals_hat: np.ndarray, rule: ThresholdRule) -> SparseCov
     np.fill_diagonal(sigma, d)
     sigma = (sigma + sigma.T) / 2.0  # tau_ij = tau_ji, so this only removes rounding noise
     nonzero = int(np.sum(sigma != 0.0) - n)
-    return SparseCovariance(sigma_u=sigma, omega=omega, nonzero_offdiag=nonzero, threshold_grid=tau)
+    return SparseCovariance(sigma_u=sigma, omega=omega, nonzero_offdiag=nonzero)
 
 
 def invert_sparse_cov(cov: SparseCovariance | np.ndarray, eig_floor: float | None = None) -> np.ndarray:

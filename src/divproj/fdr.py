@@ -8,14 +8,13 @@ rejection rule.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
-from .exceptions import InsufficientDataError, NumericalWarning
-from .projection import as_matrix, estimate_factors, pseudo_inverse
+from .exceptions import InsufficientDataError
+from .projection import _solve_gram, as_matrix, estimate_factors
 from .weights import WeightMatrix
 
 
@@ -54,18 +53,7 @@ def farm_stats(X, weights: WeightMatrix | np.ndarray):
 
     fbar = F.mean(axis=0)
     Fc = F - fbar
-    s_f = Fc.T @ Fc / t
-    eigs = np.linalg.eigvalsh(s_f) if r else np.zeros(0)
-    if r and (eigs[0] <= 1e-12 * max(eigs[-1], 1e-300)):
-        warnings.warn(
-            "demeaned factor gram is singular to tolerance; using a pseudo-inverse",
-            NumericalWarning,
-            stacklevel=2,
-        )
-        s_f_inv = pseudo_inverse(s_f)
-    else:
-        s_f_inv = np.linalg.inv(s_f) if r else np.zeros((0, 0))
-    g = 1.0 - Fc @ (s_f_inv @ fbar)
+    g = 1.0 - Fc @ _solve_gram(Fc.T @ Fc / t, fbar)
     se = np.sqrt(np.sum(g**2) * sigma_uii) / t
     se = np.maximum(se, 1e-300)
     return alpha_hat, alpha_hat / se

@@ -8,13 +8,12 @@ compared on identical data.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, InsufficientDataError, NumericalWarning
-from .projection import estimate_factors, pc_factors, pseudo_inverse
+from .exceptions import DimensionError, InsufficientDataError
+from .projection import _solve_gram, estimate_factors, pc_factors
 from .weights import WeightMatrix, rolling_window_weights
 
 
@@ -67,17 +66,7 @@ def fit_augmented(y, observables, factors, lead: int = 1) -> AugmentedRegression
     Z_in = Z[: t - lead]
     y_lead = y[lead:]
     gram = Z_in.T @ Z_in
-    rhs = Z_in.T @ y_lead
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[-1] <= 0 or eigs[0] <= 1e-10 * eigs[-1]:
-        warnings.warn(
-            "augmented design gram is singular to tolerance; using a pseudo-inverse",
-            NumericalWarning,
-            stacklevel=2,
-        )
-        delta = pseudo_inverse(gram) @ rhs
-    else:
-        delta = np.linalg.solve(gram, rhs)
+    delta = _solve_gram(gram, Z_in.T @ y_lead)
     return AugmentedRegression(delta_hat=delta, lead=lead, design_gram=gram, n_factors=F.shape[1])
 
 

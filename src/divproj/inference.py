@@ -18,8 +18,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .exceptions import DimensionError, InsufficientDataError
-from .projection import fit as projection_fit
-from .projection import pseudo_inverse
+from .projection import _orthobasis, _solve_gram, estimate_factors
 from .weights import WeightMatrix
 
 _SIGMA2_FLOOR = 1e-12
@@ -165,12 +164,8 @@ def _post_lasso_rms(G, c, y2_mean, support, t):
         return y2_mean
     if support.size >= t:
         return _SIGMA2_FLOOR
-    g_ss = G[np.ix_(support, support)]
     c_s = c[support]
-    try:
-        b = np.linalg.solve(g_ss, c_s)
-    except np.linalg.LinAlgError:
-        b = pseudo_inverse(g_ss) @ c_s
+    b = _solve_gram(G[np.ix_(support, support)], c_s)
     rms = max(y2_mean - float(c_s @ b), 0.0)
     return rms * t / (t - support.size)
 
@@ -293,14 +288,16 @@ def double_selection(
         alpha_g = np.zeros(0)
         y_p, g_p = y, g
     else:
-        fit_res = projection_fit(X, weights)
-        F, U = fit_res.factors, fit_res.residuals
+        W = weights if isinstance(weights, WeightMatrix) else WeightMatrix(np.asarray(weights, dtype=float))
+        F = estimate_factors(X, W)
         R = F.shape[1]
         if t <= R + 2:
             raise InsufficientDataError(f"need T > R + 2, got T={t}, R={R}")
-        FtF = F.T @ F
-        alpha_y = pseudo_inverse(FtF) @ (F.T @ y)
-        alpha_g = pseudo_inverse(FtF) @ (F.T @ g)
+        # One least-squares solve on the factors gives the loadings of the
+        # controls and the factor coefficients of y and g.
+        coef = _solve_gram(F.T @ F, F.T @ np.column_stack([X.T, y, g]))
+        U = X - coef[:, :-2].T @ F.T
+        alpha_y, alpha_g = coef[:, -2], coef[:, -1]
         y_p = y - F @ alpha_y
         g_p = g - F @ alpha_g
 
@@ -310,8 +307,8 @@ def double_selection(
         # Partialling the factors out of the design as well makes the
         # two-equation lasso equal to the joint minimization over
         # (alpha, gamma) with the factor block unpenalized.
-        proj = F @ pseudo_inverse(F.T @ F) @ F.T
-        D = D - proj @ D
+        Q = _orthobasis(F)
+        D = D - Q @ (Q.T @ D)
     if standardize:
         col_scale = np.sqrt(np.mean(D**2, axis=0))
         col_scale[col_scale == 0] = 1.0

@@ -13,8 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericalWarning
+from .exceptions import DimensionError, NumericalWarning, SingularGramError
 from .weights import WeightMatrix
+
+# Relative eigenvalue (singular value) cut-off below which a gram matrix
+# (a column basis) is treated as rank deficient.
+_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,12 +79,38 @@ class SpaceDistance:
     adjusted_distance: float   # ||P_{Fhat M} - P_F|| with M = (HH')^+ H
 
 
-def pseudo_inverse(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def pseudo_inverse(a: np.ndarray, rank_tol: float = _RANK_TOL) -> np.ndarray:
     """SVD pseudo-inverse zeroing singular values below rank_tol * sigma_max."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return a.T.copy()
     return np.linalg.pinv(a, rcond=rank_tol)
+
+
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray, strict: bool = False) -> np.ndarray:
+    """Solve gram @ x = rhs for a symmetric positive semidefinite gram.
+
+    A gram whose smallest eigenvalue is at most _RANK_TOL times its largest
+    is singular: it is solved by the pseudo-inverse with a NumericalWarning
+    or, with `strict`, rejected with SingularGramError.  The warning names
+    the caller's caller, as a warning raised by the caller itself would.
+    """
+    eigs = np.linalg.eigvalsh(gram)
+    if eigs.size == 0 or eigs[0] > _RANK_TOL * eigs[-1]:
+        return np.linalg.solve(gram, rhs)
+    what = f"{gram.shape[0]} x {gram.shape[0]} gram matrix is singular to tolerance"
+    if strict:
+        raise SingularGramError(what)
+    warnings.warn(f"{what}; using a pseudo-inverse", NumericalWarning, stacklevel=3)
+    return pseudo_inverse(gram) @ rhs
+
+
+def _orthobasis(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (T x rank) of the column space of `a`; a vector is one column."""
+    a = np.asarray(a, dtype=float)
+    u, s, _ = np.linalg.svd(a[:, None] if a.ndim == 1 else a, full_matrices=False)
+    keep = s > (_RANK_TOL * s[0] if s.size and s[0] > 0 else 0)
+    return u[:, keep]
 
 
 def estimate_factors(panel, weights: WeightMatrix | np.ndarray) -> np.ndarray:
@@ -94,27 +124,18 @@ def estimate_factors(panel, weights: WeightMatrix | np.ndarray) -> np.ndarray:
     return X.T @ W / X.shape[0]
 
 
-def estimate_loadings(panel, factors: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def estimate_loadings(panel, factors: np.ndarray) -> np.ndarray:
     """Least-squares loadings B_hat = (sum_t x_t f_t')(sum_t f_t f_t')^{-1}.
 
     Falls back to the pseudo-inverse with a warning when the factor gram is
-    singular to `rank_tol` (this is routine when the working number of
-    factors exceeds the true rank in noiseless data).
+    singular (this is routine when the working number of factors exceeds
+    the true rank in noiseless data).
     """
     X = as_matrix(panel)
     F = np.asarray(factors, dtype=float)
     if F.shape[0] != X.shape[1]:
         raise DimensionError("factors and panel disagree on the number of periods")
-    gram = F.T @ F
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[-1] <= 0 or eigs[0] <= rank_tol * eigs[-1]:
-        warnings.warn(
-            "factor gram matrix is singular to tolerance; using a pseudo-inverse",
-            NumericalWarning,
-            stacklevel=2,
-        )
-        return X @ F @ pseudo_inverse(gram, rank_tol)
-    return np.linalg.solve(gram, F.T @ X.T).T
+    return _solve_gram(F.T @ F, F.T @ X.T).T
 
 
 def residuals(panel, loadings: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -132,11 +153,11 @@ def common_component(loadings: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return np.asarray(loadings, dtype=float) @ np.asarray(factors, dtype=float).T
 
 
-def fit(panel, weights: WeightMatrix | np.ndarray, rank_tol: float = 1e-10) -> FactorFit:
+def fit(panel, weights: WeightMatrix | np.ndarray) -> FactorFit:
     """Full diversified-projection fit: factors, loadings, residuals, gram."""
     X = as_matrix(panel)
     F = estimate_factors(X, weights)
-    B = estimate_loadings(X, F, rank_tol)
+    B = estimate_loadings(X, F)
     U = X - B @ F.T
     W = weights if isinstance(weights, WeightMatrix) else WeightMatrix(np.asarray(weights, dtype=float))
     return FactorFit(factors=F, loadings=B, residuals=U, gram=F.T @ F / F.shape[0], weights=W)
@@ -171,7 +192,7 @@ def pc_factors(panel, n_factors: int) -> FactorFit:
     return FactorFit(factors=F, loadings=B, residuals=X - B @ F.T, gram=F.T @ F / t, weights=None)
 
 
-def transform_matrix(weights: WeightMatrix | np.ndarray, loadings_true: np.ndarray, rank_tol: float = 1e-10):
+def transform_matrix(weights: WeightMatrix | np.ndarray, loadings_true: np.ndarray):
     """Simulation diagnostic H = W'B / N with its singular values.
 
     Returns (H, singular_values, rank).  A rank below the number of true
@@ -185,46 +206,32 @@ def transform_matrix(weights: WeightMatrix | np.ndarray, loadings_true: np.ndarr
         raise DimensionError("weights and loadings disagree on the number of series")
     H = W.T @ B / W.shape[0]
     svals = np.linalg.svd(H, compute_uv=False) if min(H.shape) > 0 else np.zeros(0)
-    rank = int(np.sum(svals > rank_tol * svals[0])) if svals.size and svals[0] > 0 else 0
+    rank = int(np.sum(svals > _RANK_TOL * svals[0])) if svals.size and svals[0] > 0 else 0
     return H, svals, rank
-
-
-def _projector(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    """Orthogonal projector onto the column space of `a` (T x T)."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.size == 0:
-        return np.zeros((a.shape[0], a.shape[0]))
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    keep = s > (rank_tol * s[0] if s.size and s[0] > 0 else 0)
-    u = u[:, keep]
-    return u @ u.T
-
-
-_MAX_DIAGNOSTIC_T = 2000
 
 
 def space_distance(factors_est: np.ndarray, factors_true: np.ndarray, transform: np.ndarray) -> SpaceDistance:
     """Operator-norm distances between span(F_hat) and span(F).
 
     `transform` is the R x r matrix H = W'B/N; the adjusted distance rotates
-    F_hat by M = (HH')^+ H before comparing projectors.  Formed explicitly
-    as T x T matrices, so the diagnostic path is restricted to T <= 2000.
+    F_hat by M = (HH')^+ H before comparing projectors.  Both come from
+    T x rank orthonormal bases, never from T x T projectors:
+    ||P_A P_B - P_B|| = ||(I - P_A) Q_B|| and
+    ||P_A - P_B|| = max(||(I - P_A) Q_B||, ||(I - P_B) Q_A||).
     """
     F_est = np.asarray(factors_est, dtype=float)
     F_true = np.asarray(factors_true, dtype=float)
     if F_est.shape[0] != F_true.shape[0]:
         raise DimensionError("factor matrices disagree on the number of periods")
-    if F_est.shape[0] > _MAX_DIAGNOSTIC_T:
-        raise DimensionError(
-            f"space_distance is a desk-scale diagnostic; T <= {_MAX_DIAGNOSTIC_T} required"
-        )
     H = np.asarray(transform, dtype=float)
-    P_est = _projector(F_est)
-    P_true = _projector(F_true)
-    overlap = float(np.linalg.norm(P_est @ P_true - P_true, 2))
-    M = pseudo_inverse(H @ H.T) @ H
-    P_adj = _projector(F_est @ M)
-    adjusted = float(np.linalg.norm(P_adj - P_true, 2))
-    return SpaceDistance(proj_overlap=overlap, adjusted_distance=adjusted)
+    q_est = _orthobasis(F_est)
+    q_true = _orthobasis(F_true)
+    q_adj = _orthobasis(F_est @ (pseudo_inverse(H @ H.T) @ H))
+
+    def outside(q_a, q_b):  # ||(I - P_A) Q_B||_2
+        return float(np.linalg.norm(q_b - q_a @ (q_a.T @ q_b), 2)) if q_b.size else 0.0
+
+    return SpaceDistance(
+        proj_overlap=outside(q_est, q_true),
+        adjusted_distance=max(outside(q_adj, q_true), outside(q_true, q_adj)),
+    )

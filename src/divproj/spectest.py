@@ -16,12 +16,16 @@ import numpy as np
 from scipy.stats import norm
 
 from .covariance import ThresholdRule, sparse_idio_cov
-from .exceptions import DimensionError, NumericalWarning, SingularGramError
+from .exceptions import DimensionError, NumericalWarning
+from .projection import _orthobasis, _solve_gram
 from .projection import fit as projection_fit
 from .simulation import rep_rng
 from .weights import WeightMatrix
 
 _SIGMA_FLOOR = 1e-12
+# The covariance plug-in's rule when none is given: SCAD with C = 1 keeps the
+# bias and variance plug-ins nearly unbiased, which the test's size hinges on.
+DEFAULT_RULE = ThresholdRule(kind="scad", constant_C=1.0)
 
 
 @dataclass(frozen=True)
@@ -33,12 +37,6 @@ class SpecTestResult:
     p_value: float
     n_bootstrap: int
     seed: int
-
-
-def _orthobasis(a: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    u, s, _ = np.linalg.svd(np.atleast_2d(a), full_matrices=False)
-    keep = s > (rank_tol * s[0] if s.size and s[0] > 0 else 0)
-    return u[:, keep]
 
 
 def spec_statistic(factors_est: np.ndarray, observed: np.ndarray) -> float:
@@ -63,18 +61,22 @@ def spec_statistic(factors_est: np.ndarray, observed: np.ndarray) -> float:
     return max(val, 0.0)
 
 
+def _plug_ins(F: np.ndarray, W: np.ndarray, sigma_u: np.ndarray):
+    """A_hat = 2 (F'F/T)^{-1}, V = W' Sigma_u_hat W and the bias tr(A_hat V) / N^2.
+
+    A singular factor gram raises SingularGramError.
+    """
+    gram = F.T @ F / F.shape[0]
+    a_hat = 2.0 * _solve_gram(gram, np.eye(gram.shape[0]), strict=True)
+    v = W.T @ sigma_u @ W
+    return a_hat, v, float(np.trace(a_hat @ v)) / W.shape[0] ** 2
+
+
 def mean_hat(factors_est: np.ndarray, weights: WeightMatrix | np.ndarray, sigma_u: np.ndarray) -> float:
     """Plug-in bias tr(A_hat W' Sigma_u_hat W) / N^2 with A_hat = 2 (F'F/T)^{-1}."""
     F = np.atleast_2d(np.asarray(factors_est, dtype=float))
     W = weights.values if isinstance(weights, WeightMatrix) else np.asarray(weights, dtype=float)
-    n = W.shape[0]
-    gram = F.T @ F / F.shape[0]
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 1e-14 * max(eigs[-1], 1e-300):
-        raise SingularGramError("estimated factor gram matrix is singular")
-    a_hat = 2.0 * np.linalg.inv(gram)
-    v = W.T @ np.asarray(sigma_u, dtype=float) @ W
-    return float(np.trace(a_hat @ v)) / n**2
+    return _plug_ins(F, W, np.asarray(sigma_u, dtype=float))[2]
 
 
 def sigma_bootstrap(
@@ -130,11 +132,12 @@ def spec_test(
     """Full specification-test pipeline on an observed panel.
 
     The working number of factors equals the number of observed factor
-    columns.  SCAD thresholding is the default for the covariance plug-in
-    (soft thresholding's first-order bias distorts the test's size).  With
-    `df_adjust` the plug-in covariance is rescaled by T/(T - R) to undo the
-    downward bias of residual variances after fitting R factor loadings;
-    without it the test over-rejects in small samples.
+    columns.  SCAD thresholding with C = 1 (`DEFAULT_RULE`) is the default
+    for the covariance plug-in (soft thresholding's first-order bias
+    distorts the test's size).  With `df_adjust` the plug-in covariance is
+    rescaled by T/(T - R) to undo the downward bias of residual variances
+    after fitting R factor loadings; without it the test over-rejects in
+    small samples.
     """
     G = np.atleast_2d(np.asarray(observed, dtype=float))
     W = weights if isinstance(weights, WeightMatrix) else WeightMatrix(np.asarray(weights, dtype=float))
@@ -144,7 +147,7 @@ def spec_test(
             f"factors have dimension {G.shape[1]}"
         )
     if rule is None:
-        rule = ThresholdRule(kind="scad", constant_C=1.0)
+        rule = DEFAULT_RULE
     fit_res = projection_fit(X, W)
     F = fit_res.factors
     n, t = fit_res.residuals.shape
@@ -161,11 +164,8 @@ def spec_test(
         if df_adjust and t > r_work:
             sigma_u = sigma_u * (t / (t - r_work))
     stat = spec_statistic(F, G)
-    m_hat = mean_hat(F, W, sigma_u)
-    v_hat = W.values.T @ sigma_u @ W.values / n
-    gram = F.T @ F / t
-    a_hat = 2.0 * np.linalg.inv(gram)
-    sd = sigma_bootstrap(a_hat, v_hat, n_draws=n_draws, seed=seed, rng=rng)
+    a_hat, v, m_hat = _plug_ins(F, W.values, sigma_u)
+    sd = sigma_bootstrap(a_hat, v / n, n_draws=n_draws, seed=seed, rng=rng)
     sd = max(sd, _SIGMA_FLOOR)
     z = n * np.sqrt(t) * (stat - m_hat) / sd
     p = 2.0 * float(norm.sf(abs(z)))

@@ -187,16 +187,23 @@ def test_criterion_6_forecast_relative_mse():
     assert elapsed < 600
 
 
+def _timed_postsel(**kwargs):
+    """experiment_postsel's summary rows and the seconds the experiment took."""
+    start = time.time()
+    _, rows = experiment_postsel(**kwargs)
+    return rows, time.time() - start
+
+
 @pytest.fixture(scope="module")
 def postsel_rows():
-    return experiment_postsel(n_reps=200, seed=7, threads=1)
+    return _timed_postsel(n_reps=200, seed=7, threads=1)
 
 
 @pytest.fixture(scope="module")
 def postsel_confounded_rows():
-    return experiment_postsel(r_values=(2,), working_factors=(2,), n_series=1000,
-                              factor_coef=0.7, alpha_strength=0.5, weights="characteristic",
-                              oracle_sigma=False, n_reps=200, seed=7, threads=1)
+    return _timed_postsel(r_values=(2,), working_factors=(2,), n_series=1000,
+                          factor_coef=0.7, alpha_strength=0.5, weights="characteristic",
+                          oracle_sigma=False, n_reps=200, seed=7, threads=1)
 
 
 def _postsel_row(rows, r_true, method):
@@ -207,8 +214,7 @@ def _postsel_row(rows, r_true, method):
 
 
 def test_criterion_7_postselection_normality_and_coverage(postsel_rows):
-    start = time.time()
-    _, rows = postsel_rows
+    rows, elapsed = postsel_rows
     # Plain double selection is a target too: in this design both reduced
     # forms are exactly sparse in the controls, so it must be consistent.
     targets = [(0, "dp_R1"), (0, "dp_R2"), (0, "dp_R3"), (2, "dp_R2"), (2, "plain")]
@@ -219,7 +225,6 @@ def test_criterion_7_postselection_normality_and_coverage(postsel_rows):
         assert abs(row["mean_z"]) < 0.2, row
         assert 0.8 <= row["std_z"] <= 1.25, row
         assert 0.90 <= row["coverage"] <= 0.99, row
-    elapsed = time.time() - start
     _report("7 (normality and coverage)", True, "; ".join(details) + f", {elapsed:.0f}s")
 
 
@@ -241,14 +246,14 @@ def test_criterion_7_plain_double_selection_severely_biased(postsel_confounded_r
     so its mean is reported, not bounded.  The designs tried, and why this
     one, are recorded in CHANGES.md; `demos/postsel_designs.py` reruns them.
     """
-    _, rows = postsel_confounded_rows
+    rows, elapsed = postsel_confounded_rows
     plain, plain_detail = _postsel_row(rows, 2, "plain")
     dp, dp_detail = _postsel_row(rows, 2, "dp_R2")
     assert abs(plain["mean_z"]) > 2, plain
     assert 0.8 <= dp["std_z"] <= 1.25, dp
     assert 0.90 <= dp["coverage"] <= 0.99, dp
     _report("7 (plain benchmark under factor confounding)", True,
-            f"{plain_detail} (criterion wants |mean z| > 2); {dp_detail}")
+            f"{plain_detail} (criterion wants |mean z| > 2); {dp_detail}, {elapsed:.0f}s")
 
 
 def test_criterion_8_spec_test_size_and_power():

@@ -139,7 +139,7 @@ class TestSparseIdioCov:
     def test_sparsity_diagnostic(self):
         cov = SparseCovariance(
             sigma_u=np.array([[1.0, 0.5], [0.5, 2.0]]),
-            omega=0.1, nonzero_offdiag=2, threshold_grid=np.zeros((2, 2)),
+            omega=0.1, nonzero_offdiag=2,
         )
         assert cov.sparsity_m(0) == 2.0
         assert cov.sparsity_m(1) == 2.5

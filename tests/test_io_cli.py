@@ -1,18 +1,25 @@
+import functools
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from divproj.cli import run
+from divproj.cli import SIMULATIONS, run
+from divproj.covariance import ThresholdRule
 from divproj.exceptions import DegenerateDataError
+from divproj.experiments import experiment_spectest
 from divproj.io import (
     format_value,
     read_panel,
     read_series,
     write_panel,
+    write_rows_csv,
     write_series,
 )
 from divproj.projection import PanelData
+from divproj.spectest import spec_test
+from divproj.weights import build_weights
 
 
 @pytest.fixture
@@ -161,6 +168,24 @@ class TestCLI:
         result = json.loads((out / "spectest.json").read_text())
         assert 0.0 <= result["p_value"] <= 1.0
 
+    def test_spectest_default_C_is_the_library_default(self, tmp_path):
+        rng = np.random.default_rng(5)
+        F = rng.standard_normal((50, 2))
+        X = rng.standard_normal((12, 2)) @ F.T + 0.5 * rng.standard_normal((12, 50))
+        panel, factors = tmp_path / "panel.csv", tmp_path / "factors.csv"
+        write_panel(panel, PanelData(X))
+        write_panel(factors, PanelData(F.T, series_ids=["f1", "f2"]))
+        out = tmp_path / "spec_out"
+        assert run(["spectest", "--panel", str(panel), "--factors", str(factors),
+                    "--scheme", "hadamard", "--out", str(out), "--draws", "500"]) == 0
+        result = json.loads((out / "spectest.json").read_text())
+        W = build_weights("hadamard", 12, 2)
+        expected = spec_test(X, F, W, rule=None, n_draws=500, seed=0)
+        for key in ("statistic", "mean_hat", "sigma_hat", "z", "p_value"):
+            assert result[key] == getattr(expected, key), key
+        at_c2 = spec_test(X, F, W, rule=ThresholdRule(kind="scad", constant_C=2.0), n_draws=500, seed=0)
+        assert result["mean_hat"] != at_c2.mean_hat  # the default matters here
+
     def test_infer_subcommand(self, tmp_path):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((10, 80))
@@ -206,6 +231,15 @@ class TestCLI:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["artifact"] == "divproj"
 
+    def test_simulate_table3_runs_library_default_C(self, tmp_path):
+        out = tmp_path / "t3"
+        assert run(["simulate", "--experiment", "table3", "--reps", "2",
+                    "--seed", "7", "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["C"] == 1.0
+        _, fields = SIMULATIONS["table3"]
+        write_rows_csv(tmp_path / "expected.csv", fields, experiment_spectest(n_reps=2, seed=7, C=1.0))
+        assert (out / "results.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
     def test_config_file_defaults_and_flag_override(self, tmp_path, panel_csv):
         path, _ = panel_csv
         cfg = tmp_path / "cfg.json"
@@ -234,3 +268,45 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             run(["--version"])
         assert exc.value.code == 0
+
+
+def _stub_experiment(monkeypatch, name):
+    """Replace an experiment by a no-op with its signature; returns the recorded calls."""
+    real, fields = SIMULATIONS[name]
+    calls = []
+
+    @functools.wraps(real)
+    def stub(**kwargs):
+        calls.append(kwargs)
+        return ({}, []) if name == "postsel" else []
+
+    monkeypatch.setitem(SIMULATIONS, name, (stub, fields))
+    return calls
+
+
+class TestSimulateSettings:
+    @pytest.mark.parametrize("name", sorted(SIMULATIONS))
+    def test_config_is_the_bound_signature(self, tmp_path, monkeypatch, name):
+        calls = _stub_experiment(monkeypatch, name)
+        out = tmp_path / name
+        assert run(["simulate", "--experiment", name, "--reps", "3", "--seed", "5",
+                    "--threads", "2", "--out", str(out)]) == 0
+        bound = inspect.signature(SIMULATIONS[name][0]).bind(n_reps=3, seed=5, threads=2)
+        bound.apply_defaults()
+        assert calls == [bound.arguments]
+        config = json.loads((out / "config.json").read_text())
+        assert config == json.loads(json.dumps({"experiment": name, **bound.arguments}))
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("fig1", "C_values", (3.0,)), ("postsel", "C", 3.0), ("table3", "C", 3.0),
+    ])
+    def test_C_reaches_the_experiment(self, tmp_path, monkeypatch, name, key, value):
+        calls = _stub_experiment(monkeypatch, name)
+        assert run(["simulate", "--experiment", name, "--C", "3", "--out", str(tmp_path)]) == 0
+        assert calls[0][key] == value
+
+    def test_C_rejected_for_table2(self, tmp_path, monkeypatch, capsys):
+        calls = _stub_experiment(monkeypatch, "table2")
+        assert run(["simulate", "--experiment", "table2", "--C", "3", "--out", str(tmp_path)]) == 1
+        assert calls == []
+        assert "--C" in capsys.readouterr().err

@@ -1,7 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from divproj.exceptions import DimensionError, NumericalWarning
+from divproj.exceptions import DimensionError, NumericalWarning, SingularGramError
+from divproj.fdr import farm_stats
+from divproj.forecast import fit_augmented
+from divproj.inference import double_selection
 from divproj.projection import (
     PanelData,
     common_component,
@@ -15,6 +20,7 @@ from divproj.projection import (
     transform_matrix,
 )
 from divproj.simulation import SimConfig, generate_panel
+from divproj.spectest import mean_hat
 from divproj.weights import sieve_weights, walsh_hadamard_weights
 
 
@@ -243,9 +249,74 @@ class TestSpaceDistance:
             dist[size] = np.mean(vals)
         assert dist[200] < dist[100]
 
-    def test_large_t_rejected(self):
-        with pytest.raises(DimensionError):
-            space_distance(np.ones((2001, 1)), np.ones((2001, 1)), np.eye(1))
+    def test_runs_at_large_t(self):
+        rng = np.random.default_rng(16)
+        F = rng.standard_normal((5000, 2))
+        d = space_distance(F + 0.5 * rng.standard_normal((5000, 2)), F, np.eye(2))
+        assert 0.0 < d.proj_overlap < 1.0
+        assert 0.0 < d.adjusted_distance < 1.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_projector_formula(self, seed):
+        """The T x rank basis form equals the T x T projector form, rank-deficient cases included."""
+        rng = np.random.default_rng(seed)
+        t, R, r = int(rng.integers(5, 30)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        F_est = rng.standard_normal((t, R))
+        F_true = rng.standard_normal((t, r))
+        H = rng.standard_normal((R, r))
+        if seed % 3 == 1:  # duplicated estimated factor, rank-deficient transform
+            F_est[:, -1] = F_est[:, 0]
+            H[-1] = 0.0
+        if seed % 3 == 2:  # a zero true factor
+            F_true[:, -1] = 0.0
+
+        def projector(a):
+            u, s, _ = np.linalg.svd(a, full_matrices=False)
+            u = u[:, s > 1e-10 * s[0]] if s[0] > 0 else u[:, :0]
+            return u @ u.T
+
+        P_est, P_true = projector(F_est), projector(F_true)
+        P_adj = projector(F_est @ pseudo_inverse(H @ H.T) @ H)
+        d = space_distance(F_est, F_true, H)
+        assert d.proj_overlap == pytest.approx(np.linalg.norm(P_est @ P_true - P_true, 2), abs=1e-12)
+        assert d.adjusted_distance == pytest.approx(np.linalg.norm(P_adj - P_true, 2), abs=1e-12)
+
+
+class TestSingularGram:
+    """Every least-squares step decides singularity by the same gram check."""
+
+    @staticmethod
+    def _data(duplicate):
+        rng = np.random.default_rng(21)
+        n, t = 30, 80
+        X = rng.standard_normal((n, t))
+        F = rng.standard_normal((t, 2))
+        W = rng.standard_normal((n, 2))
+        if duplicate:
+            F, W = np.hstack([F, F[:, :1]]), np.hstack([W, W[:, :1]])
+        return X, F, W, rng.standard_normal(t), rng.standard_normal(t)
+
+    CALLS = {
+        "estimate_loadings": lambda X, F, W, y, g: estimate_loadings(X, F),
+        "fit_augmented": lambda X, F, W, y, g: fit_augmented(y, None, F),
+        "farm_stats": lambda X, F, W, y, g: farm_stats(X, W),
+        "double_selection": lambda X, F, W, y, g: double_selection(y, g, X, W),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_one_warning_per_singular_gram(self, name, duplicate):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.CALLS[name](*self._data(duplicate))
+        numerical = [w for w in caught if issubclass(w.category, NumericalWarning)]
+        assert len(numerical) == int(duplicate), [str(w.message) for w in numerical]
+        assert all(w.filename == __file__ for w in numerical)  # names the public call site
+
+    def test_mean_hat_raises(self):
+        X, F, W, _, _ = self._data(duplicate=True)
+        with pytest.raises(SingularGramError):
+            mean_hat(F, W, np.eye(X.shape[0]))
 
 
 class TestPseudoInverse:
