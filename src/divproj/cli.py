@@ -47,6 +47,7 @@ from .spectest import spec_test
 from .weights import build_weights, check_diversified
 
 SCHEME_CHOICES = ("hadamard", "walsh", "sieve", "rolling", "initial")
+THRESHOLD_RULE = ThresholdRule()  # the library's default thresholding constants
 RULE_CHOICES = ("hard", "soft", "scad")
 # `simulate --experiment` name -> (experiment, columns of results.csv)
 SIMULATIONS = {
@@ -65,6 +66,11 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not argparse's default 2
         raise UsageError(message)
+
+
+def _default(func, name: str):
+    """The library's default for parameter `name` of `func`; flags restate no library value."""
+    return inspect.signature(func).parameters[name].default
 
 
 def _build_parser() -> _Parser:
@@ -89,7 +95,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--R", type=int, default=1, help="working number of factors")
         p.add_argument("--chars", default=None, help="characteristics CSV (sieve weights)")
         p.add_argument("--history", default=None, help="historical panel CSV (rolling weights)")
-        p.add_argument("--epsilon", type=float, default=1.0, help="rolling-weight trimming constant")
+        p.add_argument("--epsilon", type=float, default=_default(build_weights, "epsilon"),
+                       help="rolling-weight trimming constant")
 
     p = sub.add_parser("estimate", help="estimate factors, loadings and residuals")
     p.add_argument("--panel", required=True)
@@ -102,7 +109,7 @@ def _build_parser() -> _Parser:
     scheme_flags(p)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--lead", type=int, default=1)
+    p.add_argument("--lead", type=int, default=_default(rolling_forecast, "h"))
     p.add_argument("--compare-pc", action="store_true", help="also run the PC benchmark")
     common(p)
 
@@ -111,17 +118,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--outcome", required=True)
     p.add_argument("--treatment", required=True)
     scheme_flags(p)
-    p.add_argument("--C", type=float, default=4.1, help="lasso penalty constant")
-    p.add_argument("--level", type=float, default=0.95)
+    p.add_argument("--C", type=float, default=_default(double_selection, "C"), help="lasso penalty constant")
+    p.add_argument("--level", type=float, default=_default(confidence_interval, "level"))
     p.add_argument("--no-refit", action="store_true")
     common(p)
 
     p = sub.add_parser("cov", help="sparse idiosyncratic covariance")
     p.add_argument("--panel", required=True)
     scheme_flags(p)
-    p.add_argument("--rule", choices=RULE_CHOICES, default="scad")
-    p.add_argument("--C", type=float, default=2.0, help="threshold constant")
-    p.add_argument("--scad-a", type=float, default=3.7)
+    p.add_argument("--rule", choices=RULE_CHOICES, default=THRESHOLD_RULE.kind)
+    p.add_argument("--C", type=float, default=THRESHOLD_RULE.constant_C, help="threshold constant")
+    p.add_argument("--scad-a", type=float, default=THRESHOLD_RULE.scad_a)
     p.add_argument("--sparse", action="store_true", help="write (i, j, value) triplets")
     common(p)
 
@@ -129,15 +136,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--panel", required=True)
     p.add_argument("--factors", required=True, help="observed factors CSV (panel layout)")
     scheme_flags(p, need_R=False)
-    p.add_argument("--rule", choices=RULE_CHOICES, default="scad")
+    p.add_argument("--rule", choices=RULE_CHOICES, default=SPEC_TEST_RULE.kind)
     p.add_argument("--C", type=float, default=None, help="threshold constant (spec_test's default if omitted)")
-    p.add_argument("--draws", type=int, default=2000)
+    p.add_argument("--draws", type=int, default=_default(spec_test, "n_draws"))
     common(p)
 
     p = sub.add_parser("fdr", help="factor-adjusted multiple testing")
     p.add_argument("--panel", required=True)
     scheme_flags(p)
-    p.add_argument("--q", type=float, default=0.1, help="FDR level")
+    p.add_argument("--q", type=float, default=_default(farm_test, "q"), help="FDR level")
     common(p)
 
     p = sub.add_parser("simulate", help="reproduce a Monte Carlo study")

@@ -236,6 +236,9 @@ def experiment_forecast(
                         y, X, window, n_steps, PCScheme(cfg.n_factors_true)
                     ).mse
                     out = {"pc": mse_pc}
+                    # one scheme at the largest count; its siblings share each window's SVD
+                    r_max = cfg.n_factors_true + max(extra_factors, default=0)
+                    rolling = RollingWeightScheme(X_pre, r_max, epsilon)
                     for extra in extra_factors:
                         r_work = cfg.n_factors_true + extra
                         if "characteristic" in schemes:
@@ -244,9 +247,8 @@ def experiment_forecast(
                                 y, X, window, n_steps, sch
                             ).mse
                         if "rolling" in schemes:
-                            sch = RollingWeightScheme(X_pre, r_work, epsilon)
                             out[f"rolling_R{r_work}"] = rolling_forecast(
-                                y, X, window, n_steps, sch
+                                y, X, window, n_steps, rolling.with_factors(r_work)
                             ).mse
                     return out
 

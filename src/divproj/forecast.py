@@ -8,13 +8,15 @@ compared on identical data.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import projection
 from .exceptions import DimensionError, InsufficientDataError
-from .projection import _solve_gram, estimate_factors, pc_factors
-from .weights import WeightMatrix, rolling_window_weights
+from .projection import _check_pc_rank, _pc_from_vt, _solve_gram, estimate_factors, pc_factors
+from .weights import WeightMatrix, _rolling_history, _trimmed_weights
 
 
 @dataclass(frozen=True)
@@ -111,13 +113,36 @@ class RollingWeightScheme:
     `history` is the pre-sample panel sitting immediately before column 0
     of the forecast panel; for the window starting at column t the weights
     are learned from the `window` observations ending at column t - 1 of
-    the combined (history, panel) series.
+    the combined (history, panel) series.  The weights equal
+    ``rolling_window_weights(history_window, n_factors, epsilon)``.
+
+    The scheme keeps the leading `n_factors` rows of V' from the SVD of
+    each history window it has seen (n_factors x window floats per window
+    start), so :meth:`with_factors` siblings with fewer factors reuse that
+    SVD instead of repeating it.  An entry is recomputed when the scheme is
+    called with a different panel object; a panel changed in place between
+    calls is not detected.
     """
 
     def __init__(self, history: np.ndarray, n_factors: int, epsilon: float = 1.0):
         self.history = np.atleast_2d(np.asarray(history, dtype=float))
         self.n_factors = n_factors
         self.epsilon = epsilon
+        self._svd_rows = n_factors
+        self._vt_memo = {}  # (start, window) -> (panel, leading rows of V')
+
+    def with_factors(self, n_factors: int) -> "RollingWeightScheme":
+        """A scheme for fewer working factors that shares this one's window SVDs.
+
+        `n_factors` may be at most the count the first scheme was built with.
+        """
+        if not 1 <= n_factors <= self._svd_rows:
+            raise ValueError(
+                f"a sibling scheme needs 1 <= R <= {self._svd_rows}, got R={n_factors}"
+            )
+        sibling = copy.copy(self)
+        sibling.n_factors = n_factors
+        return sibling
 
     def factors(self, X, start: int, window: int) -> np.ndarray:
         t_pre = self.history.shape[1]
@@ -127,9 +152,14 @@ class RollingWeightScheme:
                 f"weight history needs {window - start} pre-sample columns, have {t_pre}"
             )
         combined = np.hstack([self.history, X[:, :start]]) if start > 0 else self.history
-        hist_win = combined[:, lo : t_pre + start]
-        W = rolling_window_weights(hist_win, self.n_factors, self.epsilon)
-        return estimate_factors(X[:, start : start + window], W)
+        hist_win = _rolling_history(combined[:, lo : t_pre + start], self.n_factors, self.epsilon)
+        _check_pc_rank(hist_win, self.n_factors)
+        entry = self._vt_memo.get((start, window))
+        if entry is None or entry[0] is not X:
+            # looked up on the module so that the window SVDs can be counted from outside
+            entry = self._vt_memo[(start, window)] = (X, projection._leading_vt(hist_win, self._svd_rows))
+        _, loadings = _pc_from_vt(hist_win, entry[1][: self.n_factors])
+        return estimate_factors(X[:, start : start + window], _trimmed_weights(loadings, self.epsilon))
 
 
 def rolling_forecast(

@@ -181,15 +181,38 @@ def pc_factors(panel, n_factors: int) -> FactorFit:
     apply here; U_hat F_hat = 0 does.
     """
     X = as_matrix(panel)
+    _check_pc_rank(X, n_factors)
+    F, B = _pc_from_vt(X, _leading_vt(X, n_factors))
+    t = X.shape[1]
+    return FactorFit(factors=F, loadings=B, residuals=X - B @ F.T, gram=F.T @ F / t, weights=None)
+
+
+def _check_pc_rank(X: np.ndarray, n_factors: int) -> None:
     n, t = X.shape
     if n_factors > min(n, t):
         raise DimensionError(
             f"R={n_factors} exceeds min(N, T)={min(n, t)}"
         )
+
+
+def _leading_vt(X: np.ndarray, n_rows: int) -> np.ndarray:
+    """The leading n_rows rows of V' in the thin SVD X = U S V', as a copy.
+
+    Every principal-components SVD in the package goes through here.
+    """
     _, _, vt = np.linalg.svd(X, full_matrices=False)
-    F = np.sqrt(t) * _canonical_signs(vt[:n_factors].T)
-    B = X @ F / t  # (F'F)^{-1} = I/T by normalization
-    return FactorFit(factors=F, loadings=B, residuals=X - B @ F.T, gram=F.T @ F / t, weights=None)
+    return vt[:n_rows].copy()
+
+
+def _pc_from_vt(X: np.ndarray, vt_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PC factors F (T x k, F'F/T = I) and loadings X F / T from k leading rows of V'.
+
+    The loadings are computed from the k factors at hand, never sliced from
+    a wider product: (X F)[:, :k] and X F[:, :k] can differ in the last bit.
+    """
+    t = X.shape[1]
+    F = np.sqrt(t) * _canonical_signs(vt_rows.T)
+    return F, X @ F / t  # (F'F)^{-1} = I/T by normalization
 
 
 def transform_matrix(weights: WeightMatrix | np.ndarray, loadings_true: np.ndarray):

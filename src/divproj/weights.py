@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import hadamard as _sylvester_hadamard
 
 from .exceptions import (
     DegenerateWeightsWarning,
@@ -84,13 +83,13 @@ class WeightDiagnostics:
     gram_condition: float
 
 
-def _warn_if_degenerate(values: np.ndarray, scheme: str) -> None:
+def _warn_if_degenerate(values: np.ndarray, scheme: str, stacklevel: int = 3) -> None:
     col_max = np.max(np.abs(values), axis=0)
     if np.any(col_max == 0.0):
         warnings.warn(
             f"{scheme} weights contain an all-zero column",
             DegenerateWeightsWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
         return
     if values.shape[1] > 1:
@@ -99,7 +98,7 @@ def _warn_if_degenerate(values: np.ndarray, scheme: str) -> None:
             warnings.warn(
                 f"{scheme} weights have collinear columns (rank {rank} < {values.shape[1]})",
                 DegenerateWeightsWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
 
 
@@ -124,14 +123,16 @@ def hadamard_pattern_weights(n_series: int, n_factors: int) -> WeightMatrix:
 def walsh_hadamard_weights(n_series: int, n_factors: int) -> WeightMatrix:
     """Upper-left N x R block of the Sylvester Hadamard matrix of dimension
     2^K with K = ceil(log2 N).  Columns are exactly orthogonal when N = 2^K.
+
+    The block is built entry by entry, H[i, j] = (-1)^popcount(i & j), in
+    O(N R) memory; the full 2^K x 2^K matrix is never formed.
     """
     if not 1 <= n_factors <= n_series:
         raise DimensionError(
             f"need 1 <= R <= N, got R={n_factors}, N={n_series}"
         )
-    k = int(np.ceil(np.log2(n_series))) if n_series > 1 else 0
-    H = _sylvester_hadamard(2**k, dtype=float)
-    return WeightMatrix(H[:n_series, :n_factors], scheme="walsh_hadamard")
+    parity = np.bitwise_count(np.arange(n_series)[:, None] & np.arange(n_factors)) & 1
+    return WeightMatrix(1.0 - 2.0 * parity, scheme="walsh_hadamard")
 
 
 def sieve_weights(
@@ -169,6 +170,12 @@ def rolling_window_weights(
     """
     from .projection import pc_factors  # local import to avoid a cycle
 
+    hist = _rolling_history(panel_history, n_factors, epsilon)
+    return _trimmed_weights(pc_factors(hist, n_factors).loadings, epsilon)
+
+
+def _rolling_history(panel_history: np.ndarray, n_factors: int, epsilon: float) -> np.ndarray:
+    """The validated N x T0 history of rolling-window weights."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     hist = np.asarray(panel_history, dtype=float)
@@ -179,11 +186,15 @@ def rolling_window_weights(
         raise InsufficientDataError(
             f"historical window has T0={t0} < R={n_factors} observations"
         )
-    loadings = pc_factors(hist, n_factors).loadings
+    return hist
+
+
+def _trimmed_weights(loadings: np.ndarray, epsilon: float) -> WeightMatrix:
+    """Rolling-window weights from PCA loadings: each column trimmed to +-1/epsilon."""
     col_max = np.max(np.abs(loadings), axis=0)
     denom = np.maximum(1.0, epsilon * col_max)
     values = loadings / denom
-    _warn_if_degenerate(values, "rolling_window")
+    _warn_if_degenerate(values, "rolling_window", stacklevel=4)
     return WeightMatrix(values, scheme="rolling_window")
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from divproj import projection
 from divproj.exceptions import DimensionError, InsufficientDataError, NumericalWarning
+from divproj.experiments import experiment_forecast
 from divproj.forecast import (
     FixedWeightScheme,
     PCScheme,
@@ -10,7 +12,8 @@ from divproj.forecast import (
     predict,
     rolling_forecast,
 )
-from divproj.weights import walsh_hadamard_weights
+from divproj.projection import estimate_factors
+from divproj.weights import rolling_window_weights, walsh_hadamard_weights
 
 
 class TestFitAugmented:
@@ -176,3 +179,61 @@ class TestRollingForecast:
         scheme = RollingWeightScheme(np.ones((4, 5)), n_factors=1)
         with pytest.raises(InsufficientDataError):
             scheme.factors(np.ones((4, 30)), 0, 20)
+
+
+class TestSharedWindowSVD:
+    """Siblings of a RollingWeightScheme share one SVD per history window."""
+
+    @staticmethod
+    def _data():
+        rng = np.random.default_rng(9)
+        return rng.standard_normal((7, 15)), rng.standard_normal((7, 30))
+
+    @pytest.mark.parametrize("order", [(3, 2, 1), (1, 2, 3)])
+    def test_siblings_equal_stand_alone_weights(self, order):
+        history, X = self._data()
+        window, eps = 12, 0.7
+        parent = RollingWeightScheme(history, n_factors=3, epsilon=eps)
+        combined = np.hstack([history, X])
+        for start in range(X.shape[1] - window + 1):
+            hist_win = combined[:, history.shape[1] + start - window : history.shape[1] + start]
+            for r in order:
+                expected = estimate_factors(
+                    X[:, start : start + window], rolling_window_weights(hist_win, r, eps)
+                )
+                got = parent.with_factors(r).factors(X, start, window)
+                assert np.array_equal(got, expected), (start, r)
+
+    def test_sibling_cannot_exceed_parent(self):
+        history, _ = self._data()
+        parent = RollingWeightScheme(history, n_factors=3)
+        with pytest.raises(ValueError):
+            parent.with_factors(4)
+        with pytest.raises(ValueError):
+            parent.with_factors(2).with_factors(4)
+        with pytest.raises(ValueError):
+            parent.with_factors(0)
+
+    def test_new_panel_recomputes_the_window_svd(self):
+        history, X = self._data()
+        scheme = RollingWeightScheme(history, n_factors=2)
+        scheme.factors(X, 5, 12)
+        X2 = X + 1.0
+        hist_win = np.hstack([history, X2])[:, 15 + 5 - 12 : 15 + 5]
+        expected = estimate_factors(X2[:, 5:17], rolling_window_weights(hist_win, 2))
+        assert np.array_equal(scheme.factors(X2, 5, 12), expected)
+
+    def test_forecast_study_runs_one_svd_per_window_and_scheme(self, monkeypatch):
+        n_series, window, n_steps = 20, 30, 8
+        shapes = []
+        leading_vt = projection._leading_vt
+
+        def counting(X, n_rows):
+            shapes.append(X.shape)
+            return leading_vt(X, n_rows)
+
+        monkeypatch.setattr(projection, "_leading_vt", counting)
+        experiment_forecast(window_sizes=(window,), rho_Ts=(0.0,), alphas=(1.0,), n_series=n_series,
+                            n_steps=n_steps, n_reps=1, extra_factors=(0, 1, 3))
+        # PC on each forecast window, plus one shared SVD per history window
+        assert shapes == [(n_series, window)] * (2 * n_steps)

@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from divproj.cli import SIMULATIONS, run
+from divproj.cli import SIMULATIONS, _build_parser, run
 from divproj.covariance import ThresholdRule
 from divproj.exceptions import DegenerateDataError
 from divproj.experiments import experiment_spectest
+from divproj.fdr import farm_test
+from divproj.forecast import rolling_forecast
+from divproj.inference import confidence_interval, double_selection
 from divproj.io import (
     format_value,
     read_panel,
@@ -18,8 +21,8 @@ from divproj.io import (
     write_series,
 )
 from divproj.projection import PanelData
-from divproj.spectest import spec_test
-from divproj.weights import build_weights
+from divproj.spectest import DEFAULT_RULE, spec_test
+from divproj.weights import build_weights, rolling_window_weights
 
 
 @pytest.fixture
@@ -268,6 +271,40 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             run(["--version"])
         assert exc.value.code == 0
+
+
+def _library_default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+def test_flag_defaults_are_the_library_defaults():
+    """Each subcommand parsed with its required flags only carries the library's defaults."""
+    parse = _build_parser().parse_args
+    epsilon = _library_default(build_weights, "epsilon")
+    assert epsilon == _library_default(rolling_window_weights, "epsilon")
+    needed = {
+        "estimate": ["--panel", "x"],
+        "forecast": ["--panel", "x", "--outcome", "y", "--window", "5", "--steps", "2"],
+        "infer": ["--panel", "x", "--outcome", "y", "--treatment", "g"],
+        "cov": ["--panel", "x"],
+        "spectest": ["--panel", "x", "--factors", "f"],
+        "fdr": ["--panel", "x"],
+    }
+    for command, flags in needed.items():
+        assert parse([command, *flags]).epsilon == epsilon, command
+    forecast = parse(["forecast", *needed["forecast"]])
+    assert forecast.lead == _library_default(rolling_forecast, "h")
+    infer = parse(["infer", *needed["infer"]])
+    assert infer.C == _library_default(double_selection, "C")
+    assert infer.level == _library_default(confidence_interval, "level")
+    cov = parse(["cov", *needed["cov"]])
+    rule = ThresholdRule()
+    assert (cov.rule, cov.C, cov.scad_a) == (rule.kind, rule.constant_C, rule.scad_a)
+    spectest = parse(["spectest", *needed["spectest"]])
+    assert spectest.rule == DEFAULT_RULE.kind
+    assert spectest.C is None  # resolved to DEFAULT_RULE.constant_C at run time
+    assert spectest.draws == _library_default(spec_test, "n_draws")
+    assert parse(["fdr", *needed["fdr"]]).q == _library_default(farm_test, "q")
 
 
 def _stub_experiment(monkeypatch, name):

@@ -208,6 +208,18 @@ class TestExperimentDrivers:
                                    n_reps=400, seed=2024, threads=1)
         assert 0.04 <= rows[0]["rejection_rate"] <= 0.12
 
+    @pytest.mark.xfail(
+        reason="Hadamard-pattern weights do not hold the level at the default "
+        "C = 1: the null rejection rate is 0.51 at T = 200 here (400 "
+        "replications, seed 2024) and 0.489 at seed 0 with 1000 replications, "
+        "where the power at gamma = 0.2, T = 100 (0.061) is below the size (0.078)",
+        strict=True,
+    )
+    def test_spectest_experiment_hadamard_weights_size(self):
+        rows = experiment_spectest(gammas=(0.0,), T_values=(200,), schemes=("hadamard",),
+                                   n_reps=400, seed=2024, threads=1)
+        assert 0.04 <= rows[0]["rejection_rate"] <= 0.12
+
     def test_threads_do_not_change_results(self):
         a = experiment_spectest(gammas=(0.0,), T_values=(60,), schemes=("characteristic",),
                                 n_reps=6, seed=5, threads=1)

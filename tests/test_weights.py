@@ -66,6 +66,27 @@ class TestWalshHadamard:
     def test_single_series(self):
         assert walsh_hadamard_weights(1, 1).values.tolist() == [[1.0]]
 
+    def test_corner_of_the_sylvester_matrix(self):
+        from scipy.linalg import hadamard
+
+        for n in [*range(1, 301), 1200]:
+            k = int(np.ceil(np.log2(n))) if n > 1 else 0
+            full = hadamard(2**k, dtype=float)
+            for r in range(1, min(n, 8) + 1):
+                np.testing.assert_array_equal(walsh_hadamard_weights(n, r).values, full[:n, :r])
+
+    def test_memory_grows_with_n_times_r(self):
+        import tracemalloc
+
+        n, r = 2**20 + 1, 3  # the full Sylvester matrix would be 2^21 x 2^21
+        tracemalloc.start()
+        try:
+            walsh_hadamard_weights(n, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n * r
+
 
 class TestSieve:
     def test_monomials(self):
