@@ -21,7 +21,7 @@ from divproj import (
 
 def main(seed=0):
     cfg = SimConfig(n_series=150, n_periods=120, n_factors_true=2,
-                    n_factors_working=4, alpha_strength=1.0, rho_T=0.5, seed=seed)
+                    alpha_strength=1.0, rho_T=0.5, seed=seed)
     sim = generate_panel(cfg)
     print(f"panel: N={cfg.n_series} series, T={cfg.n_periods} periods, "
           f"r={cfg.n_factors_true} true factors")

@@ -13,7 +13,7 @@ from divproj import SimConfig, bh_reject, farm_test, generate_panel, sieve_weigh
 
 def main(seed=5):
     cfg = SimConfig(n_series=200, n_periods=200, n_factors_true=2,
-                    n_factors_working=3, alpha_strength=1.0, rho_T=0.0, seed=seed)
+                    alpha_strength=1.0, rho_T=0.0, seed=seed)
     sim = generate_panel(cfg)
     shift = np.zeros((200, 1))
     shift[:10] = 0.4  # ten series with genuinely nonzero means

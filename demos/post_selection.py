@@ -21,7 +21,7 @@ from divproj import (
 def main(seed=42):
     beta = 1.0
     cfg = SimConfig(n_series=200, n_periods=201, n_factors_true=2,
-                    n_factors_working=3, alpha_strength=1.0, rho_T=0.0, seed=seed)
+                    alpha_strength=1.0, rho_T=0.0, seed=seed)
     rng = rep_rng(cfg.seed, 0)
     sim = generate_panel(cfg, rng=rng)
     x0, X = sim.panel.X[:, 0], sim.panel.X[:, 1:]

@@ -21,7 +21,7 @@ from divproj import (
 
 def main(seed=1):
     cfg = SimConfig(n_series=200, n_periods=200, n_factors_true=1,
-                    n_factors_working=1, alpha_strength=1.0, rho_T=0.0, seed=seed)
+                    alpha_strength=1.0, rho_T=0.0, seed=seed)
     sim = generate_panel(cfg)
     truth = cross_section_cov(cfg)
     truth_inv = np.linalg.inv(truth)

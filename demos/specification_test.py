@@ -11,7 +11,7 @@ from divproj import SimConfig, generate_panel, rep_rng, sieve_weights, spec_test
 
 def main(seed=11):
     cfg = SimConfig(n_series=200, n_periods=100, n_factors_true=2,
-                    n_factors_working=2, alpha_strength=1.0, rho_T=0.0, seed=seed)
+                    alpha_strength=1.0, rho_T=0.0, seed=seed)
     rng = rep_rng(cfg.seed, 0)
     sim = generate_panel(cfg, rng=rng)
     X, F = sim.panel.X, sim.F_true

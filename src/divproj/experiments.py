@@ -96,7 +96,6 @@ def experiment_cov(
                     n_series=size,
                     n_periods=size,
                     n_factors_true=n_factors_true,
-                    n_factors_working=n_factors_true,
                     alpha_strength=alpha,
                     rho_T=rho,
                     seed=seed,
@@ -223,7 +222,6 @@ def experiment_forecast(
                     n_series=n_series,
                     n_periods=window,
                     n_factors_true=r,
-                    n_factors_working=r,
                     alpha_strength=alpha,
                     rho_T=rho,
                     seed=seed,
@@ -340,7 +338,6 @@ def experiment_postsel(
             n_series=n_series,
             n_periods=n_periods + 1,  # one extra column: the initial observation
             n_factors_true=r,
-            n_factors_working=max(working_factors),
             alpha_strength=alpha_strength,
             rho_T=0.0,  # serially independent errors in this design
             seed=seed,
@@ -423,7 +420,6 @@ def experiment_spectest(
                     n_series=n_series,
                     n_periods=t_len + 1,  # extra initial observation for initial weights
                     n_factors_true=n_factors_true,
-                    n_factors_working=n_factors_true,
                     alpha_strength=1.0,
                     rho_T=0.0,
                     seed=seed,

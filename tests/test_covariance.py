@@ -120,8 +120,7 @@ class TestSparseIdioCov:
         np.testing.assert_array_equal(scaled.sigma_u != 0, base.sigma_u != 0)
 
     def test_support_recovery_on_block_design(self):
-        cfg = SimConfig(n_series=300, n_periods=300, n_factors_true=1,
-                        n_factors_working=1, seed=9)
+        cfg = SimConfig(n_series=300, n_periods=300, n_factors_true=1, seed=9)
         truth = cross_section_cov(cfg)
         off = ~np.eye(300, dtype=bool)
         true_nonzero = (truth != 0) & off

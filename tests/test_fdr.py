@@ -95,8 +95,7 @@ class TestFarmTest:
         Under the global null every rejection is false, so the empirical
         FDR equals the fraction of replications with any rejection.
         """
-        cfg = SimConfig(n_series=200, n_periods=200, n_factors_true=1,
-                        n_factors_working=2, alpha_strength=1.0, seed=13)
+        cfg = SimConfig(n_series=200, n_periods=200, n_factors_true=1, alpha_strength=1.0, seed=13)
         any_rejection = 0
         n_reps = 200
         for rep in range(n_reps):

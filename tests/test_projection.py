@@ -125,8 +125,7 @@ class TestCommonComponent:
     def test_error_shrinks_with_dimension(self):
         errs = {}
         for size in (100, 300):
-            cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=1,
-                            n_factors_working=1, seed=9)
+            cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=1, seed=9)
             per_rep = []
             for rep in range(3):
                 sim = generate_panel(cfg, replication=rep)
@@ -196,7 +195,7 @@ class TestTransformMatrix:
         nus = {}
         for size in (100, 400):
             cfg = SimConfig(n_series=size, n_periods=50, n_factors_true=2,
-                            n_factors_working=2, alpha_strength=0.5, seed=9)
+                            alpha_strength=0.5, seed=9)
             vals = []
             for rep in range(10):
                 sim = generate_panel(cfg, replication=rep)
@@ -225,8 +224,7 @@ class TestSpaceDistance:
         assert d.proj_overlap == pytest.approx(0.0, abs=1e-10)
 
     def test_projection_estimate_quality_at_scale(self):
-        cfg = SimConfig(n_series=200, n_periods=200, n_factors_true=2,
-                        n_factors_working=2, alpha_strength=1.0, seed=9)
+        cfg = SimConfig(n_series=200, n_periods=200, n_factors_true=2, alpha_strength=1.0, seed=9)
         sim = generate_panel(cfg, replication=0)
         W = sieve_weights(sim.z_chars, 2)
         H, _, _ = transform_matrix(W, sim.B_true)
@@ -238,7 +236,7 @@ class TestSpaceDistance:
         dist = {}
         for size in (100, 200):
             cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=1,
-                            n_factors_working=2, alpha_strength=1.0, seed=9)
+                            alpha_strength=1.0, seed=9)
             vals = []
             for rep in range(6):
                 sim = generate_panel(cfg, replication=rep)
@@ -347,8 +345,7 @@ class TestGramAtScale:
     def test_gram_stays_invertible_with_extra_factors(self):
         # working factors beyond the true count leave the factor gram
         # invertible, with N * lambda_min bounded away from zero
-        cfg = SimConfig(n_series=200, n_periods=200, n_factors_true=1,
-                        n_factors_working=3, alpha_strength=1.0, seed=9)
+        cfg = SimConfig(n_series=200, n_periods=200, n_factors_true=1, alpha_strength=1.0, seed=9)
         for rep in range(5):
             sim = generate_panel(cfg, replication=rep)
             fr = fit(sim.panel.X, sieve_weights(sim.z_chars, 3))

@@ -120,7 +120,7 @@ class TestSigmaBootstrap:
 
 def _null_instance(rep, t_len=100, seed=17):
     cfg = SimConfig(n_series=200, n_periods=t_len + 1, n_factors_true=2,
-                    n_factors_working=2, alpha_strength=1.0, rho_T=0.0, seed=seed)
+                    alpha_strength=1.0, rho_T=0.0, seed=seed)
     rng = rep_rng(cfg.seed, rep)
     sim = generate_panel(cfg, rng=rng)
     return sim.panel.X[:, 1:], sim.F_true[1:], sieve_weights(sim.z_chars, 2), cfg
