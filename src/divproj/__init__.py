@@ -40,11 +40,8 @@ from .forecast import (
 )
 from .inference import (
     DoubleSelectionResult,
-    LassoProblem,
     confidence_interval,
     double_selection,
-    iterate_sigma,
-    lasso,
     tuning_tau,
 )
 from .projection import (

@@ -4,8 +4,9 @@ Subcommands: estimate, forecast, infer, cov, spectest, fdr, simulate.
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors.  Every run
 writes a manifest.json with the resolved configuration so it can be
 re-run exactly.  A JSON file passed through --config supplies defaults
-that explicit flags override; DIVPROJ_THREADS is the fallback for
---threads.
+that explicit flags override; its values are parsed as the flags they
+name, so a bad value exits 1 and an unreadable file 2.  DIVPROJ_THREADS is
+the fallback for --threads and is parsed as the flag would be.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--threads",
             type=int,
-            default=int(os.environ.get("DIVPROJ_THREADS", "1")),
-            help="worker threads for simulation replications",
+            # a string default goes through type=int, so a bad value is a usage error
+            default=os.environ.get("DIVPROJ_THREADS", "1"),
+            help="worker threads for simulation replications (default: $DIVPROJ_THREADS or 1)",
         )
 
     def scheme_flags(p, need_R=True):
@@ -157,18 +159,38 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Fill in values from --config for flags not given on the command line."""
-    if not getattr(args, "config", None):
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file's settings go in as flags right after the subcommand.
+
+    Later flags win, so the explicit ones override the file.  A JSON `true`
+    gives a bare switch such as --sparse, and `false` or `null` leaves the
+    flag out.
+    """
+    args = parser.parse_args(argv)
+    if not args.config:
         return args
     with open(args.config) as fh:
-        defaults = json.load(fh)
-    given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for key, value in defaults.items():
+        settings = json.load(fh)
+    if not isinstance(settings, dict):
+        raise UsageError(f"--config {args.config}: expected a JSON object of flag values")
+    tokens = []
+    for key, value in settings.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in given and attr != "subcommand":
-            setattr(args, attr, value)
-    return args
+        if attr == "subcommand" or value is None:
+            continue
+        if not hasattr(args, attr):
+            raise UsageError(f"--config {args.config}: {key!r} is not a flag of {args.subcommand}")
+        flag = "--" + attr.replace("_", "-")
+        if isinstance(getattr(args, attr), bool):  # a switch
+            if not isinstance(value, bool):
+                raise UsageError(f"--config {args.config}: {key!r} must be true or false")
+            tokens += [flag] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            tokens += [flag, str(value)]
+        else:
+            raise UsageError(f"--config {args.config}: {key!r} must be a string or a number")
+    at = argv.index(args.subcommand) + 1
+    return parser.parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _panel_and_weights(args, X_panel: PanelData):
@@ -448,19 +470,13 @@ _COMMANDS = {
 def run(argv=None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(args, argv)
-    except UsageError as exc:
-        print(f"divproj: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = _parse(_build_parser(), argv)
         return _COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"divproj: {exc}", file=sys.stderr)
         return 1
-    except (DivprojError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (DivprojError, OSError, ValueError) as exc:
         print(f"divproj: {exc}", file=sys.stderr)
         return 2
 

@@ -115,19 +115,17 @@ def sparse_idio_cov(residuals_hat: np.ndarray, rule: ThresholdRule) -> SparseCov
     return SparseCovariance(sigma_u=sigma, omega=omega, nonzero_offdiag=nonzero)
 
 
-def invert_sparse_cov(cov: SparseCovariance | np.ndarray, eig_floor: float | None = None) -> np.ndarray:
+def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
     """Cholesky inverse of a thresholded covariance.
 
     Thresholding does not guarantee positive definiteness; if the smallest
-    eigenvalue is at or below `eig_floor` the diagonal is shifted up by
-    (eig_floor - lambda_min) before inverting, with a warning.  The default
-    floor is 1e-6 times the mean diagonal.  The reported covariance itself
-    is never modified.
+    eigenvalue is at or below a floor of 1e-6 times the mean diagonal, the
+    diagonal is shifted up by (floor - lambda_min) before inverting, with a
+    warning.  The reported covariance itself is never modified.
     """
     sigma = cov.sigma_u if isinstance(cov, SparseCovariance) else np.asarray(cov, dtype=float)
     n = sigma.shape[0]
-    if eig_floor is None:
-        eig_floor = 1e-6 * float(np.mean(np.diag(sigma)))
+    eig_floor = 1e-6 * float(np.mean(np.diag(sigma)))
     lam_min = float(np.linalg.eigvalsh(sigma)[0])
     if lam_min <= eig_floor:
         shift = eig_floor - lam_min

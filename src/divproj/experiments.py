@@ -29,12 +29,7 @@ from .simulation import (
     true_idio_cov,
 )
 from .spectest import spec_test
-from .weights import (
-    WeightMatrix,
-    hadamard_pattern_weights,
-    initial_transform_weights,
-    sieve_weights,
-)
+from .weights import WeightMatrix, build_weights, sieve_weights
 
 
 def _map_replications(fn, n_reps: int, threads: int = 1) -> list:
@@ -53,14 +48,14 @@ def _mean_se(values: np.ndarray):
 
 
 def _scheme_weights(scheme: str, sim, r_work: int, x0: np.ndarray) -> WeightMatrix:
-    """Diversified weights of a simulated panel by scheme name."""
-    if scheme in ("characteristic", "sieve"):
-        return sieve_weights(sim.z_chars, r_work)
-    if scheme in ("hadamard", "hadamard_pattern"):
-        return hadamard_pattern_weights(sim.panel.n_series, r_work)
-    if scheme in ("initial", "initial_transform"):
-        return initial_transform_weights(x0, r_work)
-    raise ValueError(f"unsupported weight scheme: {scheme!r}")
+    """Diversified weights of a simulated panel by scheme name (see `build_weights`).
+
+    The studies compare the characteristic, Hadamard-pattern and
+    initial-transform schemes only.
+    """
+    if scheme not in ("characteristic", "sieve", "hadamard", "hadamard_pattern", "initial", "initial_transform"):
+        raise ValueError(f"unsupported weight scheme: {scheme!r}")
+    return build_weights(scheme, sim.panel.n_series, r_work, characteristics=sim.z_chars, x0=x0)
 
 
 # ---------------------------------------------------------------------------

@@ -162,27 +162,17 @@ class RollingWeightScheme:
         return estimate_factors(X[:, start : start + window], _trimmed_weights(loadings, self.epsilon))
 
 
-def rolling_forecast(
-    y,
-    X,
-    window: int,
-    steps: int,
-    scheme,
-    h: int = 1,
-    extra=None,
-    include_intercept: bool = True,
-    include_lag: bool = True,
-) -> RollingForecastReport:
+def rolling_forecast(y, X, window: int, steps: int, scheme, h: int = 1) -> RollingForecastReport:
     """One-step-ahead (or h-step) forecasts over `steps` moving windows.
 
     For each t = 0..steps-1 the factors are re-estimated on columns
     t..t+window-1 of X, the augmented regression of y_{s+h} on
-    (f_hat_s, 1, y_s, extra_s) is refit inside the window, and y at
-    position t+window-1+h is forecast from the window's last observation.
+    (f_hat_s, 1, y_s) is refit inside the window, and y at position
+    t+window-1+h is forecast from the window's last observation.
 
-    `scheme` is an object with a ``factors(X, start, window)`` method (see
-    :class:`FixedWeightScheme`, :class:`PCScheme`,
-    :class:`RollingWeightScheme`) or a bare callable with that signature.
+    `scheme` is an object with a ``factors(X, start, window)`` method:
+    :class:`FixedWeightScheme`, :class:`PCScheme` or
+    :class:`RollingWeightScheme`.
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -194,30 +184,15 @@ def rolling_forecast(
             f"need {needed} observations of y and {window + steps - 1} columns of X, "
             f"got {y.size} and {X.shape[1]}"
         )
-    if extra is not None:
-        extra = np.asarray(extra, dtype=float)
-        if extra.ndim == 1:
-            extra = extra[:, None]
-        if extra.shape[0] < window + steps - 1:
-            raise InsufficientDataError("extra observables are shorter than the forecast span")
 
-    factors_of = scheme.factors if hasattr(scheme, "factors") else scheme
     forecasts = np.empty(steps)
     realized = np.empty(steps)
     for t in range(steps):
         y_win = y[t : t + window]
-        F = factors_of(X, t, window)
-        obs_cols = []
-        if include_intercept:
-            obs_cols.append(np.ones(window))
-        if include_lag:
-            obs_cols.append(y_win)
-        if extra is not None:
-            obs_cols.append(extra[t : t + window])
-        obs = np.column_stack(obs_cols) if obs_cols else None
+        F = scheme.factors(X, t, window)
+        obs = np.column_stack([np.ones(window), y_win])
         model = fit_augmented(y_win, obs, F, lead=h)
-        last_obs = obs[-1] if obs is not None else None
-        forecasts[t] = predict(model, F[-1], last_obs)
+        forecasts[t] = predict(model, F[-1], obs[-1])
         realized[t] = y[t + window - 1 + h]
     err = forecasts - realized
     return RollingForecastReport(forecasts=forecasts, realized=realized, mse=float(np.mean(err**2)))

@@ -11,41 +11,17 @@ with active-set cycling between full sweeps.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
 from .exceptions import DimensionError, InsufficientDataError
-from .projection import _orthobasis, _solve_gram, estimate_factors
+from .projection import _solve_gram, estimate_factors
 from .weights import WeightMatrix
 
 _SIGMA2_FLOOR = 1e-12
 _SUPPORT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class LassoProblem:
-    """An l1-penalized least-squares problem (1/T)||y - D g||^2 + tau ||g||_1."""
-
-    design: np.ndarray       # T x N
-    response: np.ndarray     # length T
-    tau: float
-    max_iter: int = 1000
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        D = np.atleast_2d(np.asarray(self.design, dtype=float))
-        y = np.asarray(self.response, dtype=float).ravel()
-        object.__setattr__(self, "design", D)
-        object.__setattr__(self, "response", y)
-        if not (np.all(np.isfinite(D)) and np.all(np.isfinite(y))):
-            raise ValueError("design and response must be finite")
-        if D.shape[0] != y.size:
-            raise DimensionError("design and response disagree on the sample size")
-        if self.tau < 0:
-            raise ValueError("tau must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -87,12 +63,13 @@ def _sweep(G, Gdiag, c, q, gamma, halftau, order) -> float:
     return max_change
 
 
-def _cd_lasso(G, c, y2_mean, tau, gamma0=None, max_iter=1000, tol=1e-10):
+def _cd_lasso(G, c, tau, gamma0=None, max_iter=1000, tol=1e-10):
     """Coordinate descent on the gram form of the lasso objective.
 
-    G = D'D/T, c = D'y/T and y2_mean = mean(y^2), so the objective is
-    g'Gg - 2 c'g + y2_mean + tau ||g||_1.  Returns (gamma, objectives,
-    converged) where `objectives` holds the value after every sweep.
+    G = D'D/T and c = D'y/T, so the objective is
+    mean(y^2) - 2 c'g + g'Gg + tau ||g||_1.  Returns (gamma, converged),
+    where `converged` is False if the largest coefficient change of a full
+    sweep still exceeds `tol` after `max_iter` sweeps.
     """
     n = c.size
     gamma = np.zeros(n) if gamma0 is None else np.array(gamma0, dtype=float)
@@ -101,16 +78,11 @@ def _cd_lasso(G, c, y2_mean, tau, gamma0=None, max_iter=1000, tol=1e-10):
     halftau = tau / 2.0
     all_idx = np.arange(n)
 
-    def objective():
-        return float(y2_mean - 2.0 * (c @ gamma) + gamma @ q + tau * np.sum(np.abs(gamma)))
-
-    objectives = []
     sweeps = 0
     converged = False
     while sweeps < max_iter:
         change = _sweep(G, Gdiag, c, q, gamma, halftau, all_idx)
         sweeps += 1
-        objectives.append(objective())
         if change < tol:
             converged = True
             break
@@ -118,31 +90,9 @@ def _cd_lasso(G, c, y2_mean, tau, gamma0=None, max_iter=1000, tol=1e-10):
         while sweeps < max_iter and active.size:
             change = _sweep(G, Gdiag, c, q, gamma, halftau, active)
             sweeps += 1
-            objectives.append(objective())
             if change < tol:
                 break
-    return gamma, objectives, converged
-
-
-def lasso(problem: LassoProblem) -> np.ndarray:
-    """Solve the lasso by cyclic coordinate descent.
-
-    Emits a warning and returns the last iterate if the coefficient-change
-    criterion is not met within `max_iter` sweeps.
-    """
-    D, y = problem.design, problem.response
-    t = D.shape[0]
-    G = D.T @ D / t
-    c = D.T @ y / t
-    gamma, _, converged = _cd_lasso(
-        G, c, float(np.mean(y**2)), problem.tau, max_iter=problem.max_iter, tol=problem.tol
-    )
-    if not converged:
-        warnings.warn(
-            f"lasso did not converge in {problem.max_iter} sweeps; returning last iterate",
-            stacklevel=2,
-        )
-    return gamma
+    return gamma, converged
 
 
 def tuning_tau(sigma2: float, n: int, t: int, C: float = 4.1) -> float:
@@ -182,7 +132,7 @@ def _iterate_sigma_core(G, c, y_var, y2_mean, n, t, C, n_rounds=5):
     gamma = None
     for _ in range(n_rounds):
         tau = tuning_tau(sigma2, n, t, C)
-        gamma, _, _ = _cd_lasso(G, c, y2_mean, tau, gamma0=gamma)
+        gamma, _ = _cd_lasso(G, c, tau, gamma0=gamma)
         support = np.flatnonzero(np.abs(gamma) > _SUPPORT_TOL)
         new_sigma2 = max(_post_lasso_rms(G, c, y2_mean, support, t), _SIGMA2_FLOOR)
         done = abs(new_sigma2 - sigma2) / max(sigma2, _SIGMA2_FLOOR) < 1e-3
@@ -190,29 +140,6 @@ def _iterate_sigma_core(G, c, y_var, y2_mean, n, t, C, n_rounds=5):
         if done:
             break
     return tuning_tau(sigma2, n, t, C), sigma2, gamma
-
-
-def iterate_sigma(design, response, C: float = 4.1, n_rounds: int = 5):
-    """Iterative feasible tuning of the lasso penalty.
-
-    Starts from sigma2 = Var(response) (about the raw second moment when
-    the response is centered upstream; here the plain variance is used),
-    alternates a lasso fit at tau = C sqrt(sigma2 log N / T) with a
-    residual-mean-square update of sigma2, and stops when the relative
-    change drops below 1e-3 or after `n_rounds` rounds.  sigma2 is floored
-    at 1e-12 so a degenerate response yields tau ~ 0 instead of zero.
-
-    Returns (tau, sigma2) evaluated at the final variance estimate.
-    """
-    D = np.atleast_2d(np.asarray(design, dtype=float))
-    y = np.asarray(response, dtype=float).ravel()
-    t, n = D.shape
-    G = D.T @ D / t
-    c = D.T @ y / t
-    tau, sigma2, _ = _iterate_sigma_core(
-        G, c, float(np.var(y)), float(np.mean(y**2)), n, t, C, n_rounds
-    )
-    return tau, sigma2
 
 
 def _ols_coefs(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -223,12 +150,12 @@ def _ols_coefs(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _penalized_equation(G, c_resp, y_purged, n, t, C, sigma2=None):
     """Lasso for one equation; iteratively tuned unless sigma2 is supplied."""
-    y2_mean = float(np.mean(y_purged**2))
     if sigma2 is None:
-        tau, _, gamma = _iterate_sigma_core(G, c_resp, float(np.var(y_purged)), y2_mean, n, t, C)
+        y_var, y2_mean = float(np.var(y_purged)), float(np.mean(y_purged**2))
+        tau, _, gamma = _iterate_sigma_core(G, c_resp, y_var, y2_mean, n, t, C)
     else:
         tau, gamma = tuning_tau(sigma2, n, t, C), None
-    gamma, _, _ = _cd_lasso(G, c_resp, y2_mean, tau, gamma0=gamma)
+    gamma, _ = _cd_lasso(G, c_resp, tau, gamma0=gamma)
     return gamma
 
 
@@ -239,12 +166,8 @@ def double_selection(
     weights: WeightMatrix | np.ndarray | None = None,
     C: float = 4.1,
     refit: bool = True,
-    joint_step2: bool = False,
-    hac_lags: int = 0,
     sigma2_y: float | None = None,
     sigma2_g: float | None = None,
-    standardize: bool = False,
-    support_tol: float = _SUPPORT_TOL,
 ) -> DoubleSelectionResult:
     """Factor-augmented double selection for a scalar treatment effect.
 
@@ -260,18 +183,10 @@ def double_selection(
     refit : refit unpenalized on the union support before the residual
         regression (the default pipeline); ``False`` uses the penalized
         coefficients directly.
-    joint_step2 : estimate the factor coefficients jointly with the lasso
-        (equivalent to partialling the factors out of both the response
-        and the design) instead of the default two-stage form.
-    hac_lags : if positive, a Bartlett-kernel HAC estimator with this many
-        lags replaces the plug-in variance of the score.
     sigma2_y, sigma2_g : residual variances entering the penalty levels of
         the outcome and treatment equations.  Left unset they are estimated
         by the feasible iteration; simulations that know the true values
         can pin them (the penalty is defined through the true variances).
-    standardize : scale the design columns to unit second moment inside the
-        penalized step (the theory is stated for the raw design, so this is
-        off by default).
     """
     y = np.asarray(y, dtype=float).ravel()
     g = np.asarray(g, dtype=float).ravel()
@@ -282,7 +197,6 @@ def double_selection(
 
     if weights is None:
         R = 0
-        F = np.zeros((t, 0))
         U = X
         alpha_y = np.zeros(0)
         alpha_g = np.zeros(0)
@@ -303,24 +217,11 @@ def double_selection(
 
     D = U.T  # T x N design of estimated idiosyncratic components
     n = D.shape[1]
-    if joint_step2 and R > 0:
-        # Partialling the factors out of the design as well makes the
-        # two-equation lasso equal to the joint minimization over
-        # (alpha, gamma) with the factor block unpenalized.
-        Q = _orthobasis(F)
-        D = D - Q @ (Q.T @ D)
-    if standardize:
-        col_scale = np.sqrt(np.mean(D**2, axis=0))
-        col_scale[col_scale == 0] = 1.0
-    else:
-        col_scale = np.ones(n)
-    D_pen = D / col_scale
-    G = D_pen.T @ D_pen / t
+    G = D.T @ D / t
+    gamma_t = _penalized_equation(G, D.T @ y_p / t, y_p, n, t, C, sigma2_y)
+    theta_t = _penalized_equation(G, D.T @ g_p / t, g_p, n, t, C, sigma2_g)
 
-    gamma_t = _penalized_equation(G, D_pen.T @ y_p / t, y_p, n, t, C, sigma2_y) / col_scale
-    theta_t = _penalized_equation(G, D_pen.T @ g_p / t, g_p, n, t, C, sigma2_g) / col_scale
-
-    selected = np.flatnonzero((np.abs(gamma_t) > support_tol) | (np.abs(theta_t) > support_tol))
+    selected = np.flatnonzero((np.abs(gamma_t) > _SUPPORT_TOL) | (np.abs(theta_t) > _SUPPORT_TOL))
 
     if refit:
         if selected.size + R + 1 >= t:
@@ -346,15 +247,7 @@ def double_selection(
 
     sigma_g2 = denom / t
     eta = eps_y - beta_hat * eps_g
-    score = eta * eps_g
-    if hac_lags > 0:
-        sigma_eta_g2 = float(score @ score) / t
-        for lag in range(1, hac_lags + 1):
-            w = 1.0 - lag / (hac_lags + 1.0)
-            sigma_eta_g2 += 2.0 * w * float(score[lag:] @ score[:-lag]) / t
-        sigma_eta_g2 = max(sigma_eta_g2, _SIGMA2_FLOOR)
-    else:
-        sigma_eta_g2 = float(np.mean(score**2))
+    sigma_eta_g2 = float(np.mean((eta * eps_g) ** 2))
     se = math.sqrt(sigma_eta_g2) / (math.sqrt(t) * sigma_g2)
 
     return DoubleSelectionResult(

@@ -79,12 +79,12 @@ class SpaceDistance:
     adjusted_distance: float   # ||P_{Fhat M} - P_F|| with M = (HH')^+ H
 
 
-def pseudo_inverse(a: np.ndarray, rank_tol: float = _RANK_TOL) -> np.ndarray:
-    """SVD pseudo-inverse zeroing singular values below rank_tol * sigma_max."""
+def pseudo_inverse(a: np.ndarray) -> np.ndarray:
+    """SVD pseudo-inverse zeroing singular values below _RANK_TOL * sigma_max."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return a.T.copy()
-    return np.linalg.pinv(a, rcond=rank_tol)
+    return np.linalg.pinv(a, rcond=_RANK_TOL)
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, strict: bool = False) -> np.ndarray:

@@ -127,17 +127,16 @@ def spec_test(
     n_draws: int = 2000,
     seed: int = 0,
     rng: np.random.Generator | None = None,
-    df_adjust: bool = True,
 ) -> SpecTestResult:
     """Full specification-test pipeline on an observed panel.
 
     The working number of factors equals the number of observed factor
     columns.  SCAD thresholding with C = 1 (`DEFAULT_RULE`) is the default
     for the covariance plug-in (soft thresholding's first-order bias
-    distorts the test's size).  With `df_adjust` the plug-in covariance is
-    rescaled by T/(T - R) to undo the downward bias of residual variances
-    after fitting R factor loadings; without it the test over-rejects in
-    small samples.
+    distorts the test's size).  The plug-in covariance is rescaled by
+    T/(T - R) to undo the downward bias of residual variances after
+    fitting R factor loadings; without it the test over-rejects in small
+    samples.
     """
     G = np.atleast_2d(np.asarray(observed, dtype=float))
     W = weights if isinstance(weights, WeightMatrix) else WeightMatrix(np.asarray(weights, dtype=float))
@@ -161,7 +160,7 @@ def spec_test(
         cov = sparse_idio_cov(fit_res.residuals, rule)
         sigma_u = cov.sigma_u
         r_work = F.shape[1]
-        if df_adjust and t > r_work:
+        if t > r_work:
             sigma_u = sigma_u * (t / (t - r_work))
     stat = spec_statistic(F, G)
     a_hat, v, m_hat = _plug_ins(F, W.values, sigma_u)

@@ -135,25 +135,9 @@ def walsh_hadamard_weights(n_series: int, n_factors: int) -> WeightMatrix:
     return WeightMatrix(1.0 - 2.0 * parity, scheme="walsh_hadamard")
 
 
-def sieve_weights(
-    characteristics: np.ndarray, n_factors: int, basis: str = "polynomial"
-) -> WeightMatrix:
-    """Characteristic-based weights w[i, k] = phi_k(z_i).
-
-    Only the polynomial basis phi_k(z) = z^k is implemented; `basis` is kept
-    as an argument so other sieve families can slot in.
-    """
-    if basis != "polynomial":
-        raise ValueError(f"unsupported sieve basis {basis!r}")
-    z = np.asarray(characteristics, dtype=float).ravel()
-    if z.size == 0 or not np.all(np.isfinite(z)):
-        raise ValueError("characteristics must be a non-empty finite vector")
-    if n_factors < 1:
-        raise DimensionError("need R >= 1")
-    powers = np.arange(1, n_factors + 1)
-    values = z[:, None] ** powers[None, :]
-    _warn_if_degenerate(values, "sieve")
-    return WeightMatrix(values, scheme="sieve")
+def sieve_weights(characteristics: np.ndarray, n_factors: int) -> WeightMatrix:
+    """Characteristic-based weights w[i, k] = z_i^k (the polynomial sieve)."""
+    return _power_weights(characteristics, n_factors, "characteristics", "sieve")
 
 
 def rolling_window_weights(
@@ -200,15 +184,19 @@ def _trimmed_weights(loadings: np.ndarray, epsilon: float) -> WeightMatrix:
 
 def initial_transform_weights(x0: np.ndarray, n_factors: int) -> WeightMatrix:
     """Polynomial transforms of the initial observation: w[i, k] = x0[i]^k."""
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.size == 0 or not np.all(np.isfinite(x0)):
-        raise ValueError("initial observation must be a non-empty finite vector")
+    return _power_weights(x0, n_factors, "initial observation", "initial_transform")
+
+
+def _power_weights(v: np.ndarray, n_factors: int, what: str, scheme: str) -> WeightMatrix:
+    """Weights w[i, k] = v_i^k for k = 1..R; a warning names the caller's caller."""
+    v = np.asarray(v, dtype=float).ravel()
+    if v.size == 0 or not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} must be a non-empty finite vector")
     if n_factors < 1:
         raise DimensionError("need R >= 1")
-    powers = np.arange(1, n_factors + 1)
-    values = x0[:, None] ** powers[None, :]
-    _warn_if_degenerate(values, "initial_transform")
-    return WeightMatrix(values, scheme="initial_transform")
+    values = v[:, None] ** np.arange(1, n_factors + 1)[None, :]
+    _warn_if_degenerate(values, scheme, stacklevel=4)
+    return WeightMatrix(values, scheme=scheme)
 
 
 def check_diversified(weights: WeightMatrix | np.ndarray) -> WeightDiagnostics:

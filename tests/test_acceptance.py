@@ -22,7 +22,6 @@ from divproj.experiments import (
     experiment_postsel,
     experiment_spectest,
 )
-from divproj.inference import _cd_lasso
 from divproj.projection import fit, pseudo_inverse
 from divproj.weights import (
     WeightMatrix,
@@ -30,6 +29,7 @@ from divproj.weights import (
     sieve_weights,
     walsh_hadamard_weights,
 )
+from lasso_path import objective_path
 
 
 def _report(criterion, passed, detail):
@@ -129,7 +129,7 @@ def test_criterion_4_lasso_kkt():
         tau = float(rng.uniform(0.05, 1.0))
         G = D.T @ D / 40
         c = D.T @ y / 40
-        gamma, objectives, converged = _cd_lasso(G, c, float(np.mean(y**2)), tau)
+        gamma, objectives, converged = objective_path(G, c, float(np.mean(y**2)), tau)
         assert converged
         grad = 2.0 * (c - G @ gamma)
         for j in range(10):

@@ -158,8 +158,8 @@ class TestInvertSparseCov:
         np.testing.assert_allclose(invert_sparse_cov(A), np.linalg.solve(A, np.eye(4)), atol=1e-10)
 
     def test_eigenvalue_floor_shift(self):
-        sigma = np.eye(3)
-        with pytest.warns(NumericalWarning):
-            inv = invert_sparse_cov(sigma, eig_floor=2.0)
-        # diagonal shifted to 2 before inversion
-        np.testing.assert_allclose(inv, np.eye(3) / 2.0, atol=1e-12)
+        sigma = np.diag([2.0, 2.0, -1.0])  # indefinite; the floor is 1e-6 x mean diagonal = 1e-6
+        with pytest.warns(NumericalWarning, match="shifting diagonal"):
+            inv = invert_sparse_cov(sigma)
+        # the diagonal is shifted by 1e-6 - (-1) before inversion
+        np.testing.assert_allclose(inv, np.diag(1.0 / np.array([3.0 + 1e-6, 3.0 + 1e-6, 1e-6])), rtol=1e-9)

@@ -258,6 +258,39 @@ class TestCLI:
         manifest = json.loads((tmp_path / "b" / "manifest.json").read_text())
         assert manifest["config"]["R"] == 1
 
+    @pytest.mark.parametrize("text, code", [
+        ('{"R": "2"}', 0),            # parsed as --R 2
+        ('{"R": 2.0}', 1),            # not an int
+        ('{"R": true}', 1),           # not a switch
+        ('{"scheme": "bogus"}', 1),   # not a choice
+        ('{"epsilon": "x"}', 1),      # not a float, though walsh weights ignore it
+        ('{"bogus": 1}', 1),          # not a flag of estimate
+        ('[1, 2]', 1),                # not an object
+        ('{"R": ', 2),                # malformed JSON
+        (None, 2),                    # no such file
+    ])
+    def test_config_values_are_parsed_as_flags(self, tmp_path, panel_csv, capsys, text, code):
+        path, _ = panel_csv
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        out = tmp_path / "out"
+        assert run(["estimate", "--panel", str(path), "--config", str(cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("divproj: ") and "Traceback" not in err
+        else:
+            assert json.loads((out / "manifest.json").read_text())["config"]["R"] == 2
+
+    def test_bad_threads_env_is_a_usage_error(self, tmp_path, panel_csv, monkeypatch, capsys):
+        path, _ = panel_csv
+        monkeypatch.setenv("DIVPROJ_THREADS", "abc")
+        assert run(["estimate", "--panel", str(path), "--out", str(tmp_path / "a")]) == 1
+        assert capsys.readouterr().err.startswith("divproj: ")
+        # an explicit flag wins over the environment
+        assert run(["estimate", "--panel", str(path), "--threads", "2", "--out", str(tmp_path / "b")]) == 0
+        assert json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]["threads"] == 2
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DIVPROJ_THREADS", "3")
         out = tmp_path / "env_out"

@@ -94,9 +94,10 @@ class TestSieve:
         np.testing.assert_array_equal(W.values, [[1, 1], [2, 4]])
 
     def test_zero_characteristics_warn(self):
-        with pytest.warns(DegenerateWeightsWarning):
+        with pytest.warns(DegenerateWeightsWarning) as record:
             W = sieve_weights(np.zeros(4), 1)
         assert np.all(W.values == 0)
+        assert record[0].filename == __file__  # the warning names the caller
 
     def test_constant_characteristics_collinear_warn(self):
         with pytest.warns(DegenerateWeightsWarning):
@@ -107,10 +108,6 @@ class TestSieve:
         z = np.sin(rng.standard_normal(50))
         W = sieve_weights(z, 3)
         assert check_diversified(W).max_abs_entry <= 1.0
-
-    def test_unknown_basis(self):
-        with pytest.raises(ValueError):
-            sieve_weights(np.array([1.0]), 1, basis="fourier")
 
 
 class TestRollingWindow:
@@ -166,8 +163,9 @@ class TestInitialTransform:
         np.testing.assert_array_equal(W.values, [[2, 4, 8]])
 
     def test_zero_initial_observation_warns(self):
-        with pytest.warns(DegenerateWeightsWarning):
+        with pytest.warns(DegenerateWeightsWarning) as record:
             initial_transform_weights(np.zeros(3), 1)
+        assert record[0].filename == __file__  # the warning names the caller
 
 
 class TestDiagnostics:
