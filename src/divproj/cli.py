@@ -78,6 +78,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="divproj", description=__doc__)
     parser.add_argument("--version", action="version", version=f"divproj {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser, for _parse
 
     def common(p):
         p.add_argument("--out", default="divproj_out", help="output directory")
@@ -162,62 +163,64 @@ def _build_parser() -> _Parser:
 def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     """Parse argv; a --config file's settings go in as flags right after the subcommand.
 
-    Later flags win, so the explicit ones override the file.  A JSON `true`
-    gives a bare switch such as --sparse, and `false` or `null` leaves the
-    flag out.
+    Later flags win, so the explicit ones override the file, and the file
+    may supply required flags such as --panel.  A JSON `true` gives a bare
+    switch such as --sparse, and `false` or `null` leaves the flag out.
     """
-    args = parser.parse_args(argv)
-    if not args.config:
-        return args
-    with open(args.config) as fh:
+    config_flag = _Parser(add_help=False)
+    config_flag.add_argument("--config")
+    config = config_flag.parse_known_args(argv)[0].config
+    at = next((i for i, token in enumerate(argv) if token in parser.commands), None)
+    if not config or at is None:
+        return parser.parse_args(argv)
+    with open(config) as fh:
         settings = json.load(fh)
     if not isinstance(settings, dict):
-        raise UsageError(f"--config {args.config}: expected a JSON object of flag values")
+        raise UsageError(f"--config {config}: expected a JSON object of flag values")
+    command = parser.commands[argv[at]]
     tokens = []
     for key, value in settings.items():
-        attr = key.replace("-", "_")
-        if attr == "subcommand" or value is None:
+        dest = key.replace("-", "_")
+        if dest == "subcommand" or value is None:
             continue
-        if not hasattr(args, attr):
-            raise UsageError(f"--config {args.config}: {key!r} is not a flag of {args.subcommand}")
-        flag = "--" + attr.replace("_", "-")
-        if isinstance(getattr(args, attr), bool):  # a switch
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(command.get_default(dest), bool):  # a switch
             if not isinstance(value, bool):
-                raise UsageError(f"--config {args.config}: {key!r} must be true or false")
+                raise UsageError(f"--config {config}: {key!r} must be true or false")
             tokens += [flag] if value else []
         elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
             tokens += [flag, str(value)]
         else:
-            raise UsageError(f"--config {args.config}: {key!r} must be a string or a number")
-    at = argv.index(args.subcommand) + 1
-    return parser.parse_args(argv[:at] + tokens + argv[at:])
+            raise UsageError(f"--config {config}: {key!r} must be a string or a number")
+    return parser.parse_args(argv[: at + 1] + tokens + argv[at + 1 :])
 
 
-def _panel_and_weights(args, X_panel: PanelData):
-    """Build weights for a user panel; initial weights consume the first column."""
-    X = X_panel.X
+def _panel_and_weights(args, panel: PanelData, *series):
+    """Weights for a user panel, returned as (panel, W, *series).
+
+    Initial weights consume the first time point: it is dropped from the
+    panel and from the first axis of each companion series.
+    """
+    X = panel.X
     chars = read_series(args.chars)[1] if args.chars else None
     history = read_panel(args.history).X if args.history else None
     x0 = None
-    time_ids = X_panel.time_ids
     if args.scheme == "initial":
         if X.shape[1] < 2:
             raise DivprojError("initial-transform weights need at least two time points")
         x0 = X[:, 0]
-        X_panel = PanelData(
-            X[:, 1:], series_ids=X_panel.series_ids,
-            time_ids=time_ids[1:] if time_ids else None,
-        )
+        panel = PanelData(X[:, 1:], series_ids=panel.series_ids, time_ids=panel.time_ids[1:])
+        series = tuple(s[1:] for s in series)
     W = build_weights(
         args.scheme,
-        X_panel.n_series,
+        panel.n_series,
         getattr(args, "R", 1),
         characteristics=chars,
         panel_history=history,
         x0=x0,
         epsilon=args.epsilon,
     )
-    return X_panel, W
+    return panel, W, *series
 
 
 def _write_manifest(outdir: Path, args: argparse.Namespace) -> None:
@@ -230,12 +233,10 @@ def _cmd_estimate(args) -> int:
     panel, W = _panel_and_weights(args, panel)
     fit_res = projection_fit(panel, W)
     outdir = ensure_outdir(args.out)
-    t_ids = panel.time_ids or [str(j + 1) for j in range(panel.n_periods)]
-    s_ids = panel.series_ids or [f"s{i + 1}" for i in range(panel.n_series)]
     f_cols = [f"f{k + 1}" for k in range(fit_res.n_factors)]
-    write_matrix(outdir / "factors.csv", fit_res.factors, t_ids, f_cols, corner="time")
-    write_matrix(outdir / "loadings.csv", fit_res.loadings, s_ids, f_cols, corner="series")
-    write_panel(outdir / "residuals.csv", PanelData(fit_res.residuals, s_ids, t_ids))
+    write_matrix(outdir / "factors.csv", fit_res.factors, panel.time_ids, f_cols, corner="time")
+    write_matrix(outdir / "loadings.csv", fit_res.loadings, panel.series_ids, f_cols, corner="series")
+    write_panel(outdir / "residuals.csv", PanelData(fit_res.residuals, panel.series_ids, panel.time_ids))
     diag = check_diversified(W)
     write_json(
         outdir / "diagnostics.json",
@@ -251,23 +252,21 @@ def _cmd_estimate(args) -> int:
     return 0
 
 
-def _forecast_scheme(args, panel: PanelData):
+def _forecast_scheme(args, panel: PanelData, y):
+    """(scheme, panel, y), trimmed alike under initial weights."""
     if args.scheme == "rolling":
         if not args.history:
             raise DivprojError("rolling-window forecasts need --history")
         history = read_panel(args.history).X
-        return RollingWeightScheme(history, args.R, args.epsilon), panel
-    panel2, W = _panel_and_weights(args, panel)
-    return FixedWeightScheme(W), panel2
+        return RollingWeightScheme(history, args.R, args.epsilon), panel, y
+    panel, W, y = _panel_and_weights(args, panel, y)
+    return FixedWeightScheme(W), panel, y
 
 
 def _cmd_forecast(args) -> int:
     panel = read_panel(args.panel)
-    labels, y = read_series(args.outcome)
-    scheme, panel = _forecast_scheme(args, panel)
-    if args.scheme == "initial":
-        y = y[1:]  # keep the target aligned with the trimmed panel
-        labels = labels[1:]
+    _, y = read_series(args.outcome)
+    scheme, panel, y = _forecast_scheme(args, panel, y)
     report = rolling_forecast(y, panel.X, args.window, args.steps, scheme, h=args.lead)
     columns = {"forecast_" + args.scheme: report.forecasts}
     if args.compare_pc:
@@ -290,13 +289,10 @@ def _cmd_infer(args) -> int:
     _, y = read_series(args.outcome)
     _, g = read_series(args.treatment)
     if args.R == 0:
-        weights, X = None, panel.X
+        weights = None
     else:
-        panel2, weights = _panel_and_weights(args, panel)
-        X = panel2.X
-        if args.scheme == "initial":
-            y, g = y[1:], g[1:]
-    res = double_selection(y, g, X, weights, C=args.C, refit=not args.no_refit)
+        panel, weights, y, g = _panel_and_weights(args, panel, y, g)
+    res = double_selection(y, g, panel.X, weights, C=args.C, refit=not args.no_refit)
     lo, hi = confidence_interval(res, args.level)
     outdir = ensure_outdir(args.out)
     write_json(
@@ -328,7 +324,7 @@ def _cmd_cov(args) -> int:
     rule = ThresholdRule(kind=args.rule, constant_C=args.C, scad_a=args.scad_a)
     cov = sparse_idio_cov(fit_res.residuals, rule)
     outdir = ensure_outdir(args.out)
-    s_ids = panel.series_ids or [f"s{i + 1}" for i in range(panel.n_series)]
+    s_ids = panel.series_ids
     if args.sparse:
         write_sparse_triplets(outdir / "sigma_u.csv", cov.sigma_u)
     else:
@@ -353,9 +349,7 @@ def _cmd_spectest(args) -> int:
     factors = read_panel(args.factors)
     G = factors.X.T  # panel layout stores series in rows; observed factors are columns
     args.R = G.shape[1]  # the working number of factors is pinned to dim(g_t)
-    panel, W = _panel_and_weights(args, panel)
-    if args.scheme == "initial":
-        G = G[1:]
+    panel, W, G = _panel_and_weights(args, panel, G)
     C = SPEC_TEST_RULE.constant_C if args.C is None else args.C
     rule = ThresholdRule(kind=args.rule, constant_C=C)
     res = spec_test(panel.X, G, W, rule=rule, n_draws=args.draws, seed=args.seed)
@@ -381,17 +375,16 @@ def _cmd_fdr(args) -> int:
     panel, W = _panel_and_weights(args, panel)
     res = farm_test(panel.X, W, q=args.q)
     outdir = ensure_outdir(args.out)
-    s_ids = panel.series_ids or [f"s{i + 1}" for i in range(panel.n_series)]
     rejected = set(res.rejected.tolist())
     rows = [
         {
-            "series": s_ids[i],
+            "series": series_id,
             "alpha_hat": res.alpha_hat[i],
             "z": res.z_stats[i],
             "p": res.p_values[i],
             "rejected": i in rejected,
         }
-        for i in range(len(s_ids))
+        for i, series_id in enumerate(panel.series_ids)
     ]
     write_rows_csv(outdir / "fdr.csv", ["series", "alpha_hat", "z", "p", "rejected"], rows)
     _write_manifest(outdir, args)

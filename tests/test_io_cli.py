@@ -1,6 +1,8 @@
+import csv
 import functools
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,19 +12,21 @@ from divproj.covariance import ThresholdRule
 from divproj.exceptions import DegenerateDataError
 from divproj.experiments import experiment_spectest
 from divproj.fdr import farm_test
-from divproj.forecast import rolling_forecast
+from divproj.forecast import FixedWeightScheme, rolling_forecast
 from divproj.inference import confidence_interval, double_selection
 from divproj.io import (
     format_value,
     read_panel,
     read_series,
+    write_matrix,
     write_panel,
     write_rows_csv,
     write_series,
+    write_sparse_triplets,
 )
 from divproj.projection import PanelData
 from divproj.spectest import DEFAULT_RULE, spec_test
-from divproj.weights import build_weights, rolling_window_weights
+from divproj.weights import build_weights, initial_transform_weights, rolling_window_weights
 
 
 @pytest.fixture
@@ -80,6 +84,41 @@ class TestPanelIO:
         path.write_text("time,s1\n1,abc\n")
         with pytest.raises(DegenerateDataError, match="not numeric"):
             read_panel(path)
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_series, "time,y\n", "header only, the series has no observations"),
+    (read_series, "time,y\n1,2.0,3.0\n", "row 2 has 3 cells, expected 2"),
+    (read_panel, "time\n1\n", "header names no series"),
+    (read_series, "time,y\n1,1.0\n2,nan\n", "non-finite cell at row 3, column 2"),
+    (read_panel, "time,s1,s2\n1,1.0,-inf\n", "non-finite cell at row 2, column 3"),
+])
+def test_reader_messages(tmp_path, reader, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DegenerateDataError, match=re.escape(message)):
+        reader(path)
+
+
+def test_floats_are_written_as_their_repr(tmp_path):
+    x = np.array([-0.0, 5e-324, 1e16, 0.1, 1 / 3])
+    cells = ["-0.0", "5e-324", "1e+16", "0.1", "0.3333333333333333"]
+    assert cells == [repr(v) for v in x.tolist()]
+    write_matrix(tmp_path / "m.csv", x[None, :])
+    write_panel(tmp_path / "p.csv", PanelData(x[:, None]))
+    write_series(tmp_path / "s.csv", x)
+    write_sparse_triplets(tmp_path / "t.csv", x[None, :])
+
+    def lines(name):
+        return (tmp_path / name).read_text().splitlines()
+
+    assert lines("m.csv") == ["row,c1,c2,c3,c4,c5", "r1," + ",".join(cells)]
+    assert lines("p.csv") == ["time,s1,s2,s3,s4,s5", "1," + ",".join(cells)]
+    assert lines("s.csv") == ["time,value", *(f"{j + 1},{c}" for j, c in enumerate(cells))]
+    # -0.0 is zero, so it has no triplet
+    assert lines("t.csv") == ["i,j,value", *(f"1,{j + 1},{c}" for j, c in enumerate(cells) if j > 0)]
+    _, back = read_series(tmp_path / "s.csv")
+    assert back.tobytes() == x.tobytes()  # bit for bit, the sign of -0.0 included
 
 
 class TestSeriesIO:
@@ -282,6 +321,13 @@ class TestCLI:
         else:
             assert json.loads((out / "manifest.json").read_text())["config"]["R"] == 2
 
+    def test_config_supplies_required_flags(self, tmp_path, panel_csv):
+        path, _ = panel_csv
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"panel": str(path), "out": str(out)}))
+        assert run(["estimate", "--config", str(cfg)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["panel"] == str(path)
+
     def test_bad_threads_env_is_a_usage_error(self, tmp_path, panel_csv, monkeypatch, capsys):
         path, _ = panel_csv
         monkeypatch.setenv("DIVPROJ_THREADS", "abc")
@@ -304,6 +350,42 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             run(["--version"])
         assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("command", ["forecast", "infer", "spectest"])
+def test_initial_weights_trim_the_companion_series(tmp_path, command):
+    """Initial weights consume x_0: each output is the library's on X[:, 1:] and the trimmed series."""
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((10, 60))
+    F = rng.standard_normal((60, 2))
+    y, g = rng.standard_normal(60), rng.standard_normal(60)
+    write_panel(tmp_path / "x.csv", PanelData(X))
+    write_panel(tmp_path / "f.csv", PanelData(F.T, series_ids=["f1", "f2"]))
+    write_series(tmp_path / "y.csv", y)
+    write_series(tmp_path / "g.csv", g)
+    W = initial_transform_weights(X[:, 0], 2)
+    out = tmp_path / "out"
+    flags = [command, "--panel", str(tmp_path / "x.csv"), "--scheme", "initial", "--out", str(out)]
+    if command == "forecast":
+        assert run([*flags, "--outcome", str(tmp_path / "y.csv"), "--R", "2",
+                    "--window", "30", "--steps", "10"]) == 0
+        expected = rolling_forecast(y[1:], X[:, 1:], 30, 10, FixedWeightScheme(W))
+        with open(out / "forecast.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["realized"]) for r in rows] == expected.realized.tolist()
+        assert [float(r["forecast_initial"]) for r in rows] == expected.forecasts.tolist()
+    elif command == "infer":
+        assert run([*flags, "--outcome", str(tmp_path / "y.csv"),
+                    "--treatment", str(tmp_path / "g.csv"), "--R", "2"]) == 0
+        expected = double_selection(y[1:], g[1:], X[:, 1:], W)
+        result = json.loads((out / "inference.json").read_text())
+        assert (result["beta_hat"], result["se"]) == (expected.beta_hat, expected.se)
+    else:
+        assert run([*flags, "--factors", str(tmp_path / "f.csv"), "--draws", "200"]) == 0
+        expected = spec_test(X[:, 1:], F[1:], W, n_draws=200, seed=0)
+        result = json.loads((out / "spectest.json").read_text())
+        for key in ("statistic", "mean_hat", "sigma_hat", "z", "p_value"):
+            assert result[key] == getattr(expected, key), key
 
 
 def _library_default(func, name):
