@@ -16,6 +16,7 @@ import inspect
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -354,18 +355,7 @@ def _cmd_spectest(args) -> int:
     rule = ThresholdRule(kind=args.rule, constant_C=C)
     res = spec_test(panel.X, G, W, rule=rule, n_draws=args.draws, seed=args.seed)
     outdir = ensure_outdir(args.out)
-    write_json(
-        outdir / "spectest.json",
-        {
-            "statistic": res.statistic,
-            "mean_hat": res.mean_hat,
-            "sigma_hat": res.sigma_hat,
-            "z": res.z,
-            "p_value": res.p_value,
-            "n_bootstrap": res.n_bootstrap,
-            "seed": res.seed,
-        },
-    )
+    write_json(outdir / "spectest.json", asdict(res))
     _write_manifest(outdir, args)
     return 0
 

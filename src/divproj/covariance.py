@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .exceptions import DegenerateDataError, NumericalWarning
 
@@ -116,16 +115,23 @@ def sparse_idio_cov(residuals_hat: np.ndarray, rule: ThresholdRule) -> SparseCov
 
 
 def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
-    """Cholesky inverse of a thresholded covariance.
+    """Inverse of a thresholded covariance, repaired to be positive definite.
 
     Thresholding does not guarantee positive definiteness; if the smallest
     eigenvalue is at or below a floor of 1e-6 times the mean diagonal, the
     diagonal is shifted up by (floor - lambda_min) before inverting, with a
-    warning.  The reported covariance itself is never modified.
+    warning.  A mean diagonal at or below zero leaves no positive floor and
+    raises DegenerateDataError.  The reported covariance itself is never
+    modified.
     """
     sigma = cov.sigma_u if isinstance(cov, SparseCovariance) else np.asarray(cov, dtype=float)
     n = sigma.shape[0]
-    eig_floor = 1e-6 * float(np.mean(np.diag(sigma)))
+    mean_diag = float(np.mean(np.diag(sigma)))
+    eig_floor = 1e-6 * mean_diag
+    if not eig_floor > 0:
+        raise DegenerateDataError(
+            f"covariance mean diagonal {mean_diag:.3g} <= 0: no diagonal shift makes it positive definite"
+        )
     lam_min = float(np.linalg.eigvalsh(sigma)[0])
     if lam_min <= eig_floor:
         shift = eig_floor - lam_min
@@ -136,4 +142,4 @@ def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
             stacklevel=2,
         )
         sigma = sigma + shift * np.eye(n)
-    return cho_solve(cho_factor(sigma), np.eye(n))
+    return np.linalg.inv(sigma)  # numpy, not scipy.linalg: one BLAS (see tests/test_covariance.py)

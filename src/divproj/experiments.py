@@ -12,6 +12,7 @@ output is identical for any thread count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -19,15 +20,8 @@ from .covariance import ThresholdRule, invert_sparse_cov, sparse_idio_cov
 from .forecast import FixedWeightScheme, PCScheme, RollingWeightScheme, rolling_forecast
 from .inference import confidence_interval, double_selection
 from .projection import estimate_loadings, fit as projection_fit, pc_factors
-from .simulation import (
-    SimConfig,
-    draw_idiosyncratic,
-    draw_loadings,
-    generate_panel,
-    loading_scale,
-    rep_rng,
-    true_idio_cov,
-)
+from .simulation import SimConfig, generate_panel, loading_scale, rep_rng, true_idio_cov
+from .spectest import DEFAULT_RULE as SPEC_TEST_RULE
 from .spectest import spec_test
 from .weights import WeightMatrix, build_weights, sieve_weights
 
@@ -164,28 +158,22 @@ def _forecast_path(cfg: SimConfig, rep: int, n_steps: int, coef_factors, beta0: 
     n, r = cfg.n_series, cfg.n_factors_true
     span = (window + 1) + n_steps + window  # pre-sample, then main period
     rng = rep_rng(cfg.seed, rep)
-    h = rng.standard_normal(n)
-    z = np.sin(h)
-    gamma = rng.standard_normal((n, r))
-    F_all = rng.standard_normal((span, r))
-    ubar = rng.standard_normal((n, span))
+    sim = generate_panel(replace(cfg, n_periods=span), rng=rng)
     Z1 = rng.standard_normal((n, r))
     eps = rng.standard_normal(span)
 
-    B = draw_loadings(z, gamma, cfg.alpha_strength)
-    B1 = 0.8 * B + 0.5 * loading_scale(n, cfg.alpha_strength) * Z1
-    U_all = draw_idiosyncratic(cfg, ubar)
-
+    F_all = sim.F_true
+    B1 = 0.8 * sim.B_true + 0.5 * loading_scale(n, cfg.alpha_strength) * Z1
     pre = window + 1
-    X_pre = B1 @ F_all[:pre].T + U_all[:, :pre]
-    X_main = B @ F_all[pre:].T + U_all[:, pre:]
+    X_pre = B1 @ F_all[:pre].T + sim.U_true[:, :pre]
+    X_main = sim.panel.X[:, pre:]
 
     y = np.empty(span)
     y[0] = beta0 / (1.0 - beta_lag)  # unconditional mean; pre-sample acts as burn-in
     for j in range(1, span):
         y[j] = beta0 + beta_lag * y[j - 1] + coef_factors @ F_all[j - 1] + eps[j]
     y_main = y[pre:]
-    return y_main, X_main, X_pre, z
+    return y_main, X_main, X_pre, sim.z_chars
 
 
 def experiment_forecast(
@@ -319,7 +307,7 @@ def experiment_postsel(
     is a stand-in for real data where they are unknown).
     """
     if support_offset is None:
-        support_offset = 3 * 4  # the default SimConfig block layout
+        support_offset = SimConfig.n_blocks * SimConfig.block_size
     if support_offset + len(sparse_coefs) > n_series:
         raise ValueError("sparse support does not fit into N series")
     theta = np.zeros(n_series)
@@ -394,7 +382,7 @@ def experiment_spectest(
     seed: int = 0,
     n_draws: int = 2000,
     level: float = 0.05,
-    C: float = 1.0,
+    C: float = SPEC_TEST_RULE.constant_C,
     threads: int = 1,
 ):
     """Rejection rate of the factor specification test at a fixed level.
@@ -406,7 +394,7 @@ def experiment_spectest(
     test's size hinges on (larger constants over-shrink the block
     covariances and inflate the statistic).
     """
-    rule = ThresholdRule(kind="scad", constant_C=C)
+    rule = replace(SPEC_TEST_RULE, constant_C=C)
     rows = []
     for scheme in schemes:
         for gamma in gammas:

@@ -13,6 +13,7 @@ not parse as a finite number is rejected with its location.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -49,33 +50,45 @@ def _parse_cell(cell: str, row: int, col: int, path) -> float:
     return value
 
 
+def _parse_row(row, i: int, path) -> np.ndarray:
+    """The numbers after the label of data row `i`; a bad row is re-read cell by cell to locate the error."""
+    try:
+        values = np.array(row[1:], dtype=float)
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(values).all():
+            return values
+    return np.array([_parse_cell(cell, i, j, path) for j, cell in enumerate(row[1:], start=2)])
+
+
 def _read_table(path, what: str, width: int | None = None):
     """Parse a labelled numeric CSV; returns (header, labels, body).
 
     Each row must have `width` cells (by default as many as the header,
-    which must then name a series), a label and then finite numbers.
+    which must then name a series), a label and then finite numbers.  Rows
+    are parsed as they are read, so no string copy of the file is held.
     """
     path = Path(path)
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DegenerateDataError(f"{path}: file is empty")
-    header = rows[0]
-    if len(rows) == 1:
-        raise DegenerateDataError(f"{path}: header only, the {what} has no observations")
-    if width is None:
-        if len(header) < 2:
-            raise DegenerateDataError(f"{path}: header names no series")
-        width = len(header)
-    labels = []
-    body = np.empty((len(rows) - 1, width - 1))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise DegenerateDataError(f"{path}: row {i} has {len(row)} cells, expected {width}")
-        labels.append(row[0].strip())
-        for j, cell in enumerate(row[1:], start=2):
-            body[i - 2, j - 2] = _parse_cell(cell, i, j, path)
-    return header, labels, body
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DegenerateDataError(f"{path}: file is empty")
+        first = next(reader, None)
+        if first is None:
+            raise DegenerateDataError(f"{path}: header only, the {what} has no observations")
+        if width is None:
+            if len(header) < 2:
+                raise DegenerateDataError(f"{path}: header names no series")
+            width = len(header)
+        labels, values = [], []
+        for i, row in enumerate(itertools.chain([first], reader), start=2):
+            if len(row) != width:
+                raise DegenerateDataError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+            labels.append(row[0].strip())
+            values.append(_parse_row(row, i, path))
+    return header, labels, np.array(values)
 
 
 def _write_csv(path, header, rows) -> None:

@@ -92,12 +92,22 @@ class TestPanelIO:
     (read_panel, "time\n1\n", "header names no series"),
     (read_series, "time,y\n1,1.0\n2,nan\n", "non-finite cell at row 3, column 2"),
     (read_panel, "time,s1,s2\n1,1.0,-inf\n", "non-finite cell at row 2, column 3"),
+    (read_panel, "time,s1,s2,s3\n1,x,Infinity,1__0\n", "cell at row 2, column 2 is not numeric: 'x'"),
+    (read_panel, "time,s1,s2\n1,1.0,1__0\n2,1.0\n", "cell at row 2, column 3 is not numeric: '1__0'"),
+    (read_panel, "time,s1,s2\n1,1.0,2.0\n2, 1 ,Infinity\n", "non-finite cell at row 3, column 3"),
 ])
 def test_reader_messages(tmp_path, reader, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(DegenerateDataError, match=re.escape(message)):
         reader(path)
+
+
+def test_cells_parse_as_python_floats(tmp_path):
+    cells = [" 1.5", "2 ", "1_0", "+.5", "-0.0", "1e-400", "5e-324", "1E308", "0.1"]
+    path = tmp_path / "p.csv"
+    path.write_text("time," + ",".join(f"s{j}" for j in range(len(cells))) + "\n1," + ",".join(cells) + "\n")
+    assert read_panel(path).X[:, 0].tobytes() == np.array([float(c) for c in cells]).tobytes()
 
 
 def test_floats_are_written_as_their_repr(tmp_path):
