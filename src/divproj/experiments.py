@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .covariance import ThresholdRule, invert_sparse_cov, sparse_idio_cov
+from .covariance import ThresholdRule, _sym_opnorm, invert_sparse_cov, sparse_idio_cov
 from .forecast import FixedWeightScheme, PCScheme, RollingWeightScheme, rolling_forecast
 from .inference import confidence_interval, double_selection
 from .projection import estimate_loadings, fit as projection_fit, pc_factors
@@ -90,7 +90,7 @@ def experiment_cov(
                     seed=seed,
                 )
                 sigma_true = true_idio_cov(cfg)
-                sigma_true_inv = np.linalg.inv(sigma_true)
+                sigma_true_inv = invert_sparse_cov(sigma_true)
 
                 def one_rep(rep, cfg=cfg, sigma_true=sigma_true, sigma_true_inv=sigma_true_inv):
                     sim = generate_panel(cfg, replication=rep)
@@ -110,10 +110,8 @@ def experiment_cov(
                         for C in C_values:
                             rule = ThresholdRule(kind=rule_kind, constant_C=C)
                             cov = sparse_idio_cov(U_hat, rule)
-                            err = float(np.linalg.norm(cov.sigma_u - sigma_true, 2))
-                            inv_err = float(
-                                np.linalg.norm(invert_sparse_cov(cov) - sigma_true_inv, 2)
-                            )
+                            err = _sym_opnorm(cov.sigma_u - sigma_true)
+                            inv_err = _sym_opnorm(invert_sparse_cov(cov) - sigma_true_inv)
                             out[(method, C)] = (err, inv_err)
                     return out
 
