@@ -3,9 +3,18 @@
 The pipeline purges estimated factors from the outcome and treatment,
 lasso-selects among the estimated idiosyncratic components in both
 equations, refits unpenalized on the union of the selected supports, and
-estimates the treatment effect by residual-on-residual regression.  The
-lasso solver is cyclic coordinate descent on the precomputed gram matrix,
-with active-set cycling between full sweeps.
+estimates the treatment effect by residual-on-residual regression.
+
+Every lasso is solved in gram form, G = D'D/T and c = D'y/T.  The solver
+follows the exact piecewise-linear solution path from tau = 2 max|c| down
+to the requested tau (the homotopy, or LARS-lasso, path of Osborne,
+Presnell & Turlach 2000 and Efron et al. 2004), with one small active-set
+solve per kink, and checks the answer against the lasso's optimality (KKT)
+conditions.  When an active-set gram is singular, the check fails or the
+path takes more than 4N kinks, cyclic coordinate descent with active-set
+cycling solves the problem instead, from the caller's warm start.  The
+purged grams of the factor step are singular themselves (W'U_hat = 0);
+the path needs only its active-set grams to be regular.
 """
 
 from __future__ import annotations
@@ -16,12 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from .exceptions import DimensionError, InsufficientDataError
+from .exceptions import DimensionError, InsufficientDataError, SingularGramError
 from .projection import _solve_gram, estimate_factors
 from .weights import WeightMatrix
 
 _SIGMA2_FLOOR = 1e-12
 _SUPPORT_TOL = 1e-10
+_KKT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -95,6 +105,99 @@ def _cd_lasso(G, c, tau, gamma0=None, max_iter=1000, tol=1e-10):
     return gamma, converged
 
 
+def _below(x, lam):
+    """x where x < lam, else -inf (NaN included)."""
+    return np.where(x < lam, x, -np.inf)
+
+
+def _homotopy_lasso(G, c, tau):
+    """The lasso solution in gram form, by following its path in lambda = tau/2.
+
+    The solution is piecewise linear in lambda.  On a stretch with active
+    set A and signs s_A it is g_A = G_AA^{-1} (c_A - lambda s_A), so one
+    solve with the two right-hand sides c_A and s_A gives the whole
+    stretch, its end point included.  From lambda = max|c| and g = 0 the
+    path moves down to the next kink: an inactive j joins A when
+    |c_j - G_jA g_A| reaches lambda, and an active coefficient leaves A when
+    it reaches zero.  Returns g at lambda = tau/2, or None after 4N kinks.
+    A singular G_AA raises SingularGramError.  The answer is not checked
+    here; `_lasso` checks it.
+    """
+    n = c.size
+    gamma = np.zeros(n)
+    lam_end = tau / 2.0
+    lam = float(np.max(np.abs(c), initial=0.0))
+    if lam <= lam_end:
+        return gamma
+    joined = int(np.argmax(np.abs(c)))
+    active, signs = [joined], [float(np.sign(c[joined]))]
+    left = left_sign = -1
+    for _ in range(4 * n):
+        A = np.array(active, dtype=int)
+        GA = G[A]
+        u, d = _solve_gram(GA[:, A], np.transpose([c[A], signs]), strict=True).T
+        # On this stretch g_A = u - lambda d and c - G g = b + lambda a.
+        a = d @ GA
+        b = c - u @ GA
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = _below(b / (1.0 - a), lam)  # c_j - G_j g reaches +lambda
+            down = _below(-b / (1.0 + a), lam)  # ... or -lambda
+            drops = _below(u / d, lam)
+        up[A] = down[A] = -np.inf
+        # The event of the last kink sits at the current lambda: skip it.
+        if left >= 0:
+            (up if left_sign > 0 else down)[left] = -np.inf
+        if joined >= 0:
+            drops[active.index(joined)] = -np.inf
+        hits = np.maximum(up, down)
+        j_in, k_out = int(np.argmax(hits)), int(np.argmax(drops))
+        lam_next = max(hits[j_in], drops[k_out])
+        if lam_next <= lam_end:
+            gamma[A] = u - lam_end * d
+            return gamma
+        lam = lam_next
+        if drops[k_out] >= hits[j_in]:
+            left, left_sign, joined = active.pop(k_out), signs.pop(k_out), -1
+            if not active:  # only rounding can empty A below max|c|
+                return None
+        else:
+            joined, left = j_in, -1
+            active.append(j_in)
+            signs.append(float(np.sign(b[j_in] + lam * a[j_in])))
+    return None
+
+
+def _kkt_holds(G, c, tau, gamma) -> bool:
+    """Whether gamma meets the lasso's optimality conditions to _KKT_TOL.
+
+    |c - G gamma|_j <= tau/2 for every j, with equality at the sign of
+    gamma_j itself wherever gamma_j != 0.
+    """
+    r = c - G @ gamma
+    half = tau / 2.0
+    nz = gamma != 0.0
+    return bool(
+        np.all(np.abs(r) <= half + _KKT_TOL)
+        and np.all(np.abs(r[nz] - half * np.sign(gamma[nz])) <= _KKT_TOL)
+    )
+
+
+def _lasso(G, c, tau, gamma0=None):
+    """The lasso in gram form; returns (gamma, converged) as `_cd_lasso` does.
+
+    The homotopy path's answer is returned when it passes the KKT check.
+    Otherwise (a singular active-set gram, a failed check or more than 4N
+    kinks) the answer is `_cd_lasso` started from `gamma0`.
+    """
+    try:
+        gamma = _homotopy_lasso(G, c, tau)
+    except SingularGramError:
+        gamma = None
+    if gamma is not None and _kkt_holds(G, c, tau, gamma):
+        return gamma, True
+    return _cd_lasso(G, c, tau, gamma0=gamma0)
+
+
 def tuning_tau(sigma2: float, n: int, t: int, C: float = 4.1) -> float:
     """Penalty level tau = C sqrt(sigma2 * log(n) / t)."""
     if sigma2 < 0:
@@ -121,18 +224,21 @@ def _post_lasso_rms(G, c, y2_mean, support, t):
 
 
 def _iterate_sigma_core(G, c, y_var, y2_mean, n, t, C, n_rounds=5):
-    """Gram-form iterative tuning; returns (tau, sigma2, warm coefficients).
+    """Gram-form iterative tuning; returns (tau, sigma2, last coefficients).
 
-    The variance update uses post-lasso residuals (OLS refit on the current
-    support) rather than the shrunken lasso residuals; with correlated
-    designs the raw lasso residual variance can stall near Var(y) and leave
-    the penalty too large to select anything.
+    Each round passes the previous round's coefficients to `_lasso` as a
+    warm start.  Only its coordinate-descent fallback uses them; the
+    homotopy path always starts from zero.  The variance update uses
+    post-lasso residuals (OLS refit on the current support) rather than the
+    shrunken lasso residuals; with correlated designs the raw lasso
+    residual variance can stall near Var(y) and leave the penalty too large
+    to select anything.
     """
     sigma2 = max(float(y_var), _SIGMA2_FLOOR)
     gamma = None
     for _ in range(n_rounds):
         tau = tuning_tau(sigma2, n, t, C)
-        gamma, _ = _cd_lasso(G, c, tau, gamma0=gamma)
+        gamma, _ = _lasso(G, c, tau, gamma0=gamma)
         support = np.flatnonzero(np.abs(gamma) > _SUPPORT_TOL)
         new_sigma2 = max(_post_lasso_rms(G, c, y2_mean, support, t), _SIGMA2_FLOOR)
         done = abs(new_sigma2 - sigma2) / max(sigma2, _SIGMA2_FLOOR) < 1e-3
@@ -155,7 +261,7 @@ def _penalized_equation(G, c_resp, y_purged, n, t, C, sigma2=None):
         tau, _, gamma = _iterate_sigma_core(G, c_resp, y_var, y2_mean, n, t, C)
     else:
         tau, gamma = tuning_tau(sigma2, n, t, C), None
-    gamma, _ = _cd_lasso(G, c_resp, tau, gamma0=gamma)
+    gamma, _ = _lasso(G, c_resp, tau, gamma0=gamma)
     return gamma
 
 

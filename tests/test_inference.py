@@ -3,15 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from divproj import inference
 from divproj.exceptions import InsufficientDataError
+from divproj.experiments import _scheme_weights, experiment_postsel
 from divproj.inference import (
     confidence_interval,
     double_selection,
     tuning_tau,
     _cd_lasso,
+    _homotopy_lasso,
     _iterate_sigma_core,
+    _kkt_holds,
+    _lasso,
 )
-from divproj.simulation import rep_rng
+from divproj.simulation import SimConfig, generate_panel, rep_rng
 from divproj.weights import walsh_hadamard_weights
 from lasso_path import objective_path
 
@@ -87,6 +92,197 @@ class TestLasso:
         y = rng.standard_normal(20)
         _, converged = _cd_lasso(*gram_form(D, y), tau=0.01, max_iter=1, tol=1e-16)
         assert converged is False
+
+
+def lasso_objective(G, c, tau, gamma):
+    """The gram-form lasso objective without its constant mean(y^2)."""
+    return float(-2.0 * (c @ gamma) + gamma @ (G @ gamma) + tau * np.sum(np.abs(gamma)))
+
+
+def support(gamma):
+    return np.flatnonzero(np.abs(gamma) > 1e-10)
+
+
+def purged_panel(seed, n, t, near_duplicate=False):
+    """(y, g, X, W) of the post-selection design with initial-transform weights, R = 2.
+
+    With `near_duplicate` series 1 repeats series 0 up to noise of size 1e-7,
+    so an active set holding both has a numerically singular gram.
+    """
+    cfg = SimConfig(n_series=n, n_periods=t + 1, n_factors_true=2, rho_T=0.0, seed=seed)
+    rng = rep_rng(seed, 0)
+    sim = generate_panel(cfg, rng=rng)
+    x0, X = sim.panel.X[:, 0], sim.panel.X[:, 1:].copy()
+    if near_duplicate:
+        X[1] = X[0] + 1e-7 * rng.standard_normal(t)
+    theta = np.zeros(n)
+    theta[[0, 2, 3]] = (1.0, -1.5, 0.5)
+    g = theta @ X + rng.standard_normal(t)
+    y = g + theta @ X + rng.standard_normal(t)
+    return y, g, X, _scheme_weights("initial", sim, 2, x0)
+
+
+def recorded_lasso_calls(run):
+    """The (G, c, tau, gamma0) of every `_lasso` call made by `run()`."""
+    calls = []
+
+    def recording(G, c, tau, gamma0=None):
+        calls.append((G, c, tau, None if gamma0 is None else gamma0.copy()))
+        return _lasso(G, c, tau, gamma0=gamma0)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inference, "_lasso", recording)
+        run()
+    return calls
+
+
+def counting_cd_lasso(monkeypatch):
+    """Replace `inference._cd_lasso` by a wrapper; returns the list it appends to per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return _cd_lasso(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "_cd_lasso", counting)
+    return calls
+
+
+class TestHomotopyLasso:
+    def test_meets_criterion_4_bound(self):
+        """Criterion 4's 100 problems and KKT check, solved by the path alone."""
+        worst = 0.0
+        for seed in range(100):
+            rng = np.random.default_rng(1000 + seed)
+            D = rng.standard_normal((40, 10))
+            beta = np.zeros(10)
+            beta[rng.choice(10, size=3, replace=False)] = rng.normal(0, 2, size=3)
+            y = D @ beta + rng.standard_normal(40)
+            tau = float(rng.uniform(0.05, 1.0))
+            gamma = _homotopy_lasso(*gram_form(D, y), tau)
+            worst = max(worst, kkt_violation(D, y, tau, gamma))
+        assert worst < 1e-6
+
+    def test_zero_penalty_on_full_rank_design_gives_ols(self):
+        rng = np.random.default_rng(0)
+        D = rng.standard_normal((8, 8)) + 3 * np.eye(8)
+        y = rng.standard_normal(8)
+        gamma = _homotopy_lasso(*gram_form(D, y), 0.0)
+        np.testing.assert_allclose(gamma, np.linalg.solve(D, y), atol=1e-10)
+
+    @pytest.mark.parametrize("factor", [1.0, 1.5])
+    def test_penalty_at_or_above_twice_max_c_gives_zero(self, factor):
+        rng = np.random.default_rng(1)
+        D = rng.standard_normal((30, 6))
+        y = rng.standard_normal(30)
+        G, c = gram_form(D, y)
+        gamma = _homotopy_lasso(G, c, factor * 2.0 * np.max(np.abs(c)))
+        np.testing.assert_array_equal(gamma, np.zeros(6))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 0.3])
+    def test_zero_column_gets_zero_coefficient(self, tau):
+        rng = np.random.default_rng(2)
+        D = rng.standard_normal((30, 6))
+        D[:, 3] = 0.0
+        y = D @ np.array([1.0, -2.0, 0.0, 0.0, 0.5, 0.0]) + 0.3 * rng.standard_normal(30)
+        G, c = gram_form(D, y)
+        gamma = _homotopy_lasso(G, c, tau)
+        assert gamma[3] == 0.0
+        assert _kkt_holds(G, c, tau, gamma)
+        assert _lasso(G, c, tau)[0][3] == 0.0
+
+    def test_correlated_designs_need_no_fallback(self):
+        """Many joins and drops along the path, and still an answer that passes the check."""
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            walk = np.cumsum(0.4 * rng.standard_normal((40, 30)), axis=1)
+            D = rng.standard_normal((40, 30)) + walk  # neighbouring columns correlate
+            y = D[:, :5] @ rng.normal(0, 1, 5) + rng.standard_normal(40)
+            G, c = gram_form(D, y)
+            for frac in (0.3, 0.1, 0.03, 0.01, 0.0):
+                tau = frac * 2.0 * np.max(np.abs(c))
+                gamma = _homotopy_lasso(G, c, tau)
+                assert gamma is not None and _kkt_holds(G, c, tau, gamma), (seed, frac)
+
+    def test_kkt_check_compares_at_the_sign_of_gamma(self):
+        """A coefficient whose residual sits at +tau/2 while it is negative fails the check."""
+        G = np.array([[1.0, 0.9], [0.9, 1.0]])
+        tau = 0.4
+        wrong = np.array([-0.1, 0.5])
+        c = G @ wrong + tau / 2.0  # c - G wrong = (tau/2, tau/2)
+        assert not _kkt_holds(G, c, tau, wrong)
+        gamma = _homotopy_lasso(G, c, tau)
+        np.testing.assert_allclose(gamma, [0.0, 0.41], atol=1e-12)
+        assert _kkt_holds(G, c, tau, gamma)
+        np.testing.assert_array_equal(_lasso(G, c, tau)[0], gamma)
+
+    # The near-duplicate series make some refit grams singular too, and the
+    # refit's pseudo-inverse warns about them.
+    @pytest.mark.filterwarnings("ignore::divproj.exceptions.NumericalWarning")
+    def test_purged_grams_match_coordinate_descent(self, monkeypatch):
+        """On rank-deficient purged grams `_lasso` keeps coordinate descent's support.
+
+        The grams are those `double_selection` builds after its factor
+        step, where W'U_hat = 0 makes them singular.  One series in each
+        panel nearly repeats another, so some active sets are singular too
+        and `_lasso` must fall back.  Where coordinate descent stops
+        before converging, the path's answer must be the better one.
+        """
+        calls = []
+        for seed in range(8):
+            y, g, X, W = purged_panel(seed, 40, 80, near_duplicate=True)
+            calls += recorded_lasso_calls(lambda: double_selection(y, g, X, W))
+        fallbacks = counting_cd_lasso(monkeypatch)
+        unconverged = 0
+        for G, c, tau, gamma0 in calls:
+            assert np.linalg.eigvalsh(G)[0] <= 1e-5
+            n_before = len(fallbacks)
+            gamma, _ = _lasso(G, c, tau, gamma0=gamma0)
+            reference, converged = _cd_lasso(G, c, tau, gamma0=gamma0)
+            fell_back = len(fallbacks) > n_before
+            if fell_back or converged:
+                np.testing.assert_array_equal(support(gamma), support(reference))
+            else:
+                unconverged += 1
+                assert _kkt_holds(G, c, tau, gamma)
+                assert lasso_objective(G, c, tau, gamma) <= lasso_objective(G, c, tau, reference) + 1e-12
+        assert len(calls) > 50
+        assert len(fallbacks) >= 1
+        assert unconverged < len(calls) // 2
+
+
+class TestLassoAgreesWithCoordinateDescent:
+    """The path changes no result that coordinate descent got right."""
+
+    def test_postsel_study_is_bit_identical(self, monkeypatch):
+        def study():
+            return experiment_postsel(n_series=120, n_periods=120, n_reps=4, seed=5)
+
+        samples, rows = study()
+        monkeypatch.setattr(inference, "_lasso", _cd_lasso)
+        cd_samples, cd_rows = study()
+        assert samples.keys() == cd_samples.keys()
+        for key in samples:
+            np.testing.assert_array_equal(samples[key], cd_samples[key])
+        assert rows == cd_rows
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_desk_sized_feasible_double_selection_is_bit_identical(self, monkeypatch, seed):
+        y, g, X, W = purged_panel(seed, 1200, 240)
+        for weights in (W, None):
+            res = double_selection(y, g, X, weights)
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_lasso", _cd_lasso)
+                ref = double_selection(y, g, X, weights)
+            for name, value in vars(res).items():
+                np.testing.assert_array_equal(value, getattr(ref, name), err_msg=name)
+
+    def test_well_conditioned_double_selection_never_falls_back(self, monkeypatch):
+        calls = counting_cd_lasso(monkeypatch)
+        y, g, X = _simulate_system(seed=10, n=40, t=200)
+        double_selection(y, g, X, None)
+        double_selection(y, g, X, None, sigma2_y=2.0, sigma2_g=1.0)
+        assert calls == []
 
 
 class TestTuningTau:
