@@ -15,7 +15,7 @@ import numpy as np
 
 from . import projection
 from .exceptions import DimensionError, InsufficientDataError
-from .projection import _check_pc_rank, _pc_from_vt, _solve_gram, estimate_factors, pc_factors
+from .projection import _check_pc_rank, _pc_from_vt, _solve_gram, estimate_factors
 from .weights import WeightMatrix, _rolling_history, _trimmed_weights
 
 
@@ -104,7 +104,10 @@ class PCScheme:
         self.n_factors = n_factors
 
     def factors(self, X, start: int, window: int) -> np.ndarray:
-        return pc_factors(X[:, start : start + window], self.n_factors).factors
+        win = X[:, start : start + window]
+        _check_pc_rank(win, self.n_factors)
+        # the factors alone: pc_factors would also build loadings, residuals and a gram
+        return _pc_from_vt(win, projection._leading_vt(win, self.n_factors))[0]
 
 
 class RollingWeightScheme:
@@ -116,29 +119,31 @@ class RollingWeightScheme:
     the combined (history, panel) series.  The weights equal
     ``rolling_window_weights(history_window, n_factors, epsilon)``.
 
-    The scheme keeps the leading `n_factors` rows of V' from the SVD of
+    The scheme keeps the leading `n_factors` principal-component vectors of
     each history window it has seen (n_factors x window floats per window
-    start), so :meth:`with_factors` siblings with fewer factors reuse that
-    SVD instead of repeating it.  An entry is recomputed when the scheme is
-    called with a different panel object; a panel changed in place between
-    calls is not detected.
+    start).  They come from one eigendecomposition of the window's gram
+    (one SVD if the window is longer than the panel has series), and
+    :meth:`with_factors` siblings with fewer factors reuse it instead of
+    repeating it.  An entry is recomputed when the scheme is called with a
+    different panel object; a panel changed in place between calls is not
+    detected.
     """
 
     def __init__(self, history: np.ndarray, n_factors: int, epsilon: float = 1.0):
         self.history = np.atleast_2d(np.asarray(history, dtype=float))
         self.n_factors = n_factors
         self.epsilon = epsilon
-        self._svd_rows = n_factors
+        self._pc_rows = n_factors
         self._vt_memo = {}  # (start, window) -> (panel, leading rows of V')
 
     def with_factors(self, n_factors: int) -> "RollingWeightScheme":
-        """A scheme for fewer working factors that shares this one's window SVDs.
+        """A scheme for fewer working factors that reuses this one's window eigenvectors.
 
         `n_factors` may be at most the count the first scheme was built with.
         """
-        if not 1 <= n_factors <= self._svd_rows:
+        if not 1 <= n_factors <= self._pc_rows:
             raise ValueError(
-                f"a sibling scheme needs 1 <= R <= {self._svd_rows}, got R={n_factors}"
+                f"a sibling scheme needs 1 <= R <= {self._pc_rows}, got R={n_factors}"
             )
         sibling = copy.copy(self)
         sibling.n_factors = n_factors
@@ -156,8 +161,8 @@ class RollingWeightScheme:
         _check_pc_rank(hist_win, self.n_factors)
         entry = self._vt_memo.get((start, window))
         if entry is None or entry[0] is not X:
-            # looked up on the module so that the window SVDs can be counted from outside
-            entry = self._vt_memo[(start, window)] = (X, projection._leading_vt(hist_win, self._svd_rows))
+            # looked up on the module so that the window kernels can be counted from outside
+            entry = self._vt_memo[(start, window)] = (X, projection._leading_vt(hist_win, self._pc_rows))
         _, loadings = _pc_from_vt(hist_win, entry[1][: self.n_factors])
         return estimate_factors(X[:, start : start + window], _trimmed_weights(loadings, self.epsilon))
 

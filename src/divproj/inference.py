@@ -20,12 +20,13 @@ the path needs only its active-set grams to be regular.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm
 
-from .exceptions import DimensionError, InsufficientDataError, SingularGramError
+from .exceptions import DimensionError, InsufficientDataError, NumericalWarning, SingularGramError
 from .projection import _solve_gram, estimate_factors
 from .weights import WeightMatrix
 
@@ -187,7 +188,8 @@ def _lasso(G, c, tau, gamma0=None):
 
     The homotopy path's answer is returned when it passes the KKT check.
     Otherwise (a singular active-set gram, a failed check or more than 4N
-    kinks) the answer is `_cd_lasso` started from `gamma0`.
+    kinks) the answer is `_cd_lasso` started from `gamma0`; if that stops
+    at its sweep cap unconverged, a NumericalWarning names `_lasso`'s caller.
     """
     try:
         gamma = _homotopy_lasso(G, c, tau)
@@ -195,7 +197,15 @@ def _lasso(G, c, tau, gamma0=None):
         gamma = None
     if gamma is not None and _kkt_holds(G, c, tau, gamma):
         return gamma, True
-    return _cd_lasso(G, c, tau, gamma0=gamma0)
+    gamma, converged = _cd_lasso(G, c, tau, gamma0=gamma0)
+    if not converged:
+        warnings.warn(
+            f"lasso coordinate descent on {c.size} coefficients stopped at its sweep cap "
+            "before converging; the coefficients may be inexact",
+            NumericalWarning,
+            stacklevel=2,
+        )
+    return gamma, converged
 
 
 def tuning_tau(sigma2: float, n: int, t: int, C: float = 4.1) -> float:

@@ -174,11 +174,12 @@ def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
 def pc_factors(panel, n_factors: int) -> FactorFit:
     """Benchmark principal-components estimator.
 
-    F_hat is sqrt(T) times the top eigenvectors of X'X (computed through the
-    SVD of X, which uses whichever gram matrix is smaller), normalized so
-    that F'F/T = I.  Loadings follow by least squares and residuals by
-    subtraction.  The W'U_hat = 0 identity of the projection fit does not
-    apply here; U_hat F_hat = 0 does.
+    F_hat is sqrt(T) times the top eigenvectors of X'X, normalized so that
+    F'F/T = I.  They come from an eigendecomposition of X'X itself when
+    T <= N, and from the thin SVD of X when T > N, where that gram would be
+    the larger one (see `_leading_vt`).  Loadings follow by least squares
+    and residuals by subtraction.  The W'U_hat = 0 identity of the
+    projection fit does not apply here; U_hat F_hat = 0 does.
     """
     X = as_matrix(panel)
     _check_pc_rank(X, n_factors)
@@ -196,10 +197,21 @@ def _check_pc_rank(X: np.ndarray, n_factors: int) -> None:
 
 
 def _leading_vt(X: np.ndarray, n_rows: int) -> np.ndarray:
-    """The leading n_rows rows of V' in the thin SVD X = U S V', as a copy.
+    """The leading n_rows rows of V' in the thin SVD X = U S V', as a contiguous copy.
 
-    Every principal-components SVD in the package goes through here.
+    Every principal-components factor in the package goes through here.
+    With no more columns than rows (T <= N, every forecast, rolling-weight
+    and covariance-study window) the rows are the eigenvectors of the T x T
+    gram X'X for its n_rows largest eigenvalues, largest first: a symmetric
+    eigendecomposition of X'X costs a fraction of a full SVD of X.  With
+    T > N the thin SVD stays: recovering V from the N x N gram XX' divides
+    by singular values that can be zero, and the T x T gram would cost
+    O(T^3).  The sign of each row is arbitrary in both branches.
     """
+    n, t = X.shape
+    if t <= n:
+        _, vecs = np.linalg.eigh(X.T @ X)
+        return vecs[:, ::-1][:, :n_rows].T.copy()
     _, _, vt = np.linalg.svd(X, full_matrices=False)
     return vt[:n_rows].copy()
 

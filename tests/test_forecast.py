@@ -12,7 +12,7 @@ from divproj.forecast import (
     predict,
     rolling_forecast,
 )
-from divproj.projection import estimate_factors
+from divproj.projection import estimate_factors, pc_factors
 from divproj.weights import rolling_window_weights, walsh_hadamard_weights
 
 
@@ -180,9 +180,22 @@ class TestRollingForecast:
         with pytest.raises(InsufficientDataError):
             scheme.factors(np.ones((4, 30)), 0, 20)
 
+    @pytest.mark.parametrize("window", [8, 15])
+    def test_pc_scheme_equals_pc_factors(self, window):
+        """Windows with T <= N and with T > N give pc_factors' factors bit for bit."""
+        X = np.random.default_rng(10).standard_normal((10, 30))
+        scheme = PCScheme(3)
+        for start in range(X.shape[1] - window + 1):
+            expected = pc_factors(X[:, start : start + window], 3).factors
+            assert np.array_equal(scheme.factors(X, start, window), expected), start
+
+    def test_pc_scheme_checks_the_rank(self):
+        with pytest.raises(DimensionError):
+            PCScheme(5).factors(np.ones((4, 30)), 0, 20)
+
 
 class TestSharedWindowSVD:
-    """Siblings of a RollingWeightScheme share one SVD per history window."""
+    """Siblings of a RollingWeightScheme share one eigendecomposition per history window."""
 
     @staticmethod
     def _data():

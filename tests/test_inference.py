@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from divproj import inference
-from divproj.exceptions import InsufficientDataError
+from divproj.exceptions import InsufficientDataError, NumericalWarning
 from divproj.experiments import _scheme_weights, experiment_postsel
 from divproj.inference import (
     confidence_interval,
@@ -251,6 +252,33 @@ class TestHomotopyLasso:
         assert unconverged < len(calls) // 2
 
 
+    # Only the refit's pseudo-inverse warnings are ignored; the lasso's are checked.
+    @pytest.mark.filterwarnings("ignore:.*gram matrix is singular:divproj.exceptions.NumericalWarning")
+    def test_unconverged_fallback_warns(self, monkeypatch):
+        """A fallback stopping at its sweep cap warns from `_lasso`'s caller; no other call warns."""
+        with pytest.warns(NumericalWarning, match="sweep cap") as record:
+            for seed in range(8):
+                double_selection(*purged_panel(seed, 40, 80, near_duplicate=True))
+        capped = [w for w in record if "sweep cap" in str(w.message)]
+        assert {w.filename for w in capped} == {inference.__file__}
+        calls = []
+        with pytest.warns(NumericalWarning, match="sweep cap"):
+            for seed in range(8):
+                y, g, X, W = purged_panel(seed, 40, 80, near_duplicate=True)
+                calls += recorded_lasso_calls(lambda: double_selection(y, g, X, W))
+        fallbacks = counting_cd_lasso(monkeypatch)
+        unconverged = 0
+        for G, c, tau, gamma0 in calls:
+            n_before = len(fallbacks)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                _, converged = _lasso(G, c, tau, gamma0=gamma0)
+            capped_here = len(fallbacks) > n_before and not converged
+            unconverged += capped_here
+            assert len(seen) == capped_here
+        assert unconverged == len(capped) >= 1, (unconverged, len(fallbacks))
+
+
 class TestLassoAgreesWithCoordinateDescent:
     """The path changes no result that coordinate descent got right."""
 
@@ -280,8 +308,10 @@ class TestLassoAgreesWithCoordinateDescent:
     def test_well_conditioned_double_selection_never_falls_back(self, monkeypatch):
         calls = counting_cd_lasso(monkeypatch)
         y, g, X = _simulate_system(seed=10, n=40, t=200)
-        double_selection(y, g, X, None)
-        double_selection(y, g, X, None, sigma2_y=2.0, sigma2_g=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            double_selection(y, g, X, None)
+            double_selection(y, g, X, None, sigma2_y=2.0, sigma2_g=1.0)
         assert calls == []
 
 

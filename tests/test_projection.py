@@ -5,7 +5,8 @@ import pytest
 
 from divproj.exceptions import DimensionError, NumericalWarning, SingularGramError
 from divproj.fdr import farm_stats
-from divproj.forecast import fit_augmented
+from divproj import projection
+from divproj.forecast import PCScheme, fit_augmented, rolling_forecast
 from divproj.inference import double_selection
 from divproj.projection import (
     PanelData,
@@ -170,6 +171,63 @@ class TestPCFactors:
     def test_too_many_factors(self):
         with pytest.raises(DimensionError):
             pc_factors(np.ones((4, 6)), 5)
+
+
+def largest_angle_sine(a, b):
+    """Sine of the largest principal angle between the row spaces of orthonormal a and b."""
+    return float(np.linalg.norm(a.T - b.T @ (b @ a.T), 2))
+
+
+def two_factor_panel(n, t, seed=0):
+    """Two strong factors plus unit noise: a wide gap after the second eigenvalue."""
+    rng = np.random.default_rng(seed)
+    B = 3.0 * rng.standard_normal((n, 2))
+    F = rng.standard_normal((t, 2))
+    return B @ F.T + rng.standard_normal((n, t))
+
+
+class TestLeadingVt:
+    """`_leading_vt` takes X'X's eigenvectors when T <= N and the thin SVD when T > N."""
+
+    @pytest.mark.parametrize("shape", [(60, 25), (25, 25), (15, 40)])
+    def test_rows_are_orthonormal(self, shape):
+        X = two_factor_panel(*shape, seed=1)
+        vt = projection._leading_vt(X, 5)
+        assert vt.shape == (5, shape[1]) and vt.flags.c_contiguous
+        np.testing.assert_allclose(vt @ vt.T, np.eye(5), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(200, 60), (60, 60), (40, 90)])
+    @pytest.mark.parametrize("n_rows", [2, 5])
+    def test_row_space_matches_svd(self, shape, n_rows):
+        X = two_factor_panel(*shape, seed=2)
+        reference = np.linalg.svd(X, full_matrices=False)[2][:n_rows]
+        assert largest_angle_sine(projection._leading_vt(X, n_rows), reference) <= 1e-10
+
+    def test_rank_one_panel_with_tall_shape(self):
+        rng = np.random.default_rng(3)
+        b, f = rng.standard_normal(12), rng.standard_normal(9)
+        vt = projection._leading_vt(np.outer(b, f), 2)
+        assert np.all(np.isfinite(vt))
+        np.testing.assert_allclose(vt @ vt.T, np.eye(2), rtol=0, atol=1e-12)
+        assert abs(vt[0] @ f) / np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
+
+    def test_pc_forecast_windows_make_no_svd(self, monkeypatch):
+        """With T <= N every window's PC factors come from an eigendecomposition."""
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        rng = np.random.default_rng(4)
+        X = two_factor_panel(30, 40, seed=4)
+        y = rng.standard_normal(40)
+        rolling_forecast(y, X, window=20, steps=15, scheme=PCScheme(2))
+        assert calls == []
+        projection._leading_vt(X, 2)  # T > N still takes the thin SVD
+        assert calls == [X.shape]
 
 
 class TestTransformMatrix:
