@@ -65,11 +65,12 @@ class SparseCovariance:
 
     def sparsity_m(self, q: float) -> float:
         """Row-wise sparsity diagnostic max_i sum_j |sigma_ij|^q (0^0 := 0)."""
-        a = np.abs(self.sigma_u)
         if q == 0:
-            per_row = np.sum(a > 0, axis=1)
+            per_row = np.count_nonzero(self.sigma_u, axis=1)
+        elif q == 1:
+            per_row = np.abs(self.sigma_u).sum(axis=1)
         else:
-            per_row = np.sum(a**q, axis=1)
+            per_row = np.sum(np.abs(self.sigma_u) ** q, axis=1)
         return float(np.max(per_row))
 
 

@@ -2,12 +2,19 @@
 
 Panels are stored time-major: the first row is a header of series ids, the
 first column holds time labels, and the body is T rows by N columns.
-Floats go to the csv module, which writes them as their `repr`: the
-shortest decimal that parses back to the same double, so write-then-read
-is lossless and writing a file we read reproduces it byte for byte.  Only
-mixed-type dict rows go cell by cell through :func:`format_value`, which
-writes bools as 1/0.  Missing data is not supported: any cell that does
-not parse as a finite number is rejected with its location.
+Floats are written as their `repr`, the shortest decimal that parses back
+to the same double, and zeros by their sign bit as ``0.0`` or ``-0.0``, so
+write-then-read is lossless and writing a file we read reproduces it byte
+for byte.  Rows of floats are formatted as whole lines, byte-identical to
+what the csv module writes; the csv module still writes headers, quotes
+the labels that need it, and writes the mixed-type dict rows, cell by cell
+through :func:`format_value`, which writes bools as 1/0.
+
+The body of a table is parsed in one pass by ``np.loadtxt``.  A file that
+pass cannot vouch for (a quote, a blank line, a bad or non-finite cell, a
+ragged row) is re-read with the csv module, which parses quoted labels and
+locates the error.  Missing data is not supported: any cell that does not
+parse as a finite number is rejected with its location.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import itertools
 import json
 import math
 import os
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -62,14 +70,55 @@ def _parse_row(row, i: int, path) -> np.ndarray:
     return np.array([_parse_cell(cell, i, j, path) for j, cell in enumerate(row[1:], start=2)])
 
 
+class _Unvouched(Exception):
+    """A line the one-pass parser cannot vouch for."""
+
+
+def _bodies(lines, labels):
+    """Each line's cells after its label, keeping the stripped label in `labels`.
+
+    Raises `_Unvouched` on a line that csv and loadtxt could read
+    differently: one with a quote, or with no cell after its label (loadtxt
+    skips blank lines, csv reports them).
+    """
+    for line in lines:
+        label, comma, rest = line.partition(",")
+        if not comma or not rest.strip() or '"' in line:
+            raise _Unvouched
+        labels.append(label.strip())
+        yield rest
+
+
 def _read_table(path, what: str, width: int | None = None):
     """Parse a labelled numeric CSV; returns (header, labels, body).
 
     Each row must have `width` cells (by default as many as the header,
-    which must then name a series), a label and then finite numbers.  Rows
-    are parsed as they are read, so no string copy of the file is held.
+    which must then name a series), a label and then finite numbers.  The
+    body is parsed in one C pass over the file's lines, so no string copy
+    of the file is held.  Anything that pass cannot vouch for is re-read by
+    :func:`_read_table_csv`, which gives the same table or the located error.
     """
     path = Path(path)
+    labels = []
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+            first = next(fh, None)
+            if header is None or first is None or (width is None and len(header) < 2):
+                raise _Unvouched
+            body = np.loadtxt(
+                _bodies(itertools.chain([first], fh), labels),
+                delimiter=",", comments=None, dtype=float, ndmin=2,
+            )
+    except (ValueError, _Unvouched):
+        return _read_table_csv(path, what, width)
+    if body.shape != (len(labels), (width or len(header)) - 1) or not np.isfinite(body).all():
+        return _read_table_csv(path, what, width)
+    return header, labels, body
+
+
+def _read_table_csv(path, what: str, width: int | None = None):
+    """:func:`_read_table` through the csv module, row by row: parses quoted cells and locates each error."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -98,10 +147,39 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
+_QUOTED = frozenset(',"\r\n')
+
+
+def _label_cell(label) -> str:
+    """`label` as csv.writer writes it in a row of several cells."""
+    if type(label) is str and _QUOTED.isdisjoint(label):
+        return label
+    buf = StringIO()
+    csv.writer(buf).writerow([label, None])
+    return buf.getvalue()[: -len(",\r\n")]
+
+
 def _labelled(labels, values):
-    """Rows [label, *values[i]], converted one at a time so no second copy of `values` is held."""
+    """Lines as csv.writer writes the rows [label, *values[i]], one row at a time.
+
+    Zeros are looked up by their sign bit and only the nonzero floats (nan
+    and inf included) go through `repr`, so a sparse row costs little.
+    """
     for label, row in zip(labels, values):
-        yield [label, *row.tolist()]
+        cells = _ZEROS[np.signbit(row).view(np.int8)]
+        (j,) = np.nonzero(row)
+        cells[j] = list(map(repr, row[j].tolist()))
+        yield _label_cell(label) + "," + ",".join(cells.tolist()) + "\r\n"
+
+
+def _write_labelled(path, header, labels, values) -> None:
+    """Write `header`, then the rows [label, *values[i]] of a float matrix."""
+    if values.shape[1] == 0:  # csv.writer quotes an empty label when it is the only cell
+        return _write_csv(path, header, ([label] for label in labels))
+    with open(Path(path), "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(_labelled(labels, values))
 
 
 def _triplets(values):
@@ -122,7 +200,7 @@ def write_panel(path, panel: PanelData) -> None:
     """Write a panel in the time-major CSV layout read by :func:`read_panel`."""
     series = panel.series_ids or [f"s{i + 1}" for i in range(panel.n_series)]
     times = panel.time_ids or [str(j + 1) for j in range(panel.n_periods)]
-    _write_csv(path, ["time", *series], _labelled(times, panel.X.T))
+    _write_labelled(path, ["time", *series], times, panel.X.T)
 
 
 def read_series(path):
@@ -134,7 +212,7 @@ def read_series(path):
 def write_series(path, values, labels=None, value_name: str = "value") -> None:
     values = np.asarray(values, dtype=float).reshape(-1, 1)
     labels = labels or [str(j + 1) for j in range(len(values))]
-    _write_csv(path, ["time", value_name], _labelled(labels, values))
+    _write_labelled(path, ["time", value_name], labels, values)
 
 
 def write_matrix(path, values, row_labels=None, col_labels=None, corner: str = "row") -> None:
@@ -143,7 +221,7 @@ def write_matrix(path, values, row_labels=None, col_labels=None, corner: str = "
     n, k = values.shape
     row_labels = row_labels or [f"r{i + 1}" for i in range(n)]
     col_labels = col_labels or [f"c{j + 1}" for j in range(k)]
-    _write_csv(path, [corner, *col_labels], _labelled(row_labels, values))
+    _write_labelled(path, [corner, *col_labels], row_labels, values)
 
 
 def write_sparse_triplets(path, values) -> None:

@@ -3,12 +3,14 @@ import functools
 import inspect
 import json
 import re
+from io import StringIO
 
 import numpy as np
 import pytest
 
 from divproj.cli import SIMULATIONS, _build_parser, run
 from divproj.covariance import ThresholdRule
+from divproj import io as io_module
 from divproj.exceptions import DegenerateDataError
 from divproj.experiments import experiment_spectest
 from divproj.fdr import farm_test
@@ -86,7 +88,7 @@ class TestPanelIO:
             read_panel(path)
 
 
-@pytest.mark.parametrize("reader, text, message", [
+READER_MESSAGES = [
     (read_series, "time,y\n", "header only, the series has no observations"),
     (read_series, "time,y\n1,2.0,3.0\n", "row 2 has 3 cells, expected 2"),
     (read_panel, "time\n1\n", "header names no series"),
@@ -95,7 +97,12 @@ class TestPanelIO:
     (read_panel, "time,s1,s2,s3\n1,x,Infinity,1__0\n", "cell at row 2, column 2 is not numeric: 'x'"),
     (read_panel, "time,s1,s2\n1,1.0,1__0\n2,1.0\n", "cell at row 2, column 3 is not numeric: '1__0'"),
     (read_panel, "time,s1,s2\n1,1.0,2.0\n2, 1 ,Infinity\n", "non-finite cell at row 3, column 3"),
-])
+]
+
+PYTHON_FLOAT_CELLS = [" 1.5", "2 ", "1_0", "+.5", "-0.0", "1e-400", "5e-324", "1E308", "0.1"]
+
+
+@pytest.mark.parametrize("reader, text, message", READER_MESSAGES)
 def test_reader_messages(tmp_path, reader, text, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -104,10 +111,105 @@ def test_reader_messages(tmp_path, reader, text, message):
 
 
 def test_cells_parse_as_python_floats(tmp_path):
-    cells = [" 1.5", "2 ", "1_0", "+.5", "-0.0", "1e-400", "5e-324", "1E308", "0.1"]
+    cells = PYTHON_FLOAT_CELLS
     path = tmp_path / "p.csv"
     path.write_text("time," + ",".join(f"s{j}" for j in range(len(cells))) + "\n1," + ",".join(cells) + "\n")
     assert read_panel(path).X[:, 0].tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+def _table_or_error(read, path, what, width):
+    try:
+        header, labels, body = read(path, what, width)
+    except DegenerateDataError as exc:
+        return str(exc)
+    return header, labels, body.tobytes()
+
+
+_PANEL, _SERIES = ("panel", None), ("series", 2)
+READER_CASES = [
+    *((text, _SERIES if reader is read_series else _PANEL) for reader, text, _ in READER_MESSAGES),
+    *(("time,s\n1," + cell + "\n", _PANEL) for cell in PYTHON_FLOAT_CELLS),
+    ("time," + ",".join("s" * len(PYTHON_FLOAT_CELLS)) + "\nt," + ",".join(PYTHON_FLOAT_CELLS) + "\n", _PANEL),
+    ("", _PANEL),
+    ("time,a,b\n", _PANEL),
+    ("time,a,b\n1,1.0,2.0\n\n2,3.0,4.0\n", _PANEL),  # blank line in the middle
+    ("time,a,b\n1,1.0,2.0\n2,3.0,4.0\n\n", _PANEL),  # trailing blank line
+    ("time,y\n1,1.0\n\n2,3.0\n", _SERIES),
+    ("time,y\n1,1.0\n2,3.0\n\n", _SERIES),
+    ("time,y\n1,\n", _SERIES),  # a label with no cell after it
+    ("time,y\n1\n", _SERIES),
+    ("time,a,b\r\n1,1.0,2.0\r\n2,3.0,4.0\r\n", _PANEL),
+    ("time,a,b\r1,1.0,2.0\r2,3.0,4.0\r", _PANEL),
+    ("time,a,b\r\n1,1.0,2.0\r2,3.0,4.0", _PANEL),
+    ('time,a,b\n"t,1",1.0,2.0\n', _PANEL),  # quoted label
+    ('time,a,b\n1,"1.0",2.0\n', _PANEL),  # quoted number cell
+    ('time,"a,b",c\n1,1.0,2.0\n', _PANEL),  # quoted header id with a comma
+    ('"time\nstamp",a\n1,1.0\n', _PANEL),  # header spanning two lines
+    ("time,a,b\n1,,2.0\n", _PANEL),  # empty cell
+    ("time,a,b\n1, ,2.0\n", _PANEL),  # whitespace-only cell
+    ("time,a,b\n1,1.0,2.0,\n", _PANEL),  # trailing comma
+    ("time,a,b\n 1 ,1.0,2.0\n t2\t,3.0,4.0\n", _PANEL),  # labels are stripped
+    ("time,a,b\n1,1.0,2.0\n2,3.0,4.0", _PANEL),  # no final newline
+    ("time,a,b\n1,1e400,2.0\n", _PANEL),
+    ("time,a,b\n1,\u0661,2.0\n", _PANEL),  # a non-ASCII digit, which float() reads
+    ("time,a,b\n1,1.5\u2003,\u20032.0\n", _PANEL),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, kind", READER_CASES)
+def test_one_pass_reader_matches_the_csv_reader(tmp_path, text, kind):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    what, width = kind
+    fast = _table_or_error(io_module._read_table, path, what, width)
+    assert fast == _table_or_error(io_module._read_table_csv, path, what, width)
+
+
+def test_plain_tables_are_read_in_one_pass(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    write_panel(tmp_path / "p.csv", PanelData(rng.standard_normal((30, 7)), time_ids=[" a", "b ", "", "d", "e", "f", "g"]))
+    write_series(tmp_path / "s.csv", rng.standard_normal(5))
+    expected = read_panel(tmp_path / "p.csv").X, read_series(tmp_path / "s.csv")[1]
+    monkeypatch.setattr(io_module, "_read_table_csv", None)
+    assert read_panel(tmp_path / "p.csv").X.tobytes() == expected[0].tobytes()
+    assert read_series(tmp_path / "s.csv")[1].tobytes() == expected[1].tobytes()
+
+
+def _csv_rendering(header, labels, rows) -> bytes:
+    buf = StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([label, *row.tolist()] for label, row in zip(labels, rows))
+    return buf.getvalue().encode()
+
+
+def test_writers_match_the_csv_module(tmp_path):
+    rng = np.random.default_rng(5)
+    k = 1000
+    sparse = np.zeros(k)
+    sparse[rng.choice(k, size=500, replace=False)] = -0.0
+    sparse[17] = 0.25
+    special = np.resize([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, -1e16, 0.1], k)
+    values = np.array([rng.standard_normal(k) * 10.0 ** rng.integers(-5, 5, k), sparse, special, np.zeros(k), -np.zeros(k)])
+    labels = ["", "a,b", 'q"x', "two\nlines", " pad "]
+    cols = [f"c{j + 1}" for j in range(k)]
+    finite = np.isfinite(values).all(axis=1)
+
+    write_matrix(tmp_path / "m.csv", values, labels, cols, corner="id")
+    assert (tmp_path / "m.csv").read_bytes() == _csv_rendering(["id", *cols], labels, values)
+    write_matrix(tmp_path / "d.csv", values)
+    assert (tmp_path / "d.csv").read_bytes() == _csv_rendering(
+        ["row", *cols], [f"r{i + 1}" for i in range(len(values))], values)
+    panel_labels = [label for label, keep in zip(labels, finite) if keep]
+    write_panel(tmp_path / "p.csv", PanelData(values[finite].T, series_ids=cols, time_ids=panel_labels))
+    assert (tmp_path / "p.csv").read_bytes() == _csv_rendering(["time", *cols], panel_labels, values[finite])
+    series_labels = [*labels, 7, None, "plain"]
+    column = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 2.5])
+    write_series(tmp_path / "s.csv", column, series_labels, value_name="v,w")
+    assert (tmp_path / "s.csv").read_bytes() == _csv_rendering(["time", "v,w"], series_labels, column[:, None])
+    write_matrix(tmp_path / "e.csv", np.zeros((3, 0)), ["", "x", "a,b"], [])
+    assert (tmp_path / "e.csv").read_bytes() == _csv_rendering(["row"], ["", "x", "a,b"], np.zeros((3, 0)))
 
 
 def test_floats_are_written_as_their_repr(tmp_path):
