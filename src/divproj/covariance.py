@@ -67,8 +67,6 @@ class SparseCovariance:
         """Row-wise sparsity diagnostic max_i sum_j |sigma_ij|^q (0^0 := 0)."""
         if q == 0:
             per_row = np.count_nonzero(self.sigma_u, axis=1)
-        elif q == 1:
-            per_row = np.abs(self.sigma_u).sum(axis=1)
         else:
             per_row = np.sum(np.abs(self.sigma_u) ** q, axis=1)
         return float(np.max(per_row))

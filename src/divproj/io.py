@@ -6,8 +6,8 @@ Floats are written as their `repr`, the shortest decimal that parses back
 to the same double, and zeros by their sign bit as ``0.0`` or ``-0.0``, so
 write-then-read is lossless and writing a file we read reproduces it byte
 for byte.  Rows of floats are formatted as whole lines, byte-identical to
-what the csv module writes; the csv module still writes headers, quotes
-the labels that need it, and writes the mixed-type dict rows, cell by cell
+what the csv module writes; the csv module still writes headers, the
+label cell of each row, and the mixed-type dict rows, cell by cell
 through :func:`format_value`, which writes bools as 1/0.
 
 The body of a table is parsed in one pass by ``np.loadtxt``.  A file that
@@ -78,12 +78,14 @@ def _bodies(lines, labels):
     """Each line's cells after its label, keeping the stripped label in `labels`.
 
     Raises `_Unvouched` on a line that csv and loadtxt could read
-    differently: one with a quote, or with no cell after its label (loadtxt
-    skips blank lines, csv reports them).
+    differently: one with a quote, with no cell after its label (loadtxt
+    skips blank lines, csv reports them), or longer than the csv module's
+    field size limit (csv rejects a field that long, loadtxt does not).
     """
+    limit = csv.field_size_limit()
     for line in lines:
         label, comma, rest = line.partition(",")
-        if not comma or not rest.strip() or '"' in line:
+        if not comma or not rest.strip() or '"' in line or len(line) > limit:
             raise _Unvouched
         labels.append(label.strip())
         yield rest
@@ -148,29 +150,25 @@ def _write_csv(path, header, rows) -> None:
 
 
 _ZEROS = np.array(["0.0", "-0.0"], dtype=object)
-_QUOTED = frozenset(',"\r\n')
-
-
-def _label_cell(label) -> str:
-    """`label` as csv.writer writes it in a row of several cells."""
-    if type(label) is str and _QUOTED.isdisjoint(label):
-        return label
-    buf = StringIO()
-    csv.writer(buf).writerow([label, None])
-    return buf.getvalue()[: -len(",\r\n")]
 
 
 def _labelled(labels, values):
     """Lines as csv.writer writes the rows [label, *values[i]], one row at a time.
 
     Zeros are looked up by their sign bit and only the nonzero floats (nan
-    and inf included) go through `repr`, so a sparse row costs little.
+    and inf included) go through `repr`, so a sparse row costs little.  The
+    label cell is written by csv.writer, which quotes it when it needs to.
     """
+    buf = StringIO()
+    writer = csv.writer(buf)
     for label, row in zip(labels, values):
         cells = _ZEROS[np.signbit(row).view(np.int8)]
         (j,) = np.nonzero(row)
         cells[j] = list(map(repr, row[j].tolist()))
-        yield _label_cell(label) + "," + ",".join(cells.tolist()) + "\r\n"
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((label, None))  # "label,\r\n"
+        yield buf.getvalue()[:-2] + ",".join(cells.tolist()) + "\r\n"
 
 
 def _write_labelled(path, header, labels, values) -> None:

@@ -120,7 +120,7 @@ def test_cells_parse_as_python_floats(tmp_path):
 def _table_or_error(read, path, what, width):
     try:
         header, labels, body = read(path, what, width)
-    except DegenerateDataError as exc:
+    except (DegenerateDataError, csv.Error) as exc:
         return str(exc)
     return header, labels, body.tobytes()
 
@@ -153,6 +153,11 @@ READER_CASES = [
     ("time,a,b\n1,1e400,2.0\n", _PANEL),
     ("time,a,b\n1,\u0661,2.0\n", _PANEL),  # a non-ASCII digit, which float() reads
     ("time,a,b\n1,1.5\u2003,\u20032.0\n", _PANEL),
+    # fields and lines longer than the csv module's field size limit
+    pytest.param("time,a\n" + "t" * 200_000 + ",1.0\n", _PANEL, id="oversized-label"),
+    pytest.param("time,a\n1," + "0" * 200_000 + "\n", _PANEL, id="oversized-cell"),
+    pytest.param("time," + ",".join("s" * 40_000) + "\n1," + ",".join(["1.0"] * 40_000) + "\n", _PANEL,
+                 id="oversized-line"),
 ]
 
 
