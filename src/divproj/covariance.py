@@ -8,10 +8,18 @@ hard, soft or SCAD rule at the entry-adaptive level
 which amounts to a constant threshold on correlations.  Diagonal entries
 are never touched.
 
+The soft and SCAD formulas run only on the entries with |s| > tau (NaNs
+included); the others are set to sign(s) * 0.0, the signed zero that the
+formula gives them.
+
 The thresholded matrix is sparse, and after a permutation it is
 block-diagonal over the connected components of its nonzero pattern.  Its
 eigenvalues and its inverse are computed one block at a time, which is
 exact (Mazumder & Hastie 2012); a dense, connected matrix is one block.
+The inverse computes eigenvalues only when a Cholesky test finds that some
+block's smallest one may be at or below its eigenvalue floor.  An
+operator norm may be taken over a coarser partition, one whose blocks
+hold whole components, so one partition can serve several matrices.
 """
 
 from __future__ import annotations
@@ -89,14 +97,23 @@ def threshold_value(s, tau, rule: ThresholdRule):
     if rule.kind == "hard":
         out = np.where(a_s >= tau, s, 0.0)
     else:
+        # Both rules give sign(s) * 0.0 wherever |s| <= tau.  The rule runs
+        # only on the other entries (NaNs among them), with the operations it
+        # would apply to the whole array, so every bit is the whole-array one.
+        keep = ~(a_s <= tau)
+        out = np.sign(s, out=np.empty(keep.shape))
+        out *= 0.0
+        if keep.ndim:  # numpy's 0-d arithmetic may give a NaN another sign than its array loops
+            s, tau = (x[keep] for x in np.broadcast_arrays(s, tau))
+        a_s = np.abs(s)
         sign = np.sign(s)
         soft = sign * np.maximum(a_s - tau, 0.0)
         if rule.kind == "soft":
-            out = soft
+            out[keep] = soft
         else:
             a = rule.scad_a
             mid = ((a - 1.0) * s - sign * a * tau) / (a - 2.0)
-            out = np.where(a_s <= 2.0 * tau, soft, np.where(a_s <= a * tau, mid, s))
+            out[keep] = np.where(a_s <= 2.0 * tau, soft, np.where(a_s <= a * tau, mid, s))
     return float(out) if scalar else out
 
 
@@ -149,14 +166,31 @@ def _blocks(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     return blocks, np.flatnonzero(sizes[labels] == 1)
 
 
-def _sym_opnorm(e: np.ndarray) -> float:
-    """Spectral norm of a symmetric matrix: its largest |eigenvalue|, block by block."""
-    blocks, singles = _blocks(e)
+def _sym_opnorm(e: np.ndarray, partition=None) -> float:
+    """Spectral norm of a symmetric matrix: its largest |eigenvalue|, block by block.
+
+    `partition` is a `_blocks` result to use in place of `_blocks(e)`.  It
+    is exact for any partition whose blocks each hold whole components of
+    e's pattern, such as that of a pattern containing e's.
+    """
+    blocks, singles = _blocks(e) if partition is None else partition
     norm = np.abs(np.diagonal(e)[singles]).max(initial=0.0)
     for b in blocks:
         w = np.linalg.eigvalsh(e[np.ix_(b, b)])
         norm = max(norm, -w[0], w[-1])
     return float(norm)
+
+
+def _above_floor(singles: np.ndarray, subs: list[np.ndarray], floor: float) -> bool:
+    """True when every singleton exceeds `floor` and every block minus floor*I has a Cholesky factor."""
+    if not np.all(singles > floor):
+        return False
+    try:
+        for s in subs:
+            np.linalg.cholesky(s - floor * np.eye(len(s)))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
@@ -167,9 +201,18 @@ def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
     diagonal is shifted up by (floor - lambda_min) before inverting, with a
     warning.  A mean diagonal at or below zero leaves no positive floor and
     raises DegenerateDataError.  The reported covariance itself is never
-    modified.  The eigenvalues and the inverse are computed on the connected
-    blocks of the nonzero pattern, so entries outside the blocks are exact
-    zeros.
+    modified.  The inverse is computed on the connected blocks of the
+    nonzero pattern, so entries outside the blocks are exact zeros.
+
+    The eigenvalues are computed only when the matrix fails a Cholesky
+    gate: every singleton above the floor, and a Cholesky factor of every
+    block minus floor*I.  When the gate passes, lambda_min is above the
+    floor up to rounding, and no shift is made.  When it fails, lambda_min
+    is computed and tested as described above.  So the result can differ
+    from that of the eigenvalue test alone only when some block's
+    lambda_min lies within rounding of the floor: the gate may then pass
+    where the computed lambda_min would have asked for a shift no larger
+    than that rounding.
     """
     sigma = cov.sigma_u if isinstance(cov, SparseCovariance) else np.asarray(cov, dtype=float)
     d = np.diag(sigma)
@@ -181,16 +224,17 @@ def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
         )
     blocks, singles = _blocks(sigma)
     subs = [sigma[np.ix_(b, b)] for b in blocks]
-    lam_min = float(min([d[singles].min(initial=np.inf)] + [np.linalg.eigvalsh(s)[0] for s in subs]))
     shift = 0.0
-    if lam_min <= eig_floor:
-        shift = eig_floor - lam_min
-        warnings.warn(
-            f"covariance smallest eigenvalue {lam_min:.3g} <= floor {eig_floor:.3g}; "
-            f"shifting diagonal by {shift:.3g} before inversion",
-            NumericalWarning,
-            stacklevel=2,
-        )
+    if not _above_floor(d[singles], subs, eig_floor):
+        lam_min = float(min([d[singles].min(initial=np.inf)] + [np.linalg.eigvalsh(s)[0] for s in subs]))
+        if lam_min <= eig_floor:
+            shift = eig_floor - lam_min
+            warnings.warn(
+                f"covariance smallest eigenvalue {lam_min:.3g} <= floor {eig_floor:.3g}; "
+                f"shifting diagonal by {shift:.3g} before inversion",
+                NumericalWarning,
+                stacklevel=2,
+            )
     out = np.zeros_like(sigma)
     out[singles, singles] = 1.0 / (d[singles] + shift)
     for b, s in zip(blocks, subs):

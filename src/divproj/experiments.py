@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .covariance import ThresholdRule, _sym_opnorm, invert_sparse_cov, sparse_idio_cov
+from .covariance import ThresholdRule, _blocks, _sym_opnorm, invert_sparse_cov, sparse_idio_cov
 from .forecast import FixedWeightScheme, PCScheme, RollingWeightScheme, rolling_forecast
 from .inference import confidence_interval, double_selection
 from .projection import estimate_loadings, fit as projection_fit, pc_factors
@@ -91,8 +91,10 @@ def experiment_cov(
                 )
                 sigma_true = true_idio_cov(cfg)
                 sigma_true_inv = invert_sparse_cov(sigma_true)
+                truth_pattern = (sigma_true != 0) | (sigma_true_inv != 0)
 
-                def one_rep(rep, cfg=cfg, sigma_true=sigma_true, sigma_true_inv=sigma_true_inv):
+                def one_rep(rep, cfg=cfg, sigma_true=sigma_true, sigma_true_inv=sigma_true_inv,
+                            truth_pattern=truth_pattern):
                     sim = generate_panel(cfg, replication=rep)
                     X = sim.panel.X
                     residual_sets = {}
@@ -110,8 +112,11 @@ def experiment_cov(
                         for C in C_values:
                             rule = ThresholdRule(kind=rule_kind, constant_C=C)
                             cov = sparse_idio_cov(U_hat, rule)
-                            err = _sym_opnorm(cov.sigma_u - sigma_true)
-                            inv_err = _sym_opnorm(invert_sparse_cov(cov) - sigma_true_inv)
+                            # Both errors vanish outside the blocks of this union: the
+                            # inverses are block-diagonal over their own matrices' blocks.
+                            partition = _blocks((cov.sigma_u != 0) | truth_pattern)
+                            err = _sym_opnorm(cov.sigma_u - sigma_true, partition)
+                            inv_err = _sym_opnorm(invert_sparse_cov(cov) - sigma_true_inv, partition)
                             out[(method, C)] = (err, inv_err)
                     return out
 

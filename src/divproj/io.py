@@ -14,7 +14,8 @@ The body of a table is parsed in one pass by ``np.loadtxt``.  A file that
 pass cannot vouch for (a quote, a blank line, a bad or non-finite cell, a
 ragged row) is re-read with the csv module, which parses quoted labels and
 locates the error.  Missing data is not supported: any cell that does not
-parse as a finite number is rejected with its location.
+parse as a finite number is rejected with its location, and so is a field
+longer than the csv module's field size limit.
 """
 
 from __future__ import annotations
@@ -112,17 +113,26 @@ def _read_table(path, what: str, width: int | None = None):
                 _bodies(itertools.chain([first], fh), labels),
                 delimiter=",", comments=None, dtype=float, ndmin=2,
             )
-    except (ValueError, _Unvouched):
+    except (ValueError, _Unvouched, csv.Error):
         return _read_table_csv(path, what, width)
     if body.shape != (len(labels), (width or len(header)) - 1) or not np.isfinite(body).all():
         return _read_table_csv(path, what, width)
     return header, labels, body
 
 
+def _csv_rows(fh, path):
+    """csv.reader rows of `fh`; a csv error, such as a field over the size limit, is a located data error."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DegenerateDataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _read_table_csv(path, what: str, width: int | None = None):
     """:func:`_read_table` through the csv module, row by row: parses quoted cells and locates each error."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh, path)
         header = next(reader, None)
         if header is None:
             raise DegenerateDataError(f"{path}: file is empty")

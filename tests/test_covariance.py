@@ -5,15 +5,18 @@ import numpy as np
 import pytest
 
 import divproj
+from divproj import covariance, experiments
 from divproj.covariance import (
     SparseCovariance,
     ThresholdRule,
+    _blocks,
     _sym_opnorm,
     invert_sparse_cov,
     sparse_idio_cov,
     threshold_value,
 )
 from divproj.exceptions import DegenerateDataError, NumericalWarning
+from divproj.experiments import experiment_cov
 from divproj.projection import fit
 from divproj.simulation import SimConfig, cross_section_cov, generate_panel
 from divproj.weights import sieve_weights
@@ -65,6 +68,69 @@ class TestThresholdValue:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             threshold_value(1.0, -0.1, HARD)
+
+
+def _dense_threshold(s, tau, rule):
+    """The thresholding formula applied to every entry: the reference for threshold_value's bits."""
+    s, tau = np.asarray(s, dtype=float), np.asarray(tau, dtype=float)
+    a_s = np.abs(s)
+    if rule.kind == "hard":
+        return np.where(a_s >= tau, s, 0.0)
+    sign = np.sign(s)
+    soft = sign * np.maximum(a_s - tau, 0.0)
+    if rule.kind == "soft":
+        return soft
+    a = rule.scad_a
+    mid = ((a - 1.0) * s - sign * a * tau) / (a - 2.0)
+    return np.where(a_s <= 2.0 * tau, soft, np.where(a_s <= a * tau, mid, s))
+
+
+class TestThresholdBits:
+    """threshold_value evaluates soft and SCAD only where |s| > tau; every bit is the dense formula's."""
+
+    TAU = 0.3
+
+    def _edges(self):
+        tau, a = self.TAU, SCAD.scad_a
+        knots = [tau, 2.0 * tau, a * tau]
+        near = [np.nextafter(k, k + d) for k in knots for d in (-1.0, 1.0)]
+        base = np.array(knots + near + [0.0, 0.1, 1.5, 5.0, np.nan, np.inf])
+        return np.concatenate([base, -base, [-0.0]])
+
+    @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
+    def test_scalar_tau_and_scalar_s(self, rule):
+        s = self._edges()
+        for tau in (self.TAU, 0.0, np.nan):
+            assert threshold_value(s, tau, rule).tobytes() == _dense_threshold(s, tau, rule).tobytes()
+            for x in s:
+                got = np.float64(threshold_value(x, tau, rule))
+                assert got.tobytes() == _dense_threshold(x, tau, rule).tobytes()
+
+    @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
+    def test_row_block_tau(self, rule):
+        rng = np.random.default_rng(11)
+        tau = rng.uniform(0.0, 0.5, (6, 40))
+        s = rng.standard_normal((6, 40))
+        k = SCAD.scad_a
+        s[0, :4] = tau[0, :4] * np.array([1.0, -2.0, k, -k])  # |s| on tau, 2 tau and a tau
+        s[1, :3] = [0.0, -0.0, np.nan]
+        tau[2, :2] = np.nan
+        tau[3] = 0.0  # C = 0
+        assert threshold_value(s, tau, rule).tobytes() == _dense_threshold(s, tau, rule).tobytes()
+
+    @pytest.mark.parametrize("n", [300, 1200])
+    @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD, ThresholdRule(kind="scad", constant_C=0.0)])
+    def test_sparse_idio_cov_matches_dense_formula(self, rule, n):
+        rng = np.random.default_rng(n)
+        U = rng.standard_normal((n, 30))
+        U[: n // 3] += 0.6 * U[n // 3 : 2 * (n // 3)]
+        S = U @ U.T / 30
+        d = np.diag(S).copy()
+        omega = np.sqrt(np.log(n) / 30) + 1.0 / np.sqrt(n)
+        ref = _dense_threshold(S, rule.constant_C * np.sqrt(np.outer(d, d)) * omega, rule)
+        np.fill_diagonal(ref, d)
+        ref = (ref + ref.T) / 2.0
+        assert sparse_idio_cov(U, rule).sigma_u.tobytes() == ref.tobytes()
 
 
 class TestThresholdRule:
@@ -200,6 +266,21 @@ class TestInvertSparseCov:
         np.fill_diagonal(inside, True)
         assert np.all(inv[~inside] == 0.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_positive_definite_blocks_take_no_eigenvalues(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        a, blocks = _permuted_blocks(np.random.default_rng(7), spd=True)
+        inv = invert_sparse_cov(a)
+        assert calls == []
+        for b in map(np.sort, blocks):
+            assert inv[np.ix_(b, b)].tobytes() == np.linalg.inv(a[np.ix_(b, b)]).tobytes()
+        a[np.ix_(blocks[1], blocks[1])] *= -1.0  # an indefinite block fails the gate
+        with pytest.warns(NumericalWarning, match="shifting diagonal"):
+            invert_sparse_cov(a)
+        assert len(calls) == len([b for b in blocks if b.size > 1])
+
     def test_negative_eigenvalue_in_a_block_shifts_every_diagonal_entry(self):
         sigma = np.diag([1.0, 2.0, 1.0, 3.0])
         sigma[0, 2] = sigma[2, 0] = 2.0  # the block {0, 2} has eigenvalues 3 and -1
@@ -243,6 +324,38 @@ class TestSymOpnorm:
         e = make(np.random.default_rng(8))
         expected = np.linalg.norm(e, 2)
         assert _sym_opnorm(e) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_coarser_partition(self):
+        e, blocks = _permuted_blocks(np.random.default_rng(9), spd=False)
+        pattern = e != 0
+        singles = [b[0] for b in blocks if b.size == 1]
+        pattern[blocks[1][0], blocks[2][0]] = True  # merge two blocks
+        pattern[blocks[4][0], singles[0]] = True  # and a block with a singleton
+        partition = _blocks(pattern)
+        assert len(partition[0]) < len(_blocks(e)[0])
+        everything = ([np.arange(e.shape[0])], np.array([], dtype=int))
+        for p in (partition, everything):
+            assert _sym_opnorm(e, p) == pytest.approx(np.linalg.norm(e, 2), rel=1e-12, abs=0.0)
+
+
+def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
+    """Each estimate's two errors share one `_blocks` call and equal the norms on their own patterns."""
+    kwargs = dict(sizes=(40, 60), alphas=(1.0,), rho_Ts=(0.7,), n_reps=2, seed=5,
+                  C_values=(1.0, 2.0), extra_factors=(0, 2))
+    counted = []
+
+    def counting_blocks(a):
+        counted.append(a.shape)
+        return _blocks(a)
+
+    with monkeypatch.context() as m:
+        m.setattr(covariance, "_blocks", counting_blocks)
+        m.setattr(experiments, "_blocks", counting_blocks)
+        rows = experiment_cov(**kwargs)
+    n_cells, n_estimates = 2, 2 * 2 * 4 * 2  # sizes; sizes x reps x methods x C
+    assert len(counted) == n_cells + 2 * n_estimates
+    monkeypatch.setattr(experiments, "_sym_opnorm", lambda e, partition: _sym_opnorm(e))
+    assert rows == experiment_cov(**kwargs)
 
 
 def _imports_scipy_linalg(node) -> bool:

@@ -120,7 +120,7 @@ def test_cells_parse_as_python_floats(tmp_path):
 def _table_or_error(read, path, what, width):
     try:
         header, labels, body = read(path, what, width)
-    except (DegenerateDataError, csv.Error) as exc:
+    except DegenerateDataError as exc:
         return str(exc)
     return header, labels, body.tobytes()
 
@@ -169,6 +169,23 @@ def test_one_pass_reader_matches_the_csv_reader(tmp_path, text, kind):
     what, width = kind
     fast = _table_or_error(io_module._read_table, path, what, width)
     assert fast == _table_or_error(io_module._read_table_csv, path, what, width)
+
+
+@pytest.mark.parametrize("read", [io_module._read_table, io_module._read_table_csv])
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("time," + "a" * 200_000 + "\n1,1.0\n", 1),
+        ("time,a\n" + "t" * 200_000 + ",1.0\n", 2),
+        ("time,a\n1,1.0\n2," + "0" * 200_000 + "\n", 3),
+    ],
+    ids=["header", "label", "cell"],
+)
+def test_oversized_field_is_a_located_data_error(tmp_path, read, text, line):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(DegenerateDataError, match=f"t.csv: line {line}: field larger than field limit"):
+        read(path, "panel")
 
 
 def test_plain_tables_are_read_in_one_pass(tmp_path, monkeypatch):
@@ -275,6 +292,13 @@ class TestCLI:
                     "--scheme", "walsh", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_oversized_field_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("time,a\n" + "t" * 200_000 + ",1.0\n2,\n")
+        code = run(["estimate", "--panel", str(path), "--scheme", "walsh", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "big.csv: line 2: field larger than field limit" in capsys.readouterr().err
 
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run(["estimate", "--no-such-flag"]) == 1
