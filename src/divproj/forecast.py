@@ -156,8 +156,10 @@ class RollingWeightScheme:
             raise InsufficientDataError(
                 f"weight history needs {window - start} pre-sample columns, have {t_pre}"
             )
-        combined = np.hstack([self.history, X[:, :start]]) if start > 0 else self.history
-        hist_win = _rolling_history(combined[:, lo : t_pre + start], self.n_factors, self.epsilon)
+        hist_win = self.history[:, lo:]
+        if start > 0:
+            hist_win = np.hstack([hist_win, X[:, max(lo - t_pre, 0) : start]])
+        hist_win = _rolling_history(hist_win, self.n_factors, self.epsilon)
         _check_pc_rank(hist_win, self.n_factors)
         entry = self._vt_memo.get((start, window))
         if entry is None or entry[0] is not X:

@@ -5,20 +5,27 @@ lasso-selects among the estimated idiosyncratic components in both
 equations, refits unpenalized on the union of the selected supports, and
 estimates the treatment effect by residual-on-residual regression.
 
-Every lasso is solved in gram form, G = D'D/T and c = D'y/T.  The solver
-follows the exact piecewise-linear solution path from tau = 2 max|c| down
-to the requested tau (the homotopy, or LARS-lasso, path of Osborne,
-Presnell & Turlach 2000 and Efron et al. 2004), with one small active-set
-solve per kink, and checks the answer against the lasso's optimality (KKT)
-conditions.  When an active-set gram is singular, the check fails or the
-path takes more than 4N kinks, cyclic coordinate descent with active-set
-cycling solves the problem instead, from the caller's warm start.  The
-purged grams of the factor step are singular themselves (W'U_hat = 0);
-the path needs only its active-set grams to be regular.
+Every lasso is solved in gram form, G = D'D/T and c = D'y/T, but the
+N x N gram is not built: G's rows are computed from the T x N design D
+the first time a solver asks for them (the "covariance updating" of
+Friedman, Hastie & Tibshirani 2010), so memory grows with N·T plus the
+rows the path visits.  The solver follows the exact piecewise-linear
+solution path from tau = 2 max|c| down to the requested tau (the
+homotopy, or LARS-lasso, path of Osborne, Presnell & Turlach 2000 and
+Efron et al. 2004).  It fetches row j of G when variable j joins the
+active set, makes one small active-set solve per kink, and checks the
+answer against the lasso's optimality (KKT) conditions with G gamma taken
+as D'(D gamma)/T.  When an active-set gram is singular, the check fails
+or the path takes more than 4N kinks, cyclic coordinate descent with
+active-set cycling solves the problem instead, from the caller's warm
+start; only this fallback builds the dense G.  The purged grams of the
+factor step are singular themselves (W'U_hat = 0); the path needs only
+its active-set grams to be regular.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,6 +64,40 @@ class DoubleSelectionResult:
         return self.beta_hat / self.se
 
 
+def _dense_gram(D):
+    """The dense gram D'D/T of a T x N design."""
+    return D.T @ D / D.shape[0]
+
+
+class _GramRows:
+    """The gram G = D'D/T of a T x N design D, one row at a time.
+
+    ``G[j]`` is row j, computed as D'D[:, j]/T on first use and kept.
+    ``G @ v`` is D'(D v)/T.  ``np.asarray(G)`` builds the dense N x N gram
+    once; only the coordinate-descent fallback asks for it.  A dense
+    ndarray serves every solver here in place of this object.
+    """
+
+    def __init__(self, D):
+        self._D = D
+        self._rows = {}
+        self._dense = None
+
+    def __getitem__(self, j):
+        row = self._rows.get(j)
+        if row is None:
+            row = self._rows[j] = self._D.T @ self._D[:, j] / self._D.shape[0]
+        return row
+
+    def __matmul__(self, v):
+        return self._D.T @ (self._D @ v) / self._D.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        if self._dense is None:
+            self._dense = _dense_gram(self._D)
+        return np.asarray(self._dense, dtype=dtype, copy=copy)
+
+
 def _sweep(G, Gdiag, c, q, gamma, halftau, order) -> float:
     """One pass of coordinate updates over `order`; returns max coefficient change."""
     max_change = 0.0
@@ -80,8 +121,10 @@ def _cd_lasso(G, c, tau, gamma0=None, max_iter=1000, tol=1e-10):
     G = D'D/T and c = D'y/T, so the objective is
     mean(y^2) - 2 c'g + g'Gg + tau ||g||_1.  Returns (gamma, converged),
     where `converged` is False if the largest coefficient change of a full
-    sweep still exceeds `tol` after `max_iter` sweeps.
+    sweep still exceeds `tol` after `max_iter` sweeps.  A `_GramRows` G is
+    made dense here.
     """
+    G = np.asarray(G)
     n = c.size
     gamma = np.zeros(n) if gamma0 is None else np.array(gamma0, dtype=float)
     q = G @ gamma if gamma0 is not None else np.zeros(n)
@@ -120,8 +163,10 @@ def _homotopy_lasso(G, c, tau):
     stretch, its end point included.  From lambda = max|c| and g = 0 the
     path moves down to the next kink: an inactive j joins A when
     |c_j - G_jA g_A| reaches lambda, and an active coefficient leaves A when
-    it reaches zero.  Returns g at lambda = tau/2, or None after 4N kinks.
-    A singular G_AA raises SingularGramError.  The answer is not checked
+    it reaches zero.  The rows G[A] are kept in one block across kinks: a
+    joining variable's row is read from G once, and a leaving one's row is
+    dropped.  Returns g at lambda = tau/2, or None after 4N kinks.  A
+    singular G_AA raises SingularGramError.  The answer is not checked
     here; `_lasso` checks it.
     """
     n = c.size
@@ -132,10 +177,12 @@ def _homotopy_lasso(G, c, tau):
         return gamma
     joined = int(np.argmax(np.abs(c)))
     active, signs = [joined], [float(np.sign(c[joined]))]
+    rows = np.empty((min(n, 16), n))  # rows[:len(active)] is G[A]
+    rows[0] = G[joined]
     left = left_sign = -1
     for _ in range(4 * n):
         A = np.array(active, dtype=int)
-        GA = G[A]
+        GA = rows[: A.size]
         u, d = _solve_gram(GA[:, A], np.transpose([c[A], signs]), strict=True).T
         # On this stretch g_A = u - lambda d and c - G g = b + lambda a.
         a = d @ GA
@@ -161,10 +208,14 @@ def _homotopy_lasso(G, c, tau):
             left, left_sign, joined = active.pop(k_out), signs.pop(k_out), -1
             if not active:  # only rounding can empty A below max|c|
                 return None
+            rows[k_out : A.size - 1] = rows[k_out + 1 : A.size]
         else:
             joined, left = j_in, -1
             active.append(j_in)
             signs.append(float(np.sign(b[j_in] + lam * a[j_in])))
+            if A.size == rows.shape[0]:
+                rows = np.concatenate([rows, np.empty_like(rows)])
+            rows[A.size] = G[j_in]
     return None
 
 
@@ -228,7 +279,7 @@ def _post_lasso_rms(G, c, y2_mean, support, t):
     if support.size >= t:
         return _SIGMA2_FLOOR
     c_s = c[support]
-    b = _solve_gram(G[np.ix_(support, support)], c_s)
+    b = _solve_gram(np.array([G[j] for j in support])[:, support], c_s)
     rms = max(y2_mean - float(c_s @ b), 0.0)
     return rms * t / (t - support.size)
 
@@ -333,7 +384,7 @@ def double_selection(
 
     D = U.T  # T x N design of estimated idiosyncratic components
     n = D.shape[1]
-    G = D.T @ D / t
+    G = _GramRows(D)
     gamma_t = _penalized_equation(G, D.T @ y_p / t, y_p, n, t, C, sigma2_y)
     theta_t = _penalized_equation(G, D.T @ g_p / t, g_p, n, t, C, sigma2_g)
 
@@ -381,9 +432,15 @@ def double_selection(
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _normal_quantile(level: float) -> float:
+    """The standard normal quantile at 0.5 + level/2."""
+    return float(norm.ppf(0.5 + level / 2.0))
+
+
 def confidence_interval(result: DoubleSelectionResult, level: float = 0.95):
     """Two-sided normal confidence interval for the treatment effect."""
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie strictly between 0 and 1")
-    zq = float(norm.ppf(0.5 + level / 2.0))
+    zq = _normal_quantile(level)
     return result.beta_hat - zq * result.se, result.beta_hat + zq * result.se

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NumericalWarning, SingularGramError
-from .weights import WeightMatrix
-
-# Relative eigenvalue (singular value) cut-off below which a gram matrix
-# (a column basis) is treated as rank deficient.
-_RANK_TOL = 1e-10
+from .weights import _RANK_TOL, WeightMatrix
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,10 @@ from .exceptions import (
     InsufficientDataError,
 )
 
+# Relative eigenvalue (singular value) cut-off below which a gram matrix
+# (a column basis) is treated as rank deficient; `projection` shares it.
+_RANK_TOL = 1e-10
+
 SCHEMES = (
     "hadamard_pattern",
     "walsh_hadamard",
@@ -93,7 +97,11 @@ def _warn_if_degenerate(values: np.ndarray, scheme: str, stacklevel: int = 3) ->
         )
         return
     if values.shape[1] > 1:
-        rank = np.linalg.matrix_rank(values)
+        # The rank from the R x R gram of the columns scaled to unit maximum
+        # (which cannot overflow), at the gram solves' tolerance.
+        unit = values / col_max
+        eigs = np.linalg.eigvalsh(unit.T @ unit)
+        rank = int(np.sum(eigs > _RANK_TOL * eigs[-1]))
         if rank < min(values.shape):
             warnings.warn(
                 f"{scheme} weights have collinear columns (rank {rank} < {values.shape[1]})",

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from divproj import inference
+from divproj import experiments, inference
 from divproj.exceptions import InsufficientDataError, NumericalWarning
 from divproj.experiments import _scheme_weights, experiment_postsel
 from divproj.inference import (
@@ -313,6 +314,109 @@ class TestLassoAgreesWithCoordinateDescent:
             double_selection(y, g, X, None)
             double_selection(y, g, X, None, sigma2_y=2.0, sigma2_g=1.0)
         assert calls == []
+
+
+def recorded_double_selections(monkeypatch, **study):
+    """The (args, kwargs) of every `double_selection` call made by `experiment_postsel(**study)`."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return double_selection(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "double_selection", recording)
+        experiment_postsel(threads=1, **study)
+    return calls
+
+
+POSTSEL_DESIGNS = (
+    # the benchmark's design, oracle tuning
+    dict(r_values=(0, 2), working_factors=(1, 2, 3), include_plain=True, n_series=200,
+         n_periods=200, n_reps=3, seed=70, support_offset=12, oracle_sigma=True),
+    # criterion 7's confounded design, feasible tuning
+    dict(r_values=(2,), working_factors=(2,), n_series=1000, factor_coef=0.7,
+         alpha_strength=0.5, weights="characteristic", oracle_sigma=False, n_reps=2, seed=7),
+)
+
+
+def design_calls(monkeypatch):
+    """The calls of both designs, plus a feasible-tuning N = 600, T = 240 call with and without weights."""
+    calls = []
+    for study in POSTSEL_DESIGNS:
+        calls += recorded_double_selections(monkeypatch, **study)
+    y, g, X, W = purged_panel(3, 600, 240)
+    return calls + [((y, g, X, W), {}), ((y, g, X, None), {})]
+
+
+class TestGramRowsOnDemand:
+    """The lasso reads G = D'D/T row by row; only coordinate descent builds it whole."""
+
+    def test_results_equal_the_dense_gram(self, monkeypatch):
+        """Bitwise-equal results with the dense gram, and c - G gamma moved by rounding only."""
+        moves = []
+
+        def measuring(G, c, tau, gamma0=None):
+            gamma, converged = _lasso(G, c, tau, gamma0=gamma0)
+            dense = np.asarray(G)
+            moves.append(np.max(np.abs((c - G @ gamma) - (c - dense @ gamma))) / max(np.max(np.abs(c)), 1.0))
+            return gamma, converged
+
+        calls = design_calls(monkeypatch)
+        assert len(calls) == 3 * 8 + 2 * 2 + 2
+        for args, kwargs in calls:
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_lasso", measuring)
+                res = double_selection(*args, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_GramRows", inference._dense_gram)
+                ref = double_selection(*args, **kwargs)
+            np.testing.assert_array_equal(res.selected, ref.selected)
+            assert res.beta_hat == ref.beta_hat and res.se == ref.se
+        assert len(moves) >= 2 * len(calls)
+        assert max(moves) < 1e-13
+
+    def test_dense_gram_only_in_the_fallback(self, monkeypatch):
+        built = []
+        dense_gram = inference._dense_gram
+
+        def counting(D):
+            built.append(D.shape)
+            return dense_gram(D)
+
+        calls = design_calls(monkeypatch)
+        monkeypatch.setattr(inference, "_dense_gram", counting)
+        for args, kwargs in calls:
+            double_selection(*args, **kwargs)
+        assert built == []
+        monkeypatch.setattr(inference, "_homotopy_lasso", lambda G, c, tau: None)
+        res = double_selection(*calls[-1][0])
+        assert built == [(240, 600)]
+        assert res.selected.size > 0
+
+    def test_desk_sized_call_stays_below_the_dense_gram(self):
+        """One call at N = 1200, T = 240 peaks below 8 N^2 bytes, the size of G alone."""
+        y, g, X, W = purged_panel(0, 1200, 240)
+        tracemalloc.start()
+        try:
+            double_selection(y, g, X, W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 1200**2
+
+    def test_rows_are_computed_once_and_match_the_gram(self):
+        rng = np.random.default_rng(4)
+        D = rng.standard_normal((50, 30))
+        G = inference._GramRows(D)
+        dense = D.T @ D / 50
+        first = G[7]
+        assert G[7] is first
+        np.testing.assert_allclose(first, dense[7], rtol=1e-13, atol=1e-15)
+        v = rng.standard_normal(30)
+        np.testing.assert_allclose(G @ v, dense @ v, rtol=1e-12, atol=1e-14)
+        assert np.asarray(G) is np.asarray(G)
+        np.testing.assert_array_equal(np.asarray(G), dense)
 
 
 class TestTuningTau:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from divproj.exceptions import (
 from divproj.projection import pc_factors
 from divproj.weights import (
     WeightMatrix,
+    _warn_if_degenerate,
     build_weights,
     check_diversified,
     hadamard_pattern_weights,
@@ -166,6 +169,39 @@ class TestInitialTransform:
         with pytest.warns(DegenerateWeightsWarning) as record:
             initial_transform_weights(np.zeros(3), 1)
         assert record[0].filename == __file__  # the warning names the caller
+
+
+class TestCollinearityCheck:
+    """The rank behind the collinearity warning comes from the R x R gram W'W."""
+
+    @staticmethod
+    def _messages(values):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            _warn_if_degenerate(values, "sieve")
+        return [str(w.message) for w in seen]
+
+    def test_duplicated_column_warns(self):
+        W = np.random.default_rng(0).standard_normal((50, 3))
+        W[:, 2] = W[:, 0]
+        assert self._messages(W) == ["sieve weights have collinear columns (rank 2 < 3)"]
+
+    def test_near_collinear_pair_warns(self):
+        x, z = np.random.default_rng(1).standard_normal((2, 50))
+        W = np.column_stack([x, x + 1e-9 * z])
+        s = np.linalg.svd(W, compute_uv=False)
+        assert 1e-10 < s[-1] / s[0] < 1e-8
+        assert self._messages(W) == ["sieve weights have collinear columns (rank 1 < 2)"]
+
+    def test_well_conditioned_weights_are_silent(self):
+        rng = np.random.default_rng(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sieve_weights(rng.uniform(-1.0, 1.0, 200), 3)
+            sieve_weights(np.sin(rng.standard_normal(50)), 3)
+            initial_transform_weights(rng.standard_normal(200), 3)
+            # columns far from unit scale: their gram would overflow unscaled
+            assert self._messages(1e160 * rng.standard_normal((30, 2))) == []
 
 
 class TestDiagnostics:
