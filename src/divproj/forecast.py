@@ -1,9 +1,13 @@
 """Factor-augmented forecasting and rolling out-of-sample evaluation.
 
 The augmented regression projects a lead of the target series on estimated
-factors plus observed predictors; the rolling evaluator re-estimates the
-factors inside every moving window so competing factor estimators can be
-compared on identical data.
+factors plus observed predictors.  The rolling evaluator re-estimates the
+factors inside every moving window, so competing factor estimators are
+compared on identical data.  It works a block of windows at a time: each
+scheme returns the block's factors as one (windows, T, R) stack, and the
+block's designs, grams, coefficient solves and forecasts are stacked the
+same way.  Only the principal-components eigendecompositions still run one
+window at a time.
 """
 
 from __future__ import annotations
@@ -12,11 +16,16 @@ import copy
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import projection
 from .exceptions import DimensionError, InsufficientDataError
-from .projection import _check_pc_rank, _pc_from_vt, _solve_gram, estimate_factors
+from .projection import _check_pc_rank, _pc_from_vt, _pc_scores, _solve_gram
 from .weights import WeightMatrix, _rolling_history, _trimmed_weights
+
+# The rolling evaluator takes as many windows per block as keep the block's
+# stacked factors, loadings and designs near _BLOCK_ENTRIES floats.
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -61,15 +70,22 @@ def fit_augmented(y, observables, factors, lead: int = 1) -> AugmentedRegression
     t, k = Z.shape
     if lead < 0:
         raise ValueError("lead must be non-negative")
+    _check_design_length(t, lead, k)
+    gram, rhs = _normal_equations(Z[: t - lead], y[lead:])
+    delta = _solve_gram(gram, rhs)[:, 0]
+    return AugmentedRegression(delta_hat=delta, lead=lead, design_gram=gram, n_factors=F.shape[1])
+
+
+def _check_design_length(t: int, lead: int, k: int) -> None:
     if t - lead < k + 1:
         raise InsufficientDataError(
             f"need T - h >= R + p + 1, got T={t}, h={lead}, R+p={k}"
         )
-    Z_in = Z[: t - lead]
-    y_lead = y[lead:]
-    gram = Z_in.T @ Z_in
-    delta = _solve_gram(gram, Z_in.T @ y_lead)
-    return AugmentedRegression(delta_hat=delta, lead=lead, design_gram=gram, n_factors=F.shape[1])
+
+
+def _normal_equations(Z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram Z'Z and right-hand side Z'y (k x 1) of a T x k design, or stacks of both."""
+    return Z.mT @ Z, Z.mT @ y[..., None]
 
 
 def predict(model: AugmentedRegression, factors_T, observables_T=None) -> float:
@@ -83,6 +99,11 @@ def predict(model: AugmentedRegression, factors_T, observables_T=None) -> float:
     return float(model.delta_hat @ z)
 
 
+def _windows(X: np.ndarray, start: int, window: int, count: int) -> np.ndarray:
+    """Columns start+j .. start+j+window-1 of X for j < count, as a (count, N, window) view."""
+    return sliding_window_view(X[:, start : start + window + count - 1], window, axis=1).transpose(1, 0, 2)
+
+
 class FixedWeightScheme:
     """Window factor estimates from one fixed diversified weight matrix."""
 
@@ -93,8 +114,13 @@ class FixedWeightScheme:
     def n_factors(self) -> int:
         return self.weights.n_working_factors
 
-    def factors(self, X, start: int, window: int) -> np.ndarray:
-        return estimate_factors(X[:, start : start + window], self.weights)
+    def window_factors(self, X, start: int, window: int, count: int) -> np.ndarray:
+        W = self.weights.values
+        if W.shape[0] != X.shape[0]:
+            raise DimensionError(
+                f"weights have {W.shape[0]} rows but panel has {X.shape[0]} series"
+            )
+        return _windows(X, start, window, count).mT @ W / X.shape[0]
 
 
 class PCScheme:
@@ -103,11 +129,11 @@ class PCScheme:
     def __init__(self, n_factors: int):
         self.n_factors = n_factors
 
-    def factors(self, X, start: int, window: int) -> np.ndarray:
-        win = X[:, start : start + window]
-        _check_pc_rank(win, self.n_factors)
-        # the factors alone: pc_factors would also build loadings, residuals and a gram
-        return _pc_from_vt(win, projection._leading_vt(win, self.n_factors))[0]
+    def window_factors(self, X, start: int, window: int, count: int) -> np.ndarray:
+        wins = _windows(X, start, window, count)
+        _check_pc_rank(wins[0], self.n_factors)
+        # looked up on the module so that the window kernels can be counted from outside
+        return _pc_scores(np.stack([projection._leading_vt(win, self.n_factors) for win in wins]))
 
 
 class RollingWeightScheme:
@@ -126,7 +152,8 @@ class RollingWeightScheme:
     :meth:`with_factors` siblings with fewer factors reuse it instead of
     repeating it.  An entry is recomputed when the scheme is called with a
     different panel object; a panel changed in place between calls is not
-    detected.
+    detected.  A block of windows copies its history columns once; the
+    loadings, trimming and collinearity checks of its windows are stacked.
     """
 
     def __init__(self, history: np.ndarray, n_factors: int, epsilon: float = 1.0):
@@ -149,24 +176,31 @@ class RollingWeightScheme:
         sibling.n_factors = n_factors
         return sibling
 
-    def factors(self, X, start: int, window: int) -> np.ndarray:
+    def window_factors(self, X, start: int, window: int, count: int) -> np.ndarray:
         t_pre = self.history.shape[1]
         lo = t_pre + start - window
         if lo < 0:
             raise InsufficientDataError(
                 f"weight history needs {window - start} pre-sample columns, have {t_pre}"
             )
-        hist_win = self.history[:, lo:]
-        if start > 0:
-            hist_win = np.hstack([hist_win, X[:, max(lo - t_pre, 0) : start]])
-        hist_win = _rolling_history(hist_win, self.n_factors, self.epsilon)
-        _check_pc_rank(hist_win, self.n_factors)
-        entry = self._vt_memo.get((start, window))
+        # one copy of the block's history: columns lo .. t_pre + start + count - 2
+        # of the combined (history, panel) series
+        end = start + count - 1
+        hist = np.hstack([self.history[:, lo : t_pre + end], X[:, max(lo - t_pre, 0) : end]])
+        hist_wins = _windows(hist, 0, window, count)
+        _check_pc_rank(_rolling_history(hist_wins[0], self.n_factors, self.epsilon), self.n_factors)
+        vts = np.stack([self._window_vt(X, start + j, hist_wins[j]) for j in range(count)])
+        _, loadings = _pc_from_vt(hist_wins, vts[:, : self.n_factors])
+        return _windows(X, start, window, count).mT @ _trimmed_weights(loadings, self.epsilon) / X.shape[0]
+
+    def _window_vt(self, X, start: int, hist_win: np.ndarray) -> np.ndarray:
+        """The memoised leading rows of V' of the history window before column `start` of X."""
+        key = (start, hist_win.shape[1])
+        entry = self._vt_memo.get(key)
         if entry is None or entry[0] is not X:
             # looked up on the module so that the window kernels can be counted from outside
-            entry = self._vt_memo[(start, window)] = (X, projection._leading_vt(hist_win, self._pc_rows))
-        _, loadings = _pc_from_vt(hist_win, entry[1][: self.n_factors])
-        return estimate_factors(X[:, start : start + window], _trimmed_weights(loadings, self.epsilon))
+            entry = self._vt_memo[key] = (X, projection._leading_vt(hist_win, self._pc_rows))
+        return entry[1]
 
 
 def rolling_forecast(y, X, window: int, steps: int, scheme, h: int = 1) -> RollingForecastReport:
@@ -177,29 +211,42 @@ def rolling_forecast(y, X, window: int, steps: int, scheme, h: int = 1) -> Rolli
     (f_hat_s, 1, y_s) is refit inside the window, and y at position
     t+window-1+h is forecast from the window's last observation.
 
-    `scheme` is an object with a ``factors(X, start, window)`` method:
-    :class:`FixedWeightScheme`, :class:`PCScheme` or
-    :class:`RollingWeightScheme`.
+    `scheme` is an object with an ``n_factors`` attribute and a
+    ``window_factors(X, start, window, count)`` method that returns the
+    factors of the `count` windows starting at columns start..start+count-1
+    as a (count, window, n_factors) array: :class:`FixedWeightScheme`,
+    :class:`PCScheme` or :class:`RollingWeightScheme`.  The windows are
+    evaluated in blocks whose stacks hold about `_BLOCK_ENTRIES` floats,
+    so memory does not grow with `steps`.  The window length is checked
+    against the design's R + 2 columns before any factor is estimated.
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if h < 1:
         raise ValueError("h must be at least 1")
+    if steps < 1 or window < 1:
+        raise ValueError(f"window and steps must be at least 1, got window={window}, steps={steps}")
     needed = window + steps - 1 + h
     if y.size < needed or X.shape[1] < window + steps - 1:
         raise InsufficientDataError(
             f"need {needed} observations of y and {window + steps - 1} columns of X, "
             f"got {y.size} and {X.shape[1]}"
         )
+    k = scheme.n_factors + 2  # factors, intercept, lagged target
+    _check_design_length(window, h, k)
 
+    y_wins = sliding_window_view(y, window)
     forecasts = np.empty(steps)
-    realized = np.empty(steps)
-    for t in range(steps):
-        y_win = y[t : t + window]
-        F = scheme.factors(X, t, window)
-        obs = np.column_stack([np.ones(window), y_win])
-        model = fit_augmented(y_win, obs, F, lead=h)
-        forecasts[t] = predict(model, F[-1], obs[-1])
-        realized[t] = y[t + window - 1 + h]
+    block = max(1, _BLOCK_ENTRIES // ((X.shape[0] + window) * k))
+    for start in range(0, steps, block):
+        count = min(block, steps - start)
+        Z = np.empty((count, window, k))
+        Z[..., :-2] = scheme.window_factors(X, start, window, count)
+        Z[..., -2] = 1.0
+        Z[..., -1] = y_wins[start : start + count]
+        # y_{s+h} for s = t..t+window-1-h is the start of the window h columns on
+        gram, rhs = _normal_equations(Z[:, : window - h], y_wins[start + h : start + h + count, : window - h])
+        forecasts[start : start + count] = (Z[:, -1:] @ _solve_gram(gram, rhs))[:, 0, 0]
+    realized = y[window - 1 + h : window - 1 + h + steps].copy()
     err = forecasts - realized
     return RollingForecastReport(forecasts=forecasts, realized=realized, mse=float(np.mean(err**2)))

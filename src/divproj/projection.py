@@ -86,19 +86,30 @@ def pseudo_inverse(a: np.ndarray) -> np.ndarray:
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray, strict: bool = False) -> np.ndarray:
     """Solve gram @ x = rhs for a symmetric positive semidefinite gram.
 
-    A gram whose smallest eigenvalue is at most _RANK_TOL times its largest
-    is singular: it is solved by the pseudo-inverse with a NumericalWarning
-    or, with `strict`, rejected with SingularGramError.  The warning names
-    the caller's caller, as a warning raised by the caller itself would.
+    `gram` may also be a stack (..., k, k) with `rhs` a stack (..., k, m),
+    solved member by member.  A gram whose smallest eigenvalue is at most
+    _RANK_TOL times its largest is singular: it is solved by the
+    pseudo-inverse with a NumericalWarning (one per singular member) or,
+    with `strict`, rejected with SingularGramError.  The warning names the
+    caller's caller, as a warning raised by the caller itself would.
     """
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs.size == 0 or eigs[0] > _RANK_TOL * eigs[-1]:
+    eigs = np.linalg.eigvalsh(gram).T  # row 0: the smallest eigenvalue of each member
+    if eigs.shape[0] == 0:
         return np.linalg.solve(gram, rhs)
-    what = f"{gram.shape[0]} x {gram.shape[0]} gram matrix is singular to tolerance"
+    regular = eigs[0] > _RANK_TOL * eigs[-1]  # a numpy bool for a single gram
+    if regular.all() if regular.ndim else regular:
+        return np.linalg.solve(gram, rhs)
+    what = f"{gram.shape[-1]} x {gram.shape[-1]} gram matrix is singular to tolerance"
     if strict:
         raise SingularGramError(what)
-    warnings.warn(f"{what}; using a pseudo-inverse", NumericalWarning, stacklevel=3)
-    return pseudo_inverse(gram) @ rhs
+    x = np.empty(np.shape(rhs))
+    if regular.any():
+        x[regular] = np.linalg.solve(gram[regular], rhs[regular])
+    for i in np.ndindex(regular.shape):
+        if not regular[i]:
+            warnings.warn(f"{what}; using a pseudo-inverse", NumericalWarning, stacklevel=3)
+            x[i] = pseudo_inverse(gram[i]) @ rhs[i]
+    return x
 
 
 def _orthobasis(a: np.ndarray) -> np.ndarray:
@@ -160,9 +171,9 @@ def fit(panel, weights: WeightMatrix | np.ndarray) -> FactorFit:
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip column signs so the entry of largest magnitude is positive."""
-    idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
+    """Flip column signs so the entry of largest magnitude is positive; stacks flip per member."""
+    idx = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(vectors, idx, axis=-2))
     signs[signs == 0] = 1.0
     return vectors * signs
 
@@ -212,15 +223,20 @@ def _leading_vt(X: np.ndarray, n_rows: int) -> np.ndarray:
     return vt[:n_rows].copy()
 
 
-def _pc_from_vt(X: np.ndarray, vt_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """PC factors F (T x k, F'F/T = I) and loadings X F / T from k leading rows of V'.
+def _pc_scores(vt_rows: np.ndarray) -> np.ndarray:
+    """PC factors F (T x k, F'F/T = I) from k leading rows of V', or a stack (..., T, k) from (..., k, T)."""
+    return np.sqrt(vt_rows.shape[-1]) * _canonical_signs(vt_rows.mT)
 
+
+def _pc_from_vt(X: np.ndarray, vt_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PC factors F (T x k) and loadings X F / T from k leading rows of V'.
+
+    Stacks of panels (..., N, T) and rows (..., k, T) give stacks of both.
     The loadings are computed from the k factors at hand, never sliced from
     a wider product: (X F)[:, :k] and X F[:, :k] can differ in the last bit.
     """
-    t = X.shape[1]
-    F = np.sqrt(t) * _canonical_signs(vt_rows.T)
-    return F, X @ F / t  # (F'F)^{-1} = I/T by normalization
+    F = _pc_scores(vt_rows)
+    return F, X @ F / X.shape[-1]  # (F'F)^{-1} = I/T by normalization
 
 
 def transform_matrix(weights: WeightMatrix | np.ndarray, loadings_true: np.ndarray):

@@ -88,26 +88,28 @@ class WeightDiagnostics:
 
 
 def _warn_if_degenerate(values: np.ndarray, scheme: str, stacklevel: int = 3) -> None:
-    col_max = np.max(np.abs(values), axis=0)
-    if np.any(col_max == 0.0):
-        warnings.warn(
-            f"{scheme} weights contain an all-zero column",
-            DegenerateWeightsWarning,
-            stacklevel=stacklevel,
-        )
-        return
-    if values.shape[1] > 1:
+    """Warn if N x R weights have an all-zero column or collinear columns.
+
+    A stack (..., N, R) is checked member by member, with one warning for
+    each degenerate member.
+    """
+    col_max = np.max(np.abs(values), axis=-2, keepdims=True)
+    zero = np.any(col_max == 0.0, axis=(-2, -1))
+    rank = np.full(zero.shape, min(values.shape[-2:]))
+    if values.shape[-1] > 1:
         # The rank from the R x R gram of the columns scaled to unit maximum
         # (which cannot overflow), at the gram solves' tolerance.
-        unit = values / col_max
-        eigs = np.linalg.eigvalsh(unit.T @ unit)
-        rank = int(np.sum(eigs > _RANK_TOL * eigs[-1]))
-        if rank < min(values.shape):
-            warnings.warn(
-                f"{scheme} weights have collinear columns (rank {rank} < {values.shape[1]})",
-                DegenerateWeightsWarning,
-                stacklevel=stacklevel,
-            )
+        unit = values / np.where(col_max == 0.0, 1.0, col_max)
+        eigs = np.linalg.eigvalsh(unit.mT @ unit)
+        rank = np.sum(eigs > _RANK_TOL * eigs[..., -1:], axis=-1)
+    for i in np.ndindex(zero.shape):
+        if zero[i]:
+            message = f"{scheme} weights contain an all-zero column"
+        elif rank[i] < min(values.shape[-2:]):
+            message = f"{scheme} weights have collinear columns (rank {rank[i]} < {values.shape[-1]})"
+        else:
+            continue
+        warnings.warn(message, DegenerateWeightsWarning, stacklevel=stacklevel)
 
 
 def hadamard_pattern_weights(n_series: int, n_factors: int) -> WeightMatrix:
@@ -163,7 +165,8 @@ def rolling_window_weights(
     from .projection import pc_factors  # local import to avoid a cycle
 
     hist = _rolling_history(panel_history, n_factors, epsilon)
-    return _trimmed_weights(pc_factors(hist, n_factors).loadings, epsilon)
+    values = _trimmed_weights(pc_factors(hist, n_factors).loadings, epsilon)
+    return WeightMatrix(values, scheme="rolling_window")
 
 
 def _rolling_history(panel_history: np.ndarray, n_factors: int, epsilon: float) -> np.ndarray:
@@ -181,13 +184,16 @@ def _rolling_history(panel_history: np.ndarray, n_factors: int, epsilon: float) 
     return hist
 
 
-def _trimmed_weights(loadings: np.ndarray, epsilon: float) -> WeightMatrix:
-    """Rolling-window weights from PCA loadings: each column trimmed to +-1/epsilon."""
-    col_max = np.max(np.abs(loadings), axis=0)
-    denom = np.maximum(1.0, epsilon * col_max)
-    values = loadings / denom
+def _trimmed_weights(loadings: np.ndarray, epsilon: float) -> np.ndarray:
+    """Rolling-window weight values from PCA loadings: each column trimmed to +-1/epsilon.
+
+    `loadings` is N x R or a stack (..., N, R); each member is trimmed and
+    checked on its own.
+    """
+    col_max = np.max(np.abs(loadings), axis=-2, keepdims=True)
+    values = loadings / np.maximum(1.0, epsilon * col_max)
     _warn_if_degenerate(values, "rolling_window", stacklevel=4)
-    return WeightMatrix(values, scheme="rolling_window")
+    return values
 
 
 def initial_transform_weights(x0: np.ndarray, n_factors: int) -> WeightMatrix:

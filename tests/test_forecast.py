@@ -1,8 +1,11 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from divproj import projection
-from divproj.exceptions import DimensionError, InsufficientDataError, NumericalWarning
+from divproj import forecast, projection
+from divproj.exceptions import DegenerateWeightsWarning, DimensionError, InsufficientDataError, NumericalWarning
 from divproj.experiments import experiment_forecast
 from divproj.forecast import (
     FixedWeightScheme,
@@ -13,7 +16,7 @@ from divproj.forecast import (
     rolling_forecast,
 )
 from divproj.projection import estimate_factors, pc_factors
-from divproj.weights import rolling_window_weights, walsh_hadamard_weights
+from divproj.weights import _warn_if_degenerate, rolling_window_weights, walsh_hadamard_weights
 
 
 class TestFitAugmented:
@@ -151,12 +154,13 @@ class TestRollingForecast:
         class Spy:
             def __init__(self, inner):
                 self.inner = inner
+                self.n_factors = inner.n_factors
                 self.seen = []
 
-            def factors(self, X, start, window):
-                block = X[:, start : start + window]
-                self.seen.append((start, window, block.tobytes()))
-                return self.inner.factors(X, start, window)
+            def window_factors(self, X, start, window, count):
+                for s in range(start, start + count):
+                    self.seen.append((s, window, X[:, s : s + window].tobytes()))
+                return self.inner.window_factors(X, start, window, count)
 
         spy_pc = Spy(PCScheme(2))
         spy_dp = Spy(FixedWeightScheme(walsh_hadamard_weights(8, 2)))
@@ -169,29 +173,31 @@ class TestRollingForecast:
         history = rng.standard_normal((6, 21))
         X = rng.standard_normal((6, 40))
         scheme = RollingWeightScheme(history, n_factors=1, epsilon=1.0)
-        F = scheme.factors(X, 0, 20)
-        assert F.shape == (20, 1)
-        # window 3 needs history columns from the combined series
-        F3 = scheme.factors(X, 3, 20)
-        assert F3.shape == (20, 1)
+        F = scheme.window_factors(X, 0, 20, 1)
+        assert F.shape == (1, 20, 1)
+        # windows 3..7 need history columns from the combined series
+        F3 = scheme.window_factors(X, 3, 20, 5)
+        assert F3.shape == (5, 20, 1)
 
     def test_rolling_weight_scheme_insufficient_history(self):
         scheme = RollingWeightScheme(np.ones((4, 5)), n_factors=1)
         with pytest.raises(InsufficientDataError):
-            scheme.factors(np.ones((4, 30)), 0, 20)
+            scheme.window_factors(np.ones((4, 30)), 0, 20, 1)
 
     @pytest.mark.parametrize("window", [8, 15])
     def test_pc_scheme_equals_pc_factors(self, window):
         """Windows with T <= N and with T > N give pc_factors' factors bit for bit."""
         X = np.random.default_rng(10).standard_normal((10, 30))
-        scheme = PCScheme(3)
-        for start in range(X.shape[1] - window + 1):
+        count = X.shape[1] - window + 1
+        got = PCScheme(3).window_factors(X, 0, window, count)
+        assert got.shape == (count, window, 3)
+        for start in range(count):
             expected = pc_factors(X[:, start : start + window], 3).factors
-            assert np.array_equal(scheme.factors(X, start, window), expected), start
+            assert np.array_equal(got[start], expected), start
 
     def test_pc_scheme_checks_the_rank(self):
         with pytest.raises(DimensionError):
-            PCScheme(5).factors(np.ones((4, 30)), 0, 20)
+            PCScheme(5).window_factors(np.ones((4, 30)), 0, 20, 1)
 
 
 class TestSharedWindowSVD:
@@ -208,14 +214,16 @@ class TestSharedWindowSVD:
         window, eps = 12, 0.7
         parent = RollingWeightScheme(history, n_factors=3, epsilon=eps)
         combined = np.hstack([history, X])
-        for start in range(X.shape[1] - window + 1):
-            hist_win = combined[:, history.shape[1] + start - window : history.shape[1] + start]
+        # blocks of 1, 4 and 14 windows starting before, across and after the history's end
+        for start, count in [(0, 1), (1, 4), (5, 14)]:
             for r in order:
-                expected = estimate_factors(
-                    X[:, start : start + window], rolling_window_weights(hist_win, r, eps)
-                )
-                got = parent.with_factors(r).factors(X, start, window)
-                assert np.array_equal(got, expected), (start, r)
+                got = parent.with_factors(r).window_factors(X, start, window, count)
+                for s in range(start, start + count):
+                    hist_win = combined[:, history.shape[1] + s - window : history.shape[1] + s]
+                    expected = estimate_factors(
+                        X[:, s : s + window], rolling_window_weights(hist_win, r, eps)
+                    )
+                    assert np.array_equal(got[s - start], expected), (s, r)
 
     def test_sibling_cannot_exceed_parent(self):
         history, _ = self._data()
@@ -230,11 +238,11 @@ class TestSharedWindowSVD:
     def test_new_panel_recomputes_the_window_svd(self):
         history, X = self._data()
         scheme = RollingWeightScheme(history, n_factors=2)
-        scheme.factors(X, 5, 12)
+        scheme.window_factors(X, 5, 12, 1)
         X2 = X + 1.0
         hist_win = np.hstack([history, X2])[:, 15 + 5 - 12 : 15 + 5]
         expected = estimate_factors(X2[:, 5:17], rolling_window_weights(hist_win, 2))
-        assert np.array_equal(scheme.factors(X2, 5, 12), expected)
+        assert np.array_equal(scheme.window_factors(X2, 5, 12, 1)[0], expected)
 
     def test_forecast_study_runs_one_svd_per_window_and_scheme(self, monkeypatch):
         n_series, window, n_steps = 20, 30, 8
@@ -250,3 +258,212 @@ class TestSharedWindowSVD:
                             n_steps=n_steps, n_reps=1, extra_factors=(0, 1, 3))
         # PC on each forecast window, plus one shared SVD per history window
         assert shapes == [(n_series, window)] * (2 * n_steps)
+
+
+def per_window_reference(y, X, window, steps, factors_of, h=1):
+    """Factors and forecasts of rolling_forecast, one window and one fit at a time."""
+    factors, forecasts = [], []
+    for t in range(steps):
+        F = factors_of(t, X[:, t : t + window])
+        obs = np.column_stack([np.ones(window), y[t : t + window]])
+        model = fit_augmented(y[t : t + window], obs, F, lead=h)
+        factors.append(F)
+        forecasts.append(predict(model, F[-1], obs[-1]))
+    return np.stack(factors), np.array(forecasts)
+
+
+def rolling_reference(history, X, r, eps):
+    """Per-window factors from rolling_window_weights on the preceding history window."""
+    combined = np.hstack([history, X])
+    t_pre = history.shape[1]
+
+    def factors_of(t, win):
+        hist_win = combined[:, t_pre + t - win.shape[1] : t_pre + t]
+        return estimate_factors(win, rolling_window_weights(hist_win, r, eps))
+
+    return factors_of
+
+
+class Recorder:
+    """A scheme wrapper that keeps the factor stacks rolling_forecast receives."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_factors = inner.n_factors
+        self.blocks, self.stacks = [], []
+
+    def window_factors(self, X, start, window, count):
+        F = self.inner.window_factors(X, start, window, count)
+        self.blocks.append((start, count))
+        self.stacks.append(F)
+        return F
+
+
+def block_windows(monkeypatch, block, n, window, r):
+    """Make rolling_forecast's blocks `block` windows long for an N-series panel and R factors."""
+    monkeypatch.setattr(forecast, "_BLOCK_ENTRIES", block * (n + window) * (r + 2))
+
+
+class TestBlockEquivalence:
+    """Block-wise evaluation equals the per-window fits: factors bit for bit, forecasts to 1e-12."""
+
+    BLOCK = 4
+
+    @staticmethod
+    def _data(n, window, steps, seed=20):
+        rng = np.random.default_rng(seed)
+        t_total = window + steps + 3
+        return rng.standard_normal(t_total), rng.standard_normal((n, t_total)), rng.standard_normal((n, window + 2))
+
+    def _check(self, y, X, window, steps, scheme, factors_of, h, blocks=None):
+        rec = Recorder(scheme)
+        report = rolling_forecast(y, X, window, steps, rec, h=h)
+        F_ref, f_ref = per_window_reference(y, X, window, steps, factors_of, h)
+        assert np.array_equal(np.concatenate(rec.stacks), F_ref)
+        np.testing.assert_allclose(report.forecasts, f_ref, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(report.realized, y[window - 1 + h : window - 1 + h + steps])
+        if blocks is not None:
+            assert rec.blocks == blocks
+
+    @pytest.mark.parametrize("n, window", [(12, 9), (6, 14)])  # T <= N, and T > N (thin SVD)
+    @pytest.mark.parametrize("h", [1, 2])
+    @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("kind", ["pc", "fixed", "rolling"])
+    def test_scheme_matches_per_window_fits(self, monkeypatch, n, window, h, steps, kind):
+        r = 2
+        y, X, history = self._data(n, window, steps)
+        block_windows(monkeypatch, self.BLOCK, n, window, r)
+        if kind == "pc":
+            scheme, factors_of = PCScheme(r), lambda t, win: pc_factors(win, r).factors
+        elif kind == "fixed":
+            W = walsh_hadamard_weights(n, r)
+            scheme, factors_of = FixedWeightScheme(W), lambda t, win: estimate_factors(win, W)
+        else:
+            scheme, factors_of = RollingWeightScheme(history, r, 0.8), rolling_reference(history, X, r, 0.8)
+        blocks = [(s, min(self.BLOCK, steps - s)) for s in range(0, steps, self.BLOCK)]
+        self._check(y, X, window, steps, scheme, factors_of, h, blocks)
+
+    @pytest.mark.parametrize("order", [(4, 2, 1), (1, 2, 4)])
+    @pytest.mark.parametrize("n, window", [(12, 9), (6, 14)])
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_rolling_siblings_in_either_order(self, monkeypatch, order, n, window, h):
+        steps = 2 * self.BLOCK + 1
+        y, X, history = self._data(n, window, steps, seed=21)
+        parent = RollingWeightScheme(history, 4, 1.0)
+        for r in order:
+            block_windows(monkeypatch, self.BLOCK, n, window, r)
+            self._check(y, X, window, steps, parent.with_factors(r), rolling_reference(history, X, r, 1.0), h)
+
+    def test_default_block_size_across_its_boundary(self):
+        n, window, r, h = 30, 20, 3, 1
+        block = forecast._BLOCK_ENTRIES // ((n + window) * (r + 2))
+        assert 1 < block < 100
+        steps = block + 1
+        y, X, _ = self._data(n, window, steps, seed=22)
+        W = walsh_hadamard_weights(n, r)
+        self._check(y, X, window, steps, FixedWeightScheme(W), lambda t, win: estimate_factors(win, W), h,
+                    blocks=[(0, block), (block, 1)])
+
+
+class TestBlockFallbacks:
+    def test_singular_windows_warn_once_each(self, monkeypatch):
+        """A block mixing singular and regular designs warns once per singular window."""
+        n, window, steps, h = 8, 10, 30, 1
+        rng = np.random.default_rng(23)
+        y = rng.standard_normal(window + steps + h)
+        y[12:30] = 4.0  # windows inside this stretch have a constant lag: intercept and lag collide
+        X = rng.standard_normal((n, window + steps))
+        singular = [t for t in range(steps) if np.ptp(y[t : t + window - h]) == 0.0]
+        assert 0 < len(singular) < steps
+        block_windows(monkeypatch, 7, n, window, 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = rolling_forecast(y, X, window, steps, PCScheme(2), h=h)
+        numerical = [w for w in caught if issubclass(w.category, NumericalWarning)]
+        assert len(numerical) == len(singular)
+        assert all(str(w.message) == "4 x 4 gram matrix is singular to tolerance; using a pseudo-inverse"
+                   for w in numerical)
+        assert all(w.filename == __file__ for w in numerical)  # names the public call site
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericalWarning)
+            _, expected = per_window_reference(y, X, window, steps, lambda t, win: pc_factors(win, 2).factors, h)
+        np.testing.assert_allclose(report.forecasts, expected, rtol=1e-12, atol=0)
+
+    def test_degenerate_rolling_weights_warn_once_per_window(self, monkeypatch):
+        """History windows of rank one give an all-zero second weight: one warning per such window."""
+        n, window, steps = 6, 8, 12
+        rng = np.random.default_rng(24)
+        history = np.zeros((n, window + 1))
+        history[:, 4] = rng.standard_normal(n)
+        X = rng.standard_normal((n, window + steps))
+        X[:, :5] = 0.0
+        y = rng.standard_normal(window + steps + 1)
+        block_windows(monkeypatch, 5, n, window, 2)
+        combined = np.hstack([history, X])
+        t_pre = history.shape[1]
+        expected = 0
+        for t in range(steps):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rolling_window_weights(combined[:, t_pre + t - window : t_pre + t], 2)
+            expected += sum(issubclass(w.category, DegenerateWeightsWarning) for w in caught)
+        assert expected > 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rolling_forecast(y, X, window, steps, RollingWeightScheme(history, 2))
+        degenerate = [w for w in caught if issubclass(w.category, DegenerateWeightsWarning)]
+        assert len(degenerate) == expected
+        assert {str(w.message) for w in degenerate} == {"rolling_window weights contain an all-zero column"}
+
+    def test_collinear_weight_stack_warns_per_member(self):
+        rng = np.random.default_rng(25)
+        stack = rng.standard_normal((5, 10, 2))
+        stack[1, :, 1] = 3.0 * stack[1, :, 0]
+        stack[3, :, 1] = -stack[3, :, 0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _warn_if_degenerate(stack, "rolling_window")
+        assert [str(w.message) for w in caught] == ["rolling_window weights have collinear columns (rank 1 < 2)"] * 2
+
+    @pytest.mark.parametrize("make", [lambda h: PCScheme(3), lambda h: RollingWeightScheme(h, 3)])
+    def test_short_window_fails_before_any_eigendecomposition(self, monkeypatch, make):
+        calls = []
+        leading_vt = projection._leading_vt
+        monkeypatch.setattr(projection, "_leading_vt", lambda X, k: calls.append(X.shape) or leading_vt(X, k))
+        rng = np.random.default_rng(26)
+        # window - h = 5 < R + p + 1 = 6
+        with pytest.raises(InsufficientDataError, match="T - h >= R"):
+            rolling_forecast(rng.standard_normal(30), rng.standard_normal((10, 30)), window=6, steps=5,
+                             scheme=make(rng.standard_normal((10, 7))))
+        assert calls == []
+
+
+class TestForecastArguments:
+    @pytest.mark.parametrize("window, steps", [(20, 0), (20, -2), (0, 5), (-1, 5)])
+    def test_window_and_steps_below_one(self, window, steps):
+        rng = np.random.default_rng(27)
+        with pytest.raises(ValueError, match="must be at least 1"):
+            rolling_forecast(rng.standard_normal(40), rng.standard_normal((6, 40)), window=window, steps=steps,
+                             scheme=PCScheme(1))
+
+
+def test_blocks_bound_the_memory_of_a_study_sized_forecast():
+    """One rolling forecast at the study's size stays below a stack of every window.
+
+    N = 100, window 100, 50 steps, rolling weights with R = 5.  tracemalloc
+    peaks: about 0.45 MB one window at a time, 0.6 MB in blocks, 1.6 MB with
+    all 50 windows in one block; the bound is 1 MB.
+    """
+    rng = np.random.default_rng(28)
+    n, window, steps = 100, 100, 50
+    X = rng.standard_normal((n, window + steps))
+    history = rng.standard_normal((n, window + 1))
+    y = rng.standard_normal(window + steps + 1)
+    rolling_forecast(y, X, window, steps, RollingWeightScheme(history, 5))  # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        rolling_forecast(y, X, window, steps, RollingWeightScheme(history, 5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

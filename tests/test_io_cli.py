@@ -402,6 +402,20 @@ class TestCLI:
         assert lines[0] == "step,realized,forecast_walsh,forecast_pc"
         assert len(lines) == 11
 
+    @pytest.mark.parametrize("steps", ["0", "-2"])
+    def test_forecast_rejects_steps_below_one(self, tmp_path, capsys, steps):
+        rng = np.random.default_rng(7)
+        panel, yp = tmp_path / "x.csv", tmp_path / "y.csv"
+        write_panel(panel, PanelData(rng.standard_normal((8, 60))))
+        write_series(yp, rng.standard_normal(60))
+        out = tmp_path / "fc_out"
+        code = run(["forecast", "--panel", str(panel), "--outcome", str(yp),
+                    "--scheme", "walsh", "--R", "2", "--window", "30",
+                    "--steps", steps, "--compare-pc", "--out", str(out)])
+        assert code == 2
+        assert "steps must be at least 1" in capsys.readouterr().err
+        assert not (out / "mse.json").exists()
+
     def test_simulate_smoke(self, tmp_path):
         out = tmp_path / "sim_out"
         code = run(["simulate", "--experiment", "table3", "--reps", "2",

@@ -369,6 +369,20 @@ class TestSingularGram:
         assert len(numerical) == int(duplicate), [str(w.message) for w in numerical]
         assert all(w.filename == __file__ for w in numerical)  # names the public call site
 
+    def test_a_stack_warns_once_per_singular_member(self):
+        rng = np.random.default_rng(22)
+        A = rng.standard_normal((6, 40, 3))
+        A[[1, 4], :, 2] = A[[1, 4], :, 0]
+        grams, rhs = A.mT @ A, A.mT @ rng.standard_normal((6, 40, 2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            x = projection._solve_gram(grams, rhs)
+            singles = np.stack([projection._solve_gram(g, b) for g, b in zip(grams, rhs)])
+        assert sum(issubclass(w.category, NumericalWarning) for w in caught) == 2 + 2
+        assert np.array_equal(x, singles)
+        with pytest.raises(SingularGramError):
+            projection._solve_gram(grams, rhs, strict=True)
+
     def test_mean_hat_raises(self):
         X, F, W, _, _ = self._data(duplicate=True)
         with pytest.raises(SingularGramError):
