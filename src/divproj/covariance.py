@@ -28,8 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
 
 from .exceptions import DegenerateDataError, NumericalWarning
 
@@ -149,19 +147,35 @@ def sparse_idio_cov(residuals_hat: np.ndarray, rule: ThresholdRule) -> SparseCov
 def _blocks(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """Connected components of the nonzero pattern of the square matrix `a`.
 
-    Returns the index arrays of the components with more than one member
-    and the indices of the singletons.  After a symmetric permutation `a` is
-    block-diagonal over the former and diagonal on the latter.
+    Returns the index arrays of the components with more than one member,
+    ordered by their smallest member, and the indices of the singletons.
+    After a symmetric permutation `a` is block-diagonal over the former and
+    diagonal on the latter.
+
+    Each round hooks every root to the smallest root it shares an edge with
+    and then compresses the pointers until each node points at its root, so
+    a root is always the smallest member of its tree.  Edges inside one tree
+    are dropped, and the rounds end when no edge is left.
     """
     n = a.shape[0]
     pattern = a != 0
-    pattern |= pattern.T  # symmetric, so strong components are the connected ones
+    pattern |= pattern.T  # an entry in either triangle links its row and column
     # np.flatnonzero of a boolean array is about 10x faster than a 2-D np.nonzero
-    flat = np.flatnonzero(pattern)
-    indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n))
-    graph = csr_array((np.ones(flat.size), flat % n, indptr), shape=(n, n))
-    n_comp, labels = connected_components(graph, directed=True, connection="strong")
-    sizes = np.bincount(labels, minlength=n_comp)
+    lo, hi = np.divmod(np.flatnonzero(pattern), n)
+    upper = lo < hi  # one direction per edge
+    lo, hi = lo[upper], hi[upper]
+    labels = np.arange(n)
+    while lo.size:
+        np.minimum.at(labels, hi, lo)
+        while True:
+            up = labels[labels]
+            if np.array_equal(up, labels):
+                break
+            labels = up
+        lo, hi = labels[lo], labels[hi]
+        keep = lo != hi
+        lo, hi = np.minimum(lo[keep], hi[keep]), np.maximum(lo[keep], hi[keep])
+    sizes = np.bincount(labels, minlength=n)
     blocks = [np.flatnonzero(labels == k) for k in np.flatnonzero(sizes > 1)]
     return blocks, np.flatnonzero(sizes[labels] == 1)
 

@@ -6,7 +6,9 @@ post-selection inference z-statistics, and size/power of the factor
 specification test.  Replications are the unit of parallelism; every
 replication owns a counter-based RNG substream keyed by (seed,
 replication, stream) and results are aggregated in replication order, so
-output is identical for any thread count.
+output is identical for any `threads` value at a fixed BLAS thread count.
+The BLAS thread count itself can move the last digits: `experiment_cov`'s
+N x N products give different `err_*` digits at 1 and 2 OpenBLAS threads.
 """
 
 from __future__ import annotations

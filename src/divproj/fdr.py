@@ -8,10 +8,10 @@ rejection rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .exceptions import InsufficientDataError
 from .projection import _solve_gram, as_matrix, estimate_factors
@@ -59,6 +59,12 @@ def farm_stats(X, weights: WeightMatrix | np.ndarray):
     return alpha_hat, alpha_hat / se
 
 
+def _two_sided_p(z) -> np.ndarray:
+    """Two-sided standard normal p-values 2 P(N(0,1) > |z|), taken as erfc(|z| / sqrt 2)."""
+    x = np.abs(np.asarray(z, dtype=float)) * math.sqrt(0.5)
+    return np.array([math.erfc(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def bh_reject(p_values, q: float) -> np.ndarray:
     """Benjamini-Hochberg step-up rule; returns the rejected indices, sorted."""
     if not 0.0 < q < 1.0:
@@ -78,6 +84,6 @@ def bh_reject(p_values, q: float) -> np.ndarray:
 def farm_test(X, weights: WeightMatrix | np.ndarray, q: float = 0.1) -> FarmTestResult:
     """Run the factor-adjusted multiple test with BH control at level q."""
     alpha_hat, z = farm_stats(X, weights)
-    p = 2.0 * norm.sf(np.abs(z))
+    p = _two_sided_p(z)
     rejected = bh_reject(p, q)
     return FarmTestResult(alpha_hat=alpha_hat, z_stats=z, p_values=p, rejected=rejected, q_level=q)

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import functools
 import math
+import statistics
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .exceptions import DimensionError, InsufficientDataError, NumericalWarning, SingularGramError
 from .projection import _solve_gram, estimate_factors
@@ -435,7 +435,7 @@ def double_selection(
 @functools.lru_cache(maxsize=None)
 def _normal_quantile(level: float) -> float:
     """The standard normal quantile at 0.5 + level/2."""
-    return float(norm.ppf(0.5 + level / 2.0))
+    return statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 def confidence_interval(result: DoubleSelectionResult, level: float = 0.95):

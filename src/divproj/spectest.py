@@ -13,10 +13,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from .covariance import ThresholdRule, sparse_idio_cov
 from .exceptions import DimensionError, NumericalWarning
+from .fdr import _two_sided_p
 from .projection import _orthobasis, _solve_gram
 from .projection import fit as projection_fit
 from .simulation import rep_rng
@@ -167,7 +167,7 @@ def spec_test(
     sd = sigma_bootstrap(a_hat, v / n, n_draws=n_draws, seed=seed, rng=rng)
     sd = max(sd, _SIGMA_FLOOR)
     z = n * np.sqrt(t) * (stat - m_hat) / sd
-    p = 2.0 * float(norm.sf(abs(z)))
+    p = float(_two_sided_p(z))
     return SpecTestResult(
         statistic=stat,
         mean_hat=m_hat,

@@ -1,8 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 import divproj
 from divproj import covariance, experiments
@@ -338,6 +343,83 @@ class TestSymOpnorm:
             assert _sym_opnorm(e, p) == pytest.approx(np.linalg.norm(e, 2), rel=1e-12, abs=0.0)
 
 
+def _scipy_blocks(a):
+    """`_blocks` from scipy's connected components: an independent reference."""
+    n = a.shape[0]
+    pattern = a != 0
+    pattern |= pattern.T
+    flat = np.flatnonzero(pattern)
+    indptr = np.searchsorted(flat, np.arange(0, n * n + 1, n))
+    graph = csr_array((np.ones(flat.size), flat % n, indptr), shape=(n, n))
+    n_comp, labels = connected_components(graph, directed=True, connection="strong")
+    sizes = np.bincount(labels, minlength=n_comp)
+    blocks = [np.flatnonzero(labels == k) for k in np.flatnonzero(sizes > 1)]
+    return blocks, np.flatnonzero(sizes[labels] == 1)
+
+
+def _assert_same_partition(a):
+    blocks, singles = _blocks(a)
+    ref_blocks, ref_singles = _scipy_blocks(a)
+    assert len(blocks) == len(ref_blocks)
+    for b, r in zip(blocks, ref_blocks):
+        np.testing.assert_array_equal(b, r)
+    np.testing.assert_array_equal(singles, ref_singles)
+    assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+
+
+def _random_order_path(rng, n):
+    order = rng.permutation(n)
+    a = np.eye(n)
+    a[order[:-1], order[1:]] = 1.0
+    return a
+
+
+def _random_tree(rng, n):
+    """A random recursive tree on randomly labelled nodes, each edge stored in one triangle only."""
+    order = rng.permutation(n)
+    parents = [rng.integers(k) for k in range(1, n)]
+    a = np.eye(n)
+    a[order[1:], order[parents]] = 1.0
+    return a
+
+
+class TestBlocks:
+    """`_blocks` matches scipy's connected components, blocks and order alike."""
+
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.03, 0.1, 0.3])
+    def test_random_patterns(self, density):
+        rng = np.random.default_rng(int(density * 100) + 11)
+        for n in range(1, 81):
+            m = rng.random((n, n)) < density
+            _assert_same_partition(m | m.T)
+            _assert_same_partition(m * rng.standard_normal((n, n)))  # one-sided entries
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: np.ones((50, 50)),
+            lambda rng: np.diag(rng.standard_normal(50)),
+            lambda rng: np.zeros((6, 6)),
+            lambda rng: np.ones((1, 1)),
+            lambda rng: np.zeros((1, 1)),
+            lambda rng: _random_order_path(rng, 1200),
+            lambda rng: _random_tree(rng, 1200),
+        ],
+        ids=["dense", "diagonal", "zero", "one", "one_zero", "path_1200", "tree_1200"],
+    )
+    def test_structured_patterns(self, make):
+        a = make(np.random.default_rng(12))
+        _assert_same_partition(a)
+
+    def test_covariance_study_rows_equal_with_the_reference(self, monkeypatch):
+        kwargs = dict(sizes=(40, 60), alphas=(1.0,), rho_Ts=(0.7,), n_reps=2, seed=5,
+                      C_values=(1.0, 2.0), extra_factors=(0, 2))
+        rows = experiment_cov(**kwargs)
+        monkeypatch.setattr(covariance, "_blocks", _scipy_blocks)
+        monkeypatch.setattr(experiments, "_blocks", _scipy_blocks)
+        assert rows == experiment_cov(**kwargs)
+
+
 def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
     """Each estimate's two errors share one `_blocks` call and equal the norms on their own patterns."""
     kwargs = dict(sizes=(40, 60), alphas=(1.0,), rho_Ts=(0.7,), n_reps=2, seed=5,
@@ -358,15 +440,23 @@ def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
     assert rows == experiment_cov(**kwargs)
 
 
-def _imports_scipy_linalg(node) -> bool:
-    """`import scipy.linalg[.x]`, `from scipy import linalg` or `from scipy.linalg[.x] import y`."""
+def _imports(node, package: str) -> bool:
+    """`import package[.x]`, `from package[.x] import y`, or `from a import b` for package a.b."""
     if isinstance(node, ast.Import):
         names = [a.name for a in node.names]
-    elif isinstance(node, ast.ImportFrom) and node.module:
+    elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
         names = [f"{node.module}.{a.name}" for a in node.names]
     else:
         return False
-    return any(f"{name}.".startswith("scipy.linalg.") for name in names)
+    return any(f"{name}.".startswith(f"{package}.") for name in names)
+
+
+def _offending_imports(package: str) -> list[str]:
+    offenders = []
+    for path in sorted(Path(divproj.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _imports(n, package)]
+    return offenders
 
 
 def test_no_module_imports_scipy_linalg():
@@ -378,14 +468,35 @@ def test_no_module_imports_scipy_linalg():
     setting), inverting the thresholded covariance with scipy.linalg's
     Cholesky made test_criterion_5_covariance_error_trend take 77-80 s and
     a small experiment_cov run 2.4-2.7 replications/s; with numpy.linalg
-    they take 18 s and run 8.8-8.9/s.  scipy.stats stays: it makes no BLAS
-    call.
+    they take 18 s and run 8.8-8.9/s.  The package now imports no scipy
+    module at all (test_runtime_imports_no_scipy); this test keeps the
+    second BLAS out should scipy come back.
     """
-    offenders = []
-    for path in sorted(Path(divproj.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        offenders += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _imports_scipy_linalg(n)]
-    assert offenders == []
+    assert _offending_imports("scipy.linalg") == []
+
+
+def test_runtime_imports_no_scipy():
+    """numpy is the only runtime dependency: scipy serves the tests and the benchmark.
+
+    No module imports scipy, at top level or inside a function, and a fresh
+    interpreter that imports the package, the CLI and the experiments and
+    builds the CLI parser has no scipy module loaded.  scipy's import took
+    about 0.8 s of each fresh process.
+    """
+    assert _offending_imports("scipy") == []
+    script = (
+        "import contextlib, io, sys\n"
+        "import divproj, divproj.cli, divproj.experiments\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = divproj.cli.run([])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(divproj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    code, loaded = run.stdout.split(" ", 1)
+    assert code != "0"  # no subcommand: the parser stops at the usage error
+    assert loaded.strip() == "[]"
 
 
 def _dense_spectral_calls(tree):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.stats import norm
 
-from divproj.fdr import bh_reject, farm_stats, farm_test
+from divproj import fdr
+from divproj.fdr import _two_sided_p, bh_reject, farm_stats, farm_test
 from divproj.simulation import SimConfig, generate_panel, rep_rng
 from divproj.weights import sieve_weights, walsh_hadamard_weights
 
@@ -110,3 +112,35 @@ class TestFarmTest:
         X[:3] += 1.0  # three series with nonzero means
         res = farm_test(X, walsh_hadamard_weights(30, 1), q=0.1)
         assert {0, 1, 2} <= set(res.rejected.tolist())
+
+
+# |z| up to 37, where 2 P(N(0,1) > |z|) is about 5.7e-300, still a normal double
+Z_GRID = np.concatenate([np.linspace(-37.0, 37.0, 7401), np.geomspace(1e-300, 37.0, 1000)])
+
+
+class TestTwoSidedP:
+    """p = erfc(|z| / sqrt 2) against scipy's normal tail as an independent reference."""
+
+    def test_matches_scipy_within_1e_12_relative(self):
+        np.testing.assert_allclose(_two_sided_p(Z_GRID), 2.0 * norm.sf(np.abs(Z_GRID)), rtol=1e-12, atol=0.0)
+
+    def test_zero_gives_one(self):
+        assert _two_sided_p(0.0) == 1.0 and _two_sided_p(-0.0) == 1.0
+        np.testing.assert_array_equal(_two_sided_p(np.zeros((2, 3))), np.ones((2, 3)))
+
+    def test_farm_test_p_values(self, monkeypatch):
+        monkeypatch.setattr(fdr, "farm_stats", lambda X, weights: (Z_GRID, Z_GRID))
+        res = farm_test(None, None)
+        expected = 2.0 * norm.sf(np.abs(Z_GRID))
+        np.testing.assert_allclose(res.p_values, expected, rtol=1e-12, atol=0.0)
+        assert res.p_values[np.flatnonzero(Z_GRID == 0.0)].tolist() == [1.0]
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_farm_test_rejects_what_scipy_p_values_reject(self, seed):
+        cfg = SimConfig(n_series=200, n_periods=200, n_factors_true=2, alpha_strength=1.0, rho_T=0.0, seed=seed)
+        sim = generate_panel(cfg)
+        X = sim.panel.X.copy()
+        X[:20] += 0.3
+        for q in (0.01, 0.05, 0.1, 0.2):
+            res = farm_test(X, sieve_weights(sim.z_chars, 3), q=q)
+            np.testing.assert_array_equal(res.rejected, bh_reject(2.0 * norm.sf(np.abs(res.z_stats)), q))

@@ -597,3 +597,17 @@ class TestConfidenceInterval:
     def test_invalid_level(self, level):
         with pytest.raises(ValueError):
             confidence_interval(self._result(), level)
+
+
+def test_normal_quantile_matches_scipy_within_4_ulp():
+    """statistics.NormalDist's quantile against scipy's norm.ppf as an independent reference."""
+    from scipy.stats import norm
+
+    levels = np.concatenate([np.linspace(0.001, 0.999, 999), [1e-12, 1e-6, 0.9999, 1 - 1e-6, 1 - 1e-9]])
+    got = np.array([inference._normal_quantile(float(level)) for level in levels])
+    expected = norm.ppf(0.5 + levels / 2.0)
+    assert np.all(np.abs(got - expected) <= 4 * np.spacing(expected))
+    inference._normal_quantile(0.95)
+    hits = inference._normal_quantile.cache_info().hits
+    inference._normal_quantile(0.95)
+    assert inference._normal_quantile.cache_info().hits == hits + 1  # one quantile per level

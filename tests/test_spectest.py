@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import kstest, norm
 
+from divproj import spectest
 from divproj.covariance import ThresholdRule
 from divproj.exceptions import DimensionError, SingularGramError
 from divproj.projection import pseudo_inverse
@@ -149,6 +150,30 @@ class TestSpecTest:
         a = spec_test(X, G, W, n_draws=400, seed=5)
         b = spec_test(X, G, W, n_draws=400, seed=5)
         assert a.z == b.z and a.sigma_hat == b.sigma_hat
+
+    @pytest.mark.parametrize("target", [0.0, 1e-9, 0.3, 1.0, 1.96, 4.0, 9.0, 17.0, 26.0, 37.0])
+    def test_p_value_matches_scipy_normal_tail(self, monkeypatch, target):
+        """p = erfc(|z| / sqrt 2) agrees with 2 * scipy's norm.sf within 1e-12 relative.
+
+        The bootstrap standard deviation is replaced by one that puts |z| at
+        the target; z = 0 is the noiseless panel's exact zero statistic.
+        """
+        if target == 0.0:
+            rng = np.random.default_rng(7)
+            F = rng.standard_normal((25, 2))
+            res = spec_test(rng.standard_normal((30, 2)) @ F.T, F, sieve_weights(rng.standard_normal(30), 2),
+                            n_draws=50, seed=1)
+            assert res.statistic == pytest.approx(0.0, abs=1e-10)
+        else:
+            X, G, W, cfg = _null_instance(0)
+            base = spec_test(X, G, W, n_draws=200, seed=5)
+            sd = base.sigma_hat * abs(base.z) / target
+            monkeypatch.setattr(spectest, "sigma_bootstrap", lambda *args, **kwargs: sd)
+            res = spec_test(X, G, W, n_draws=200, seed=5)
+            assert abs(res.z) == pytest.approx(target, rel=1e-9)
+        assert res.p_value == pytest.approx(2.0 * norm.sf(abs(res.z)), rel=1e-12, abs=0.0)
+        if res.z == 0.0:
+            assert res.p_value == 1.0
 
     def test_null_distribution_kolmogorov_smirnov(self):
         """Null z-statistics over 1000 replications look standard normal.
