@@ -149,11 +149,6 @@ def _cd_lasso(G, c, tau, gamma0=None, max_iter=1000, tol=1e-10):
     return gamma, converged
 
 
-def _below(x, lam):
-    """x where x < lam, else -inf (NaN included)."""
-    return np.where(x < lam, x, -np.inf)
-
-
 def _homotopy_lasso(G, c, tau):
     """The lasso solution in gram form, by following its path in lambda = tau/2.
 
@@ -163,11 +158,11 @@ def _homotopy_lasso(G, c, tau):
     stretch, its end point included.  From lambda = max|c| and g = 0 the
     path moves down to the next kink: an inactive j joins A when
     |c_j - G_jA g_A| reaches lambda, and an active coefficient leaves A when
-    it reaches zero.  The rows G[A] are kept in one block across kinks: a
-    joining variable's row is read from G once, and a leaving one's row is
-    dropped.  Returns g at lambda = tau/2, or None after 4N kinks.  A
-    singular G_AA raises SingularGramError.  The answer is not checked
-    here; `_lasso` checks it.
+    it reaches zero.  A, the rows G[A] and the right-hand sides (c_A, s_A)
+    are kept in preallocated blocks across kinks: a joining variable's row
+    is read from G once, and a leaving one's row is dropped.  Returns g at
+    lambda = tau/2, or None after 4N kinks.  A singular G_AA raises
+    SingularGramError.  The answer is not checked here; `_lasso` checks it.
     """
     n = c.size
     gamma = np.zeros(n)
@@ -175,47 +170,54 @@ def _homotopy_lasso(G, c, tau):
     lam = float(np.max(np.abs(c), initial=0.0))
     if lam <= lam_end:
         return gamma
+    cap = min(n, 16)
+    idx = np.empty(cap, dtype=np.intp)  # idx[:k] is A, in joining order
+    rows = np.empty((cap, n))  # rows[:k] is G[A]
+    rhs = np.empty((cap, 2))  # rhs[:k] is (c_A, s_A)
     joined = int(np.argmax(np.abs(c)))
-    active, signs = [joined], [float(np.sign(c[joined]))]
-    rows = np.empty((min(n, 16), n))  # rows[:len(active)] is G[A]
-    rows[0] = G[joined]
+    idx[0], rows[0], rhs[0] = joined, G[joined], (c[joined], np.sign(c[joined]))
+    k = 1
     left = left_sign = -1
-    for _ in range(4 * n):
-        A = np.array(active, dtype=int)
-        GA = rows[: A.size]
-        u, d = _solve_gram(GA[:, A], np.transpose([c[A], signs]), strict=True).T
-        # On this stretch g_A = u - lambda d and c - G g = b + lambda a.
-        a = d @ GA
-        b = c - u @ GA
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = _below(b / (1.0 - a), lam)  # c_j - G_j g reaches +lambda
-            down = _below(-b / (1.0 + a), lam)  # ... or -lambda
-            drops = _below(u / d, lam)
-        up[A] = down[A] = -np.inf
-        # The event of the last kink sits at the current lambda: skip it.
-        if left >= 0:
-            (up if left_sign > 0 else down)[left] = -np.inf
-        if joined >= 0:
-            drops[active.index(joined)] = -np.inf
-        hits = np.maximum(up, down)
-        j_in, k_out = int(np.argmax(hits)), int(np.argmax(drops))
-        lam_next = max(hits[j_in], drops[k_out])
-        if lam_next <= lam_end:
-            gamma[A] = u - lam_end * d
-            return gamma
-        lam = lam_next
-        if drops[k_out] >= hits[j_in]:
-            left, left_sign, joined = active.pop(k_out), signs.pop(k_out), -1
-            if not active:  # only rounding can empty A below max|c|
-                return None
-            rows[k_out : A.size - 1] = rows[k_out + 1 : A.size]
-        else:
-            joined, left = j_in, -1
-            active.append(j_in)
-            signs.append(float(np.sign(b[j_in] + lam * a[j_in])))
-            if A.size == rows.shape[0]:
-                rows = np.concatenate([rows, np.empty_like(rows)])
-            rows[A.size] = G[j_in]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(4 * n):
+            A, GA = idx[:k], rows[:k]
+            u, d = _solve_gram(GA[:, A], rhs[:k], strict=True).T
+            # On this stretch g_A = u - lambda d and c - G g = b + lambda a.
+            a = d @ GA
+            b = c - u @ GA
+            up = b / (1.0 - a)  # c_j - G_j g reaches +lambda
+            down = -b / (1.0 + a)  # ... or -lambda
+            drops = u / d
+            for x in (up, down, drops):  # only events below lambda count (NaN never)
+                x[~(x < lam)] = -np.inf
+            up[A] = down[A] = -np.inf
+            # The event of the last kink sits at the current lambda: skip it.
+            if left >= 0:
+                (up if left_sign > 0 else down)[left] = -np.inf
+            if joined >= 0:
+                drops[k - 1] = -np.inf
+            hits = np.maximum(up, down)
+            j_in, k_out = int(np.argmax(hits)), int(np.argmax(drops))
+            lam_next = max(hits[j_in], drops[k_out])
+            if lam_next <= lam_end:
+                gamma[A] = u - lam_end * d
+                return gamma
+            lam = lam_next
+            if drops[k_out] >= hits[j_in]:
+                left, left_sign, joined = int(idx[k_out]), rhs[k_out, 1], -1
+                k -= 1
+                if k == 0:  # only rounding can empty A below max|c|
+                    return None
+                for block in (idx, rows, rhs):
+                    block[k_out:k] = block[k_out + 1 : k + 1]
+            else:
+                joined, left = j_in, -1
+                if k == cap:
+                    cap *= 2
+                    idx, rows, rhs = (np.concatenate([x, np.empty_like(x)]) for x in (idx, rows, rhs))
+                idx[k], rows[k] = j_in, G[j_in]
+                rhs[k] = c[j_in], np.sign(b[j_in] + lam * a[j_in])
+                k += 1
     return None
 
 
@@ -377,7 +379,8 @@ def double_selection(
         # One least-squares solve on the factors gives the loadings of the
         # controls and the factor coefficients of y and g.
         coef = _solve_gram(F.T @ F, F.T @ np.column_stack([X.T, y, g]))
-        U = X - coef[:, :-2].T @ F.T
+        U = coef[:, :-2].T @ F.T
+        np.subtract(X, U, out=U)
         alpha_y, alpha_g = coef[:, -2], coef[:, -1]
         y_p = y - F @ alpha_y
         g_p = g - F @ alpha_g

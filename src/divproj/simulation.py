@@ -96,18 +96,30 @@ def draw_loadings(z: np.ndarray, noise: np.ndarray, alpha_strength: float) -> np
     return raw * loading_scale(n, alpha_strength)
 
 
-def _ar1(e: np.ndarray, rho: float, axis: int) -> np.ndarray:
-    """Unit-variance stationary AR(1) along `axis`, driven by iid N(0, 1) `e`.
+def _ar1(x: np.ndarray, rho: float, axis: int) -> np.ndarray:
+    """Unit-variance stationary AR(1) along `axis`, driven by iid N(0, 1) `x`, in place.
 
     x_0 = e_0 and x_s = rho x_{s-1} + sqrt(1 - rho^2) e_s, so that
-    corr(x_s, x_{s+k}) = rho^|k|.  Returns a new array.
+    corr(x_s, x_{s+k}) = rho^|k|.  Overwrites the float array `x` and
+    returns it.
     """
-    x = np.moveaxis(np.array(e, dtype=float), axis, 0)
     if rho != 0.0:
+        v = np.moveaxis(x, axis, 0)
         scale = np.sqrt(1.0 - rho**2)
-        for s in range(1, x.shape[0]):
-            x[s] = rho * x[s - 1] + scale * x[s]
-    return np.moveaxis(x, 0, axis)
+        for s in range(1, v.shape[0]):
+            v[s] = rho * v[s - 1] + scale * v[s]
+    return x
+
+
+def _color(config: SimConfig, u: np.ndarray) -> np.ndarray:
+    """`draw_idiosyncratic` in place on a C-contiguous float N x T array `u`; returns `u`."""
+    t = u.shape[1]
+    m = config.n_blocks * config.block_size
+    _ar1(u, config.rho_T, axis=1)
+    _ar1(u[:m].reshape(config.n_blocks, config.block_size, t), config.rho_N, axis=1)
+    if config.rho_T != 0.0:
+        u /= np.sqrt(1.0 - config.rho_T**2)
+    return u
 
 
 def draw_idiosyncratic(config: SimConfig, ubar: np.ndarray) -> np.ndarray:
@@ -122,15 +134,10 @@ def draw_idiosyncratic(config: SimConfig, ubar: np.ndarray) -> np.ndarray:
     independent.  The covariance of u_t is therefore `true_idio_cov`.
     Serial correlation raises the noise level, which is what degrades
     eigenvector-based factor estimates in the forecasting study while
-    leaving the cross-sectional projections unaffected.
+    leaving the cross-sectional projections unaffected.  Returns a new
+    array; `ubar` is left unchanged.
     """
-    t = ubar.shape[1]
-    m = config.n_blocks * config.block_size
-    out = _ar1(ubar, config.rho_T, axis=1)
-    blocks = out[:m].reshape(config.n_blocks, config.block_size, t)
-    out[:m] = _ar1(blocks, config.rho_N, axis=1).reshape(m, t)
-    out /= np.sqrt(1.0 - config.rho_T**2)
-    return out
+    return _color(config, np.array(ubar, dtype=float, order="C"))
 
 
 def generate_panel(config: SimConfig, replication: int = 0, rng: np.random.Generator | None = None) -> SimOutput:
@@ -149,6 +156,7 @@ def generate_panel(config: SimConfig, replication: int = 0, rng: np.random.Gener
     F = rng.standard_normal((t, r))
     ubar = rng.standard_normal((n, t))
     B = draw_loadings(z, gamma, config.alpha_strength)
-    U = draw_idiosyncratic(config, ubar)
-    X = B @ F.T + U
+    U = _color(config, ubar)  # the draw is ours: color it in place
+    X = B @ F.T
+    X += U
     return SimOutput(panel=PanelData(X), F_true=F, B_true=B, U_true=U, z_chars=z)

@@ -1,7 +1,9 @@
-"""The lasso objective after each coordinate-descent sweep, rebuilt outside the solver."""
+"""Reference lasso solvers rebuilt outside the library: the objective after each
+coordinate-descent sweep, and the homotopy path solved from scratch at every kink."""
 
 import numpy as np
 
+from divproj import projection
 from divproj.inference import _cd_lasso
 
 
@@ -22,3 +24,66 @@ def objective_path(G, c, y2_mean, tau, max_iter=1000):
         if converged:
             break
     return gamma, objectives, converged
+
+
+def _below(x, lam):
+    """x where x < lam, else -inf (NaN included)."""
+    return np.where(x < lam, x, -np.inf)
+
+
+def reference_homotopy(G, c, tau):
+    """The homotopy lasso path solved from scratch at every kink.
+
+    A copy of the kink loop `inference._homotopy_lasso` had before it kept
+    the active set's inverse across kinks: each kink calls `_solve_gram` on
+    G_AA with the right-hand sides (c_A, s_A).  Returns g at lambda = tau/2,
+    or None after 4N kinks; a singular G_AA raises SingularGramError.
+    """
+    n = c.size
+    gamma = np.zeros(n)
+    lam_end = tau / 2.0
+    lam = float(np.max(np.abs(c), initial=0.0))
+    if lam <= lam_end:
+        return gamma
+    joined = int(np.argmax(np.abs(c)))
+    active, signs = [joined], [float(np.sign(c[joined]))]
+    rows = np.empty((min(n, 16), n))  # rows[:len(active)] is G[A]
+    rows[0] = G[joined]
+    left = left_sign = -1
+    for _ in range(4 * n):
+        A = np.array(active, dtype=int)
+        GA = rows[: A.size]
+        u, d = projection._solve_gram(GA[:, A], np.transpose([c[A], signs]), strict=True).T
+        # On this stretch g_A = u - lambda d and c - G g = b + lambda a.
+        a = d @ GA
+        b = c - u @ GA
+        with np.errstate(divide="ignore", invalid="ignore"):
+            up = _below(b / (1.0 - a), lam)  # c_j - G_j g reaches +lambda
+            down = _below(-b / (1.0 + a), lam)  # ... or -lambda
+            drops = _below(u / d, lam)
+        up[A] = down[A] = -np.inf
+        # The event of the last kink sits at the current lambda: skip it.
+        if left >= 0:
+            (up if left_sign > 0 else down)[left] = -np.inf
+        if joined >= 0:
+            drops[active.index(joined)] = -np.inf
+        hits = np.maximum(up, down)
+        j_in, k_out = int(np.argmax(hits)), int(np.argmax(drops))
+        lam_next = max(hits[j_in], drops[k_out])
+        if lam_next <= lam_end:
+            gamma[A] = u - lam_end * d
+            return gamma
+        lam = lam_next
+        if drops[k_out] >= hits[j_in]:
+            left, left_sign, joined = active.pop(k_out), signs.pop(k_out), -1
+            if not active:  # only rounding can empty A below max|c|
+                return None
+            rows[k_out : A.size - 1] = rows[k_out + 1 : A.size]
+        else:
+            joined, left = j_in, -1
+            active.append(j_in)
+            signs.append(float(np.sign(b[j_in] + lam * a[j_in])))
+            if A.size == rows.shape[0]:
+                rows = np.concatenate([rows, np.empty_like(rows)])
+            rows[A.size] = G[j_in]
+    return None

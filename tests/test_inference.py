@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from divproj import experiments, inference
-from divproj.exceptions import InsufficientDataError, NumericalWarning
+from divproj import experiments, inference, projection
+from divproj.exceptions import InsufficientDataError, NumericalWarning, SingularGramError
 from divproj.experiments import _scheme_weights, experiment_postsel
 from divproj.inference import (
     confidence_interval,
@@ -20,7 +20,7 @@ from divproj.inference import (
 )
 from divproj.simulation import SimConfig, generate_panel, rep_rng
 from divproj.weights import walsh_hadamard_weights
-from lasso_path import objective_path
+from lasso_path import objective_path, reference_homotopy
 
 
 def kkt_violation(design, response, tau, gamma):
@@ -405,6 +405,18 @@ class TestGramRowsOnDemand:
             tracemalloc.stop()
         assert peak < 8 * 1200**2
 
+    def test_benchmark_sized_call_peaks_below_two_panels(self):
+        """One call at N = T = 200 holds one N x T purged panel beside X at a time."""
+        n = t = 200
+        y, g, X, W = purged_panel(0, n, t)
+        tracemalloc.start()
+        try:
+            double_selection(y, g, X, W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * t * 8
+
     def test_rows_are_computed_once_and_match_the_gram(self):
         rng = np.random.default_rng(4)
         D = rng.standard_normal((50, 30))
@@ -417,6 +429,79 @@ class TestGramRowsOnDemand:
         np.testing.assert_allclose(G @ v, dense @ v, rtol=1e-12, atol=1e-14)
         assert np.asarray(G) is np.asarray(G)
         np.testing.assert_array_equal(np.asarray(G), dense)
+
+
+def recorded_paths(run):
+    """The (G, c, tau) of every `_homotopy_lasso` call made by `run()`.
+
+    G is the `_GramRows` object the solver was given, built on the
+    original design, so a replay reads the same row bits.
+    """
+    calls = []
+    path = inference._homotopy_lasso
+
+    def recording(G, c, tau):
+        calls.append((G, c, tau))
+        return path(G, c, tau)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inference, "_homotopy_lasso", recording)
+        run()
+    return calls
+
+
+@pytest.fixture(scope="module")
+def study_paths():
+    """Path inputs from the post-selection studies the benchmark and the criteria run.
+
+    The benchmark's design at four seeds (oracle tuning), a feasible-tuning
+    study at N = T = 120, criterion 7's confounded design and a feasible
+    N = 600, T = 240 call with and without weights.
+    """
+    mc = dict(r_values=(0, 2), working_factors=(1, 2, 3), include_plain=True, n_series=200,
+              n_periods=200, n_reps=3, support_offset=12, oracle_sigma=True, threads=1)
+    calls = []
+    for seed in (70, 71, 72, 73):
+        calls += recorded_paths(lambda: experiment_postsel(seed=seed, **mc))
+    calls += recorded_paths(lambda: experiment_postsel(
+        n_series=120, n_periods=120, n_reps=2, seed=5, oracle_sigma=False, threads=1))
+    calls += recorded_paths(lambda: experiment_postsel(threads=1, **POSTSEL_DESIGNS[1]))
+    y, g, X, W = purged_panel(3, 600, 240)
+    calls += recorded_paths(lambda: (double_selection(y, g, X, W), double_selection(y, g, X, None)))
+    return calls
+
+
+def counting(monkeypatch, owner, name):
+    """Replace `owner.name` by a wrapper; returns the list it appends to per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestLeanPath:
+    """The kink loop against the parent's loop, `reference_homotopy`."""
+
+    def test_study_paths_equal_the_reference(self, study_paths):
+        assert len(study_paths) > 350
+        for G, c, tau in study_paths:
+            np.testing.assert_array_equal(_homotopy_lasso(G, c, tau), reference_homotopy(G, c, tau))
+
+    def test_one_active_set_solve_per_kink(self, monkeypatch, study_paths):
+        """As many `_solve_gram` calls as the reference makes, one per kink."""
+        for G, c, tau in study_paths[::10]:
+            with monkeypatch.context() as m:
+                ref = counting(m, projection, "_solve_gram")
+                reference_homotopy(G, c, tau)
+            with monkeypatch.context() as m:
+                solves = counting(m, inference, "_solve_gram")
+                _homotopy_lasso(G, c, tau)
+            assert len(solves) == len(ref) >= 1
 
 
 class TestTuningTau:

@@ -18,6 +18,7 @@ from divproj.simulation import (
     SimConfig,
     cross_section_cov,
     draw_idiosyncratic,
+    draw_loadings,
     generate_panel,
     loading_scale,
     rep_rng,
@@ -74,6 +75,31 @@ class TestGeneratePanel:
         c = generate_panel(cfg, replication=6)
         assert not np.array_equal(a.panel.X, c.panel.X)
 
+    @pytest.mark.parametrize("rho_T", [0.0, 0.7])
+    def test_equals_the_out_of_place_draw(self, rho_T):
+        """Bit for bit B F' + draw_idiosyncratic(ubar), from the same generator."""
+        cfg = SimConfig(n_series=30, n_periods=40, n_factors_true=2, rho_T=rho_T, seed=4)
+        sim = generate_panel(cfg, replication=3)
+        rng = rep_rng(4, 3)
+        z = np.sin(rng.standard_normal(30))
+        B = draw_loadings(z, rng.standard_normal((30, 2)), cfg.alpha_strength)
+        F = rng.standard_normal((40, 2))
+        U = draw_idiosyncratic(cfg, rng.standard_normal((30, 40)))
+        np.testing.assert_array_equal(sim.U_true, U)
+        np.testing.assert_array_equal(sim.panel.X, B @ F.T + U)
+
+    def test_peak_memory_is_two_and_a_half_panels(self):
+        """The draw, the coloring and X = B F' + U share two N x T arrays."""
+        n, t = 200, 201
+        cfg = SimConfig(n_series=n, n_periods=t, n_factors_true=2, rho_T=0.7, seed=1)
+        tracemalloc.start()
+        try:
+            generate_panel(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * t * 8
+
     def test_rep_rng_streams_are_independent(self):
         a = rep_rng(1, 0, 0).standard_normal(4)
         b = rep_rng(1, 0, 1).standard_normal(4)
@@ -98,6 +124,14 @@ class TestAR1Draw:
         cfg = small_config(n_series=40, n_periods=40, rho_N=rho, rho_T=0.0)
         M = draw_idiosyncratic(cfg, np.eye(40))
         np.testing.assert_allclose(M @ M.T, cross_section_cov(cfg), rtol=0, atol=1e-12)
+
+    def test_draw_leaves_its_argument_unchanged(self):
+        cfg = small_config(rho_N=0.7, rho_T=0.5)
+        ubar = rep_rng(0).standard_normal((16, 30))
+        before = ubar.copy()
+        out = draw_idiosyncratic(cfg, ubar)
+        np.testing.assert_array_equal(ubar, before)
+        assert not np.shares_memory(out, ubar)
 
     @pytest.mark.parametrize("n,t", [(4000, 50), (50, 4000)])
     def test_memory_is_linear_in_panel_size(self, n, t):
