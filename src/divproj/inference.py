@@ -35,7 +35,7 @@ import numpy as np
 
 from .exceptions import DimensionError, InsufficientDataError, NumericalWarning, SingularGramError
 from .projection import _solve_gram, estimate_factors
-from .weights import WeightMatrix
+from .weights import _RANK_TOL, WeightMatrix
 
 _SIGMA2_FLOOR = 1e-12
 _SUPPORT_TOL = 1e-10
@@ -149,20 +149,83 @@ def _cd_lasso(G, c, tau, gamma0=None, max_iter=1000, tol=1e-10):
     return gamma, converged
 
 
+class _ActiveSet:
+    """The active set A of the homotopy path, with G[A], (c_A, s_A) and G_AA^{-1}.
+
+    ``idx[:k]`` is A in joining order, ``rows[:k]`` the rows G[A],
+    ``rhs[:k]`` the right-hand sides (c_A, s_A) and ``inv[:k, :k]`` the
+    inverse of G_AA.  The blocks are preallocated and double when full.  A
+    join borders the inverse: with g = G_Aj, w = G_AA^{-1} g and the Schur
+    complement s = g_jj - g'w, the new inverse is
+    [[G_AA^{-1} + w w'/s, -w/s], [-w'/s, 1/s]].  A drop at position p
+    downdates it by the rank-one formula E - f f'/f_p, where f is column p
+    of the inverse and E the inverse without row and column p.  Either
+    costs O(k^2) plus the O(N) row copy; no kink factors G_AA afresh.
+    A join with s <= _RANK_TOL g_jj raises SingularGramError: s is at
+    least the smallest eigenvalue of the bordered gram, so every set this
+    rejects is singular to the tolerance `_solve_gram` applies.
+    """
+
+    def __init__(self, n):
+        cap = min(n, 16)
+        self.k = 0
+        self.idx = np.empty(cap, dtype=np.intp)
+        self.rows = np.empty((cap, n))
+        self.rhs = np.empty((cap, 2))
+        self.inv = np.empty((cap, cap))
+
+    def join(self, j, row, c_j, sign):
+        """Append variable j with gram row `row`, c_j and sign s_j."""
+        k = self.k
+        if k == self.idx.size:
+            inv = np.empty((2 * k, 2 * k))
+            inv[:k, :k] = self.inv
+            self.inv = inv
+            self.idx, self.rows, self.rhs = (
+                np.concatenate([x, np.empty_like(x)]) for x in (self.idx, self.rows, self.rhs)
+            )
+        inv = self.inv
+        g = self.rows[:k, j]
+        w = inv[:k, :k] @ g
+        gjj = row[j]
+        schur = gjj - g @ w
+        if not schur > _RANK_TOL * gjj:
+            raise SingularGramError(f"{k + 1} x {k + 1} active-set gram matrix is singular to tolerance")
+        w /= -schur
+        inv[:k, :k] += schur * w[:, None] * w
+        inv[k, :k] = inv[:k, k] = w
+        inv[k, k] = 1.0 / schur
+        self.idx[k], self.rows[k], self.rhs[k] = j, row, (c_j, sign)
+        self.k = k + 1
+
+    def drop(self, p):
+        """Remove the variable at position p of A."""
+        k = self.k - 1
+        inv = self.inv
+        f = inv[: k + 1, p]
+        inv[: k + 1, : k + 1] -= f[:, None] * (f / f[p])
+        for x in (self.idx, self.rows, self.rhs, inv):
+            x[p:k] = x[p + 1 : k + 1]
+        inv[:k, p:k] = inv[:k, p + 1 : k + 1]
+        self.k = k
+
+
 def _homotopy_lasso(G, c, tau):
     """The lasso solution in gram form, by following its path in lambda = tau/2.
 
     The solution is piecewise linear in lambda.  On a stretch with active
     set A and signs s_A it is g_A = G_AA^{-1} (c_A - lambda s_A), so one
-    solve with the two right-hand sides c_A and s_A gives the whole
-    stretch, its end point included.  From lambda = max|c| and g = 0 the
-    path moves down to the next kink: an inactive j joins A when
-    |c_j - G_jA g_A| reaches lambda, and an active coefficient leaves A when
-    it reaches zero.  A, the rows G[A] and the right-hand sides (c_A, s_A)
-    are kept in preallocated blocks across kinks: a joining variable's row
-    is read from G once, and a leaving one's row is dropped.  Returns g at
-    lambda = tau/2, or None after 4N kinks.  A singular G_AA raises
-    SingularGramError.  The answer is not checked here; `_lasso` checks it.
+    small product of the inverse with the two right-hand sides c_A and s_A
+    gives the whole stretch, its end point included.  From lambda = max|c|
+    and g = 0 the path moves down to the next kink: an inactive j joins A
+    when |c_j - G_jA g_A| reaches lambda, and an active coefficient leaves
+    A when it reaches zero.  `_ActiveSet` keeps A, the rows G[A] and
+    G_AA^{-1} across kinks: a joining variable's row is read from G once
+    and borders the inverse, and a leaving one's row is dropped and the
+    inverse downdated.  Returns g at lambda = tau/2, or None after 4N
+    kinks.  A join whose Schur complement is at most _RANK_TOL times its
+    diagonal entry raises SingularGramError.  The answer is not checked
+    here; `_lasso` checks it.
     """
     n = c.size
     gamma = np.zeros(n)
@@ -170,18 +233,15 @@ def _homotopy_lasso(G, c, tau):
     lam = float(np.max(np.abs(c), initial=0.0))
     if lam <= lam_end:
         return gamma
-    cap = min(n, 16)
-    idx = np.empty(cap, dtype=np.intp)  # idx[:k] is A, in joining order
-    rows = np.empty((cap, n))  # rows[:k] is G[A]
-    rhs = np.empty((cap, 2))  # rhs[:k] is (c_A, s_A)
+    active = _ActiveSet(n)
     joined = int(np.argmax(np.abs(c)))
-    idx[0], rows[0], rhs[0] = joined, G[joined], (c[joined], np.sign(c[joined]))
-    k = 1
+    active.join(joined, G[joined], c[joined], np.sign(c[joined]))
     left = left_sign = -1
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(4 * n):
-            A, GA = idx[:k], rows[:k]
-            u, d = _solve_gram(GA[:, A], rhs[:k], strict=True).T
+            k = active.k
+            A, GA = active.idx[:k], active.rows[:k]
+            u, d = (active.inv[:k, :k] @ active.rhs[:k]).T
             # On this stretch g_A = u - lambda d and c - G g = b + lambda a.
             a = d @ GA
             b = c - u @ GA
@@ -204,20 +264,13 @@ def _homotopy_lasso(G, c, tau):
                 return gamma
             lam = lam_next
             if drops[k_out] >= hits[j_in]:
-                left, left_sign, joined = int(idx[k_out]), rhs[k_out, 1], -1
-                k -= 1
-                if k == 0:  # only rounding can empty A below max|c|
+                left, left_sign, joined = int(A[k_out]), active.rhs[k_out, 1], -1
+                if k == 1:  # only rounding can empty A below max|c|
                     return None
-                for block in (idx, rows, rhs):
-                    block[k_out:k] = block[k_out + 1 : k + 1]
+                active.drop(k_out)
             else:
                 joined, left = j_in, -1
-                if k == cap:
-                    cap *= 2
-                    idx, rows, rhs = (np.concatenate([x, np.empty_like(x)]) for x in (idx, rows, rhs))
-                idx[k], rows[k] = j_in, G[j_in]
-                rhs[k] = c[j_in], np.sign(b[j_in] + lam * a[j_in])
-                k += 1
+                active.join(j_in, G[j_in], c[j_in], np.sign(b[j_in] + lam * a[j_in]))
     return None
 
 

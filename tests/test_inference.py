@@ -484,24 +484,72 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
-class TestLeanPath:
-    """The kink loop against the parent's loop, `reference_homotopy`."""
+class TestActiveSetInverse:
+    """The path with a maintained G_AA^{-1} against `reference_homotopy`, which solves each kink afresh."""
 
-    def test_study_paths_equal_the_reference(self, study_paths):
+    def test_study_paths_keep_the_reference_supports(self, study_paths):
+        """The same supports, and coefficients within 1e-12 of the largest, on every recorded call."""
         assert len(study_paths) > 350
         for G, c, tau in study_paths:
-            np.testing.assert_array_equal(_homotopy_lasso(G, c, tau), reference_homotopy(G, c, tau))
+            gamma, ref = _homotopy_lasso(G, c, tau), reference_homotopy(G, c, tau)
+            np.testing.assert_array_equal(np.flatnonzero(gamma), np.flatnonzero(ref))
+            assert np.max(np.abs(gamma - ref), initial=0.0) <= 1e-12 * np.max(np.abs(ref), initial=0.0)
 
-    def test_one_active_set_solve_per_kink(self, monkeypatch, study_paths):
-        """As many `_solve_gram` calls as the reference makes, one per kink."""
-        for G, c, tau in study_paths[::10]:
-            with monkeypatch.context() as m:
-                ref = counting(m, projection, "_solve_gram")
-                reference_homotopy(G, c, tau)
-            with monkeypatch.context() as m:
-                solves = counting(m, inference, "_solve_gram")
-                _homotopy_lasso(G, c, tau)
-            assert len(solves) == len(ref) >= 1
+    def test_no_kink_factors_the_active_gram(self, monkeypatch, study_paths):
+        eigs = counting(monkeypatch, np.linalg, "eigvalsh")
+        solves = counting(monkeypatch, np.linalg, "solve")
+        grams = counting(monkeypatch, inference, "_solve_gram")
+        for G, c, tau in study_paths:
+            _homotopy_lasso(G, c, tau)
+        assert eigs == solves == grams == []
+
+    def test_maintained_inverse_matches_the_active_gram(self, monkeypatch):
+        """After many joins and drops at tau -> 0, inv[:k, :k] is G_AA^{-1} to 1e-8 relative."""
+        made = []
+
+        class Recording(inference._ActiveSet):
+            def __init__(self, n):
+                super().__init__(n)
+                made.append(self)
+
+        monkeypatch.setattr(inference, "_ActiveSet", Recording)
+        drops = counting(monkeypatch, Recording, "drop")
+        worst = 0.0
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            walk = np.cumsum(0.4 * rng.standard_normal((40, 30)), axis=1)
+            D = rng.standard_normal((40, 30)) + walk
+            y = D[:, :5] @ rng.normal(0, 1, 5) + rng.standard_normal(40)
+            G, c = gram_form(D, y)
+            for frac in (0.01, 0.0):
+                assert _homotopy_lasso(G, c, frac * 2.0 * np.max(np.abs(c))) is not None
+                active = made[-1]
+                A = active.idx[: active.k]
+                exact = np.linalg.inv(G[np.ix_(A, A)])
+                worst = max(worst, np.max(np.abs(active.inv[: active.k, : active.k] - exact)) / np.max(np.abs(exact)))
+        assert len(drops) > 100
+        assert worst < 1e-8
+
+    def test_duplicated_column_falls_back_to_coordinate_descent(self, monkeypatch):
+        """A column that joins beside its exact copy raises SingularGramError; `_lasso` then runs coordinate descent."""
+        raised = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            D = rng.standard_normal((30, 6))
+            D[:, 5] = D[:, 0]
+            y = D[:, :3] @ np.array([1.0, -0.5, 0.8]) + 0.3 * rng.standard_normal(30)
+            G, c = gram_form(D, y)
+            try:
+                _homotopy_lasso(G, c, 0.0)
+            except SingularGramError:
+                raised += 1
+                with monkeypatch.context() as m:
+                    fallbacks = counting(m, inference, "_cd_lasso")
+                    gamma, converged = _lasso(G, c, 0.0)
+                assert len(fallbacks) == 1
+                reference, _ = _cd_lasso(G, c, 0.0)
+                np.testing.assert_array_equal(gamma, reference)
+        assert raised >= 1
 
 
 class TestTuningTau:
