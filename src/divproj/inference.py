@@ -13,10 +13,13 @@ rows the path visits.  The solver follows the exact piecewise-linear
 solution path from tau = 2 max|c| down to the requested tau (the
 homotopy, or LARS-lasso, path of Osborne, Presnell & Turlach 2000 and
 Efron et al. 2004).  It fetches row j of G when variable j joins the
-active set, makes one small active-set solve per kink, and checks the
-answer against the lasso's optimality (KKT) conditions with G gamma taken
-as D'(D gamma)/T.  When an active-set gram is singular, the check fails
-or the path takes more than 4N kinks, cyclic coordinate descent with
+active set and keeps the inverse of the k x k active-set gram across
+kinks, bordered on each join and downdated on each drop, so a kink costs
+O(k^2 + kN) and factors nothing.  It checks the answer against the
+lasso's optimality (KKT) conditions with G gamma taken as D'(D gamma)/T.
+When an active-set gram is singular (a joining variable's Schur
+complement is at most _RANK_TOL times its diagonal entry), the check
+fails or the path takes more than 4N kinks, cyclic coordinate descent with
 active-set cycling solves the problem instead, from the caller's warm
 start; only this fallback builds the dense G.  The purged grams of the
 factor step are singular themselves (W'U_hat = 0); the path needs only
@@ -255,7 +258,7 @@ def _homotopy_lasso(G, c, tau):
             if left >= 0:
                 (up if left_sign > 0 else down)[left] = -np.inf
             if joined >= 0:
-                drops[k - 1] = -np.inf
+                drops[k - 1] = -np.inf  # the last to join sits last in A
             hits = np.maximum(up, down)
             j_in, k_out = int(np.argmax(hits)), int(np.argmax(drops))
             lam_next = max(hits[j_in], drops[k_out])

@@ -97,11 +97,11 @@ def draw_loadings(z: np.ndarray, noise: np.ndarray, alpha_strength: float) -> np
 
 
 def _ar1(x: np.ndarray, rho: float, axis: int) -> np.ndarray:
-    """Unit-variance stationary AR(1) along `axis`, driven by iid N(0, 1) `x`, in place.
+    """Unit-variance stationary AR(1) along `axis`, in place on the float array `x`.
 
-    x_0 = e_0 and x_s = rho x_{s-1} + sqrt(1 - rho^2) e_s, so that
-    corr(x_s, x_{s+k}) = rho^|k|.  Overwrites the float array `x` and
-    returns it.
+    The iid N(0, 1) values e that `x` holds become x_0 = e_0 and
+    x_s = rho x_{s-1} + sqrt(1 - rho^2) e_s, so that
+    corr(x_s, x_{s+k}) = rho^|k|.  Returns `x`.
     """
     if rho != 0.0:
         v = np.moveaxis(x, axis, 0)

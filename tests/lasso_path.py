@@ -32,12 +32,12 @@ def _below(x, lam):
 
 
 def reference_homotopy(G, c, tau):
-    """The homotopy lasso path solved from scratch at every kink.
+    """The homotopy lasso path of `inference._homotopy_lasso`, solved from scratch at every kink.
 
-    A copy of the kink loop `inference._homotopy_lasso` had before it kept
-    the active set's inverse across kinks: each kink calls `_solve_gram` on
-    G_AA with the right-hand sides (c_A, s_A).  Returns g at lambda = tau/2,
-    or None after 4N kinks; a singular G_AA raises SingularGramError.
+    Each kink calls `projection._solve_gram` on G_AA with the right-hand
+    sides (c_A, s_A), where the library keeps G_AA^{-1} from kink to kink.
+    Returns g at lambda = tau/2, or None after 4N kinks; a singular G_AA
+    raises SingularGramError.
     """
     n = c.size
     gamma = np.zeros(n)

@@ -138,15 +138,16 @@ def recorded_lasso_calls(run):
     return calls
 
 
-def counting_cd_lasso(monkeypatch):
-    """Replace `inference._cd_lasso` by a wrapper; returns the list it appends to per call."""
+def counting(monkeypatch, owner, name):
+    """Replace `owner.name` by a wrapper; returns the list it appends to per call."""
     calls = []
+    original = getattr(owner, name)
 
-    def counting(*args, **kwargs):
+    def wrapper(*args, **kwargs):
         calls.append(1)
-        return _cd_lasso(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(inference, "_cd_lasso", counting)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -234,7 +235,7 @@ class TestHomotopyLasso:
         for seed in range(8):
             y, g, X, W = purged_panel(seed, 40, 80, near_duplicate=True)
             calls += recorded_lasso_calls(lambda: double_selection(y, g, X, W))
-        fallbacks = counting_cd_lasso(monkeypatch)
+        fallbacks = counting(monkeypatch, inference, "_cd_lasso")
         unconverged = 0
         for G, c, tau, gamma0 in calls:
             assert np.linalg.eigvalsh(G)[0] <= 1e-5
@@ -267,7 +268,7 @@ class TestHomotopyLasso:
             for seed in range(8):
                 y, g, X, W = purged_panel(seed, 40, 80, near_duplicate=True)
                 calls += recorded_lasso_calls(lambda: double_selection(y, g, X, W))
-        fallbacks = counting_cd_lasso(monkeypatch)
+        fallbacks = counting(monkeypatch, inference, "_cd_lasso")
         unconverged = 0
         for G, c, tau, gamma0 in calls:
             n_before = len(fallbacks)
@@ -307,7 +308,7 @@ class TestLassoAgreesWithCoordinateDescent:
                 np.testing.assert_array_equal(value, getattr(ref, name), err_msg=name)
 
     def test_well_conditioned_double_selection_never_falls_back(self, monkeypatch):
-        calls = counting_cd_lasso(monkeypatch)
+        calls = counting(monkeypatch, inference, "_cd_lasso")
         y, g, X = _simulate_system(seed=10, n=40, t=200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -468,19 +469,6 @@ def study_paths():
     calls += recorded_paths(lambda: experiment_postsel(threads=1, **POSTSEL_DESIGNS[1]))
     y, g, X, W = purged_panel(3, 600, 240)
     calls += recorded_paths(lambda: (double_selection(y, g, X, W), double_selection(y, g, X, None)))
-    return calls
-
-
-def counting(monkeypatch, owner, name):
-    """Replace `owner.name` by a wrapper; returns the list it appends to per call."""
-    calls = []
-    original = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
