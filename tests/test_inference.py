@@ -42,6 +42,15 @@ def gram_form(design, response):
     return design.T @ design / t, design.T @ response / t
 
 
+def correlated_design(seed):
+    """(G, c) of a 40 x 30 design whose neighbouring columns correlate (a random walk across columns)."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(0.4 * rng.standard_normal((40, 30)), axis=1)
+    D = rng.standard_normal((40, 30)) + walk
+    y = D[:, :5] @ rng.normal(0, 1, 5) + rng.standard_normal(40)
+    return gram_form(D, y)
+
+
 def iterated_tuning(design, response, n_rounds=5):
     """(tau, sigma2) of the feasible iteration at C = 4.1."""
     t, n = design.shape
@@ -197,11 +206,7 @@ class TestHomotopyLasso:
     def test_correlated_designs_need_no_fallback(self):
         """Many joins and drops along the path, and still an answer that passes the check."""
         for seed in range(100):
-            rng = np.random.default_rng(seed)
-            walk = np.cumsum(0.4 * rng.standard_normal((40, 30)), axis=1)
-            D = rng.standard_normal((40, 30)) + walk  # neighbouring columns correlate
-            y = D[:, :5] @ rng.normal(0, 1, 5) + rng.standard_normal(40)
-            G, c = gram_form(D, y)
+            G, c = correlated_design(seed)
             for frac in (0.3, 0.1, 0.03, 0.01, 0.0):
                 tau = frac * 2.0 * np.max(np.abs(c))
                 gamma = _homotopy_lasso(G, c, tau)
@@ -492,7 +497,7 @@ class TestActiveSetInverse:
         assert eigs == solves == grams == []
 
     def test_maintained_inverse_matches_the_active_gram(self, monkeypatch):
-        """After many joins and drops at tau -> 0, inv[:k, :k] is G_AA^{-1} to 1e-8 relative."""
+        """On `test_correlated_designs_need_no_fallback`'s designs at tau -> 0, inv[:k, :k] is G_AA^{-1} to 1e-8 relative."""
         made = []
 
         class Recording(inference._ActiveSet):
@@ -504,11 +509,7 @@ class TestActiveSetInverse:
         drops = counting(monkeypatch, Recording, "drop")
         worst = 0.0
         for seed in range(100):
-            rng = np.random.default_rng(seed)
-            walk = np.cumsum(0.4 * rng.standard_normal((40, 30)), axis=1)
-            D = rng.standard_normal((40, 30)) + walk
-            y = D[:, :5] @ rng.normal(0, 1, 5) + rng.standard_normal(40)
-            G, c = gram_form(D, y)
+            G, c = correlated_design(seed)
             for frac in (0.01, 0.0):
                 assert _homotopy_lasso(G, c, frac * 2.0 * np.max(np.abs(c))) is not None
                 active = made[-1]
@@ -533,7 +534,7 @@ class TestActiveSetInverse:
                 raised += 1
                 with monkeypatch.context() as m:
                     fallbacks = counting(m, inference, "_cd_lasso")
-                    gamma, converged = _lasso(G, c, 0.0)
+                    gamma, _ = _lasso(G, c, 0.0)
                 assert len(fallbacks) == 1
                 reference, _ = _cd_lasso(G, c, 0.0)
                 np.testing.assert_array_equal(gamma, reference)
