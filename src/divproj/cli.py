@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import ThresholdRule, invert_sparse_cov, sparse_idio_cov
+from .covariance import ThresholdRule, _inverse_rows, sparse_idio_cov
 from .exceptions import DivprojError
 from .experiments import (
     experiment_cov,
@@ -34,6 +34,7 @@ from .fdr import farm_test
 from .forecast import FixedWeightScheme, PCScheme, RollingWeightScheme, rolling_forecast
 from .inference import confidence_interval, double_selection
 from .io import (
+    _write_labelled,
     ensure_outdir,
     read_panel,
     read_series,
@@ -330,7 +331,8 @@ def _cmd_cov(args) -> int:
         write_sparse_triplets(outdir / "sigma_u.csv", cov.sigma_u)
     else:
         write_matrix(outdir / "sigma_u.csv", cov.sigma_u, s_ids, s_ids, corner="series")
-    write_matrix(outdir / "sigma_u_inv.csv", invert_sparse_cov(cov), s_ids, s_ids, corner="series")
+    # the inverse is written row by row from its blocks, never held as an N x N array
+    _write_labelled(outdir / "sigma_u_inv.csv", ["series", *s_ids], s_ids, _inverse_rows(cov.sigma_u))
     write_json(
         outdir / "summary.json",
         {

@@ -12,14 +12,22 @@ The soft and SCAD formulas run only on the entries with |s| > tau (NaNs
 included); the others are set to sign(s) * 0.0, the signed zero that the
 formula gives them.
 
+No symmetrizing average (S + S')/2 is taken.  S = U U'/T is computed from
+one contiguous U, which numpy hands to BLAS syrk: one triangle is computed
+and mirrored, so S is exactly symmetric.  tau_ij = tau_ji bit for bit, so
+the thresholded matrix is exactly symmetric too, and the average would
+return it unchanged, signed zeros included.
+
 The thresholded matrix is sparse, and after a permutation it is
 block-diagonal over the connected components of its nonzero pattern.  Its
 eigenvalues and its inverse are computed one block at a time, which is
 exact (Mazumder & Hastie 2012); a dense, connected matrix is one block.
 The inverse computes eigenvalues only when a Cholesky test finds that some
-block's smallest one may be at or below its eigenvalue floor.  An
-operator norm may be taken over a coarser partition, one whose blocks
-hold whole components, so one partition can serve several matrices.
+block's smallest one may be at or below its eigenvalue floor.  The blocks'
+inverses are kept apart (`_inverse_blocks`), so a caller that writes the
+inverse row by row never holds it as a dense N x N array.  An operator
+norm may be taken over a coarser partition, one whose blocks hold whole
+components, so one partition can serve several matrices.
 """
 
 from __future__ import annotations
@@ -70,11 +78,19 @@ class SparseCovariance:
         return self.sigma_u.shape[0]
 
     def sparsity_m(self, q: float) -> float:
-        """Row-wise sparsity diagnostic max_i sum_j |sigma_ij|^q (0^0 := 0)."""
-        if q == 0:
-            per_row = np.count_nonzero(self.sigma_u, axis=1)
-        else:
-            per_row = np.sum(np.abs(self.sigma_u) ** q, axis=1)
+        """Row-wise sparsity diagnostic max_i sum_j |sigma_ij|^q (0^0 := 0).
+
+        Taken over row blocks, so the temporaries are row blocks; a row's
+        sum does not depend on the block that holds it.
+        """
+        sigma = self.sigma_u
+        per_row = np.empty(sigma.shape[0])
+        step = max(1, _BLOCK_ENTRIES // sigma.shape[1])
+        for i in range(0, sigma.shape[0], step):
+            block = sigma[i : i + step]
+            per_row[i : i + step] = (
+                np.count_nonzero(block, axis=1) if q == 0 else np.sum(np.abs(block) ** q, axis=1)
+            )
         return float(np.max(per_row))
 
 
@@ -116,8 +132,17 @@ def threshold_value(s, tau, rule: ThresholdRule):
 
 
 def sparse_idio_cov(residuals_hat: np.ndarray, rule: ThresholdRule) -> SparseCovariance:
-    """Thresholded covariance of estimated residuals (N x T input)."""
+    """Thresholded covariance of estimated residuals (N x T input).
+
+    The result is exactly symmetric.  A residual array that is neither C-
+    nor F-contiguous (a strided view) is copied to C order first, because
+    numpy multiplies such a view by general gemm, whose S = U U' is not
+    exactly symmetric.  Its S may then differ from the view's product in
+    the last bits.
+    """
     U = np.atleast_2d(np.asarray(residuals_hat, dtype=float))
+    if not (U.flags.c_contiguous or U.flags.f_contiguous):
+        U = np.ascontiguousarray(U)
     n, t = U.shape
     if t < 2:
         raise DegenerateDataError("need at least two time periods")
@@ -138,10 +163,8 @@ def sparse_idio_cov(residuals_hat: np.ndarray, rule: ThresholdRule) -> SparseCov
         tau = rule.constant_C * np.sqrt(np.outer(d[rows], d)) * omega
         S[rows] = threshold_value(S[rows], tau, rule)
     np.fill_diagonal(S, d)
-    sigma = S + S.T  # tau_ij = tau_ji, so averaging only removes rounding noise
-    sigma /= 2.0
-    nonzero = int(np.count_nonzero(sigma)) - n
-    return SparseCovariance(sigma_u=sigma, omega=omega, nonzero_offdiag=nonzero)
+    nonzero = int(np.count_nonzero(S)) - n
+    return SparseCovariance(sigma_u=S, omega=omega, nonzero_offdiag=nonzero)
 
 
 def _blocks(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -195,16 +218,82 @@ def _sym_opnorm(e: np.ndarray, partition=None) -> float:
     return float(norm)
 
 
-def _above_floor(singles: np.ndarray, subs: list[np.ndarray], floor: float) -> bool:
-    """True when every singleton exceeds `floor` and every block minus floor*I has a Cholesky factor."""
-    if not np.all(singles > floor):
+def _above_floor(sigma: np.ndarray, singles: np.ndarray, blocks: list[np.ndarray], floor: float) -> bool:
+    """True when every singleton's diagonal exceeds `floor` and every block minus floor*I has a Cholesky factor.
+
+    The floor is taken off the diagonal of one copy of each block at a time.
+    """
+    if not np.all(np.diagonal(sigma)[singles] > floor):
         return False
     try:
-        for s in subs:
-            np.linalg.cholesky(s - floor * np.eye(len(s)))
+        for b in blocks:
+            s = sigma[np.ix_(b, b)]
+            s[np.diag_indices_from(s)] -= floor
+            np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _inverse_blocks(sigma: np.ndarray):
+    """The inverse of a symmetric `sigma` by connected blocks, repaired as in `invert_sparse_cov`.
+
+    Returns (blocks, inverses, singles, inverse_singles): the `_blocks`
+    partition, the inverse of each block (in the order of its members),
+    and the inverse's diagonal at the singletons.  The inverse is zero
+    everywhere else.  Each block is copied, shifted, inverted and released
+    one at a time.  The shift's warning names the caller of this helper's
+    caller.
+    """
+    d = np.diagonal(sigma)
+    mean_diag = float(np.mean(d))
+    eig_floor = 1e-6 * mean_diag
+    if not eig_floor > 0:
+        raise DegenerateDataError(
+            f"covariance mean diagonal {mean_diag:.3g} <= 0: no diagonal shift makes it positive definite"
+        )
+    blocks, singles = _blocks(sigma)
+    shift = 0.0
+    if not _above_floor(sigma, singles, blocks, eig_floor):
+        lam_min = float(min([d[singles].min(initial=np.inf)]
+                            + [np.linalg.eigvalsh(sigma[np.ix_(b, b)])[0] for b in blocks]))
+        if lam_min <= eig_floor:
+            shift = eig_floor - lam_min
+            warnings.warn(
+                f"covariance smallest eigenvalue {lam_min:.3g} <= floor {eig_floor:.3g}; "
+                f"shifting diagonal by {shift:.3g} before inversion",
+                NumericalWarning,
+                stacklevel=3,
+            )
+    inverses = []
+    for b in blocks:
+        s = sigma[np.ix_(b, b)]
+        s[np.diag_indices_from(s)] += shift
+        inverses.append(np.linalg.inv(s))  # numpy, not scipy.linalg: one BLAS (see tests/test_covariance.py)
+    return blocks, inverses, singles, 1.0 / (d[singles] + shift)
+
+
+def _inverse_rows(sigma: np.ndarray):
+    """The rows of `invert_sparse_cov(sigma)`, one at a time, built from `_inverse_blocks`.
+
+    The blocks are inverted, and any shift warned about, before this returns.
+    """
+    n = sigma.shape[0]
+    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma)
+    parts = [None] * n  # row i: (its columns, their values)
+    for b, inverse in zip(blocks, inverses):
+        for i, values in zip(b.tolist(), inverse):
+            parts[i] = (b, values)
+    for i, value in zip(singles.tolist(), inverse_singles):
+        parts[i] = (i, value)
+
+    def rows():
+        for columns, values in parts:
+            row = np.zeros(n)
+            row[columns] = values
+            yield row
+
+    return rows()
 
 
 def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
@@ -229,29 +318,9 @@ def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
     than that rounding.
     """
     sigma = cov.sigma_u if isinstance(cov, SparseCovariance) else np.asarray(cov, dtype=float)
-    d = np.diag(sigma)
-    mean_diag = float(np.mean(d))
-    eig_floor = 1e-6 * mean_diag
-    if not eig_floor > 0:
-        raise DegenerateDataError(
-            f"covariance mean diagonal {mean_diag:.3g} <= 0: no diagonal shift makes it positive definite"
-        )
-    blocks, singles = _blocks(sigma)
-    subs = [sigma[np.ix_(b, b)] for b in blocks]
-    shift = 0.0
-    if not _above_floor(d[singles], subs, eig_floor):
-        lam_min = float(min([d[singles].min(initial=np.inf)] + [np.linalg.eigvalsh(s)[0] for s in subs]))
-        if lam_min <= eig_floor:
-            shift = eig_floor - lam_min
-            warnings.warn(
-                f"covariance smallest eigenvalue {lam_min:.3g} <= floor {eig_floor:.3g}; "
-                f"shifting diagonal by {shift:.3g} before inversion",
-                NumericalWarning,
-                stacklevel=2,
-            )
+    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma)
     out = np.zeros_like(sigma)
-    out[singles, singles] = 1.0 / (d[singles] + shift)
-    for b, s in zip(blocks, subs):
-        s[np.diag_indices_from(s)] += shift
-        out[np.ix_(b, b)] = np.linalg.inv(s)  # numpy, not scipy.linalg: one BLAS (see tests/test_covariance.py)
+    out[singles, singles] = inverse_singles
+    for b, inverse in zip(blocks, inverses):
+        out[np.ix_(b, b)] = inverse
     return out

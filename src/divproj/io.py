@@ -8,7 +8,9 @@ write-then-read is lossless and writing a file we read reproduces it byte
 for byte.  Rows of floats are formatted as whole lines, byte-identical to
 what the csv module writes; the csv module still writes headers, the
 label cell of each row, and the mixed-type dict rows, cell by cell
-through :func:`format_value`, which writes bools as 1/0.
+through :func:`format_value`, which writes bools as 1/0.  The labelled
+writer takes its float rows from any iterable, one row at a time, so a
+matrix can be written from rows that are never held together.
 
 The body of a table is parsed in one pass by ``np.loadtxt``.  A file that
 pass cannot vouch for (a quote, a blank line, a bad or non-finite cell, a
@@ -162,8 +164,8 @@ def _write_csv(path, header, rows) -> None:
 _ZEROS = np.array(["0.0", "-0.0"], dtype=object)
 
 
-def _labelled(labels, values):
-    """Lines as csv.writer writes the rows [label, *values[i]], one row at a time.
+def _labelled(labels, rows):
+    """Lines as csv.writer writes the rows [label, *row], one row at a time.
 
     Zeros are looked up by their sign bit and only the nonzero floats (nan
     and inf included) go through `repr`, so a sparse row costs little.  The
@@ -171,7 +173,7 @@ def _labelled(labels, values):
     """
     buf = StringIO()
     writer = csv.writer(buf)
-    for label, row in zip(labels, values):
+    for label, row in zip(labels, rows):
         cells = _ZEROS[np.signbit(row).view(np.int8)]
         (j,) = np.nonzero(row)
         cells[j] = list(map(repr, row[j].tolist()))
@@ -181,13 +183,18 @@ def _labelled(labels, values):
         yield buf.getvalue()[:-2] + ",".join(cells.tolist()) + "\r\n"
 
 
-def _write_labelled(path, header, labels, values) -> None:
-    """Write `header`, then the rows [label, *values[i]] of a float matrix."""
-    if values.shape[1] == 0:  # csv.writer quotes an empty label when it is the only cell
+def _write_labelled(path, header, labels, rows) -> None:
+    """Write `header`, then [label, *row] for each label and float row.
+
+    `rows` is any iterable of 1-D float arrays, such as a matrix or a
+    generator; each row is formatted as it is taken, and the row width is
+    one less than the header's.
+    """
+    if len(header) == 1:  # csv.writer quotes an empty label when it is the only cell
         return _write_csv(path, header, ([label] for label in labels))
     with open(Path(path), "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        fh.writelines(_labelled(labels, values))
+        fh.writelines(_labelled(labels, rows))
 
 
 def _triplets(values):
@@ -215,12 +222,6 @@ def read_series(path):
     """Read a (time, value) CSV; returns (labels, values)."""
     _, labels, body = _read_table(path, "series", width=2)
     return labels, body[:, 0]
-
-
-def write_series(path, values, labels=None, value_name: str = "value") -> None:
-    values = np.asarray(values, dtype=float).reshape(-1, 1)
-    labels = labels or [str(j + 1) for j in range(len(values))]
-    _write_labelled(path, ["time", value_name], labels, values)
 
 
 def write_matrix(path, values, row_labels=None, col_labels=None, corner: str = "row") -> None:

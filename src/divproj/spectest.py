@@ -61,22 +61,21 @@ def spec_statistic(factors_est: np.ndarray, observed: np.ndarray) -> float:
     return max(val, 0.0)
 
 
-def _plug_ins(F: np.ndarray, W: np.ndarray, sigma_u: np.ndarray):
-    """A_hat = 2 (F'F/T)^{-1}, V = W' Sigma_u_hat W and the bias tr(A_hat V) / N^2.
+def _plug_ins(F: np.ndarray, v: np.ndarray, n: int):
+    """A_hat = 2 (F'F/T)^{-1} and the bias tr(A_hat V) / N^2, for V = W' Sigma_u_hat W.
 
     A singular factor gram raises SingularGramError.
     """
     gram = F.T @ F / F.shape[0]
     a_hat = 2.0 * _solve_gram(gram, np.eye(gram.shape[0]), strict=True)
-    v = W.T @ sigma_u @ W
-    return a_hat, v, float(np.trace(a_hat @ v)) / W.shape[0] ** 2
+    return a_hat, float(np.trace(a_hat @ v)) / n**2
 
 
 def mean_hat(factors_est: np.ndarray, weights: WeightMatrix | np.ndarray, sigma_u: np.ndarray) -> float:
     """Plug-in bias tr(A_hat W' Sigma_u_hat W) / N^2 with A_hat = 2 (F'F/T)^{-1}."""
     F = np.atleast_2d(np.asarray(factors_est, dtype=float))
     W = weights.values if isinstance(weights, WeightMatrix) else np.asarray(weights, dtype=float)
-    return _plug_ins(F, W, np.asarray(sigma_u, dtype=float))[2]
+    return _plug_ins(F, W.T @ np.asarray(sigma_u, dtype=float) @ W, W.shape[0])[1]
 
 
 def sigma_bootstrap(
@@ -136,7 +135,9 @@ def spec_test(
     distorts the test's size).  The plug-in covariance is rescaled by
     T/(T - R) to undo the downward bias of residual variances after
     fitting R factor loadings; without it the test over-rejects in small
-    samples.
+    samples.  The rescale is made in place on the thresholded matrix, so
+    the test holds one N x N array.  A noiseless panel has V = 0, and no
+    N x N matrix is built for it.
     """
     G = np.atleast_2d(np.asarray(observed, dtype=float))
     W = weights if isinstance(weights, WeightMatrix) else WeightMatrix(np.asarray(weights, dtype=float))
@@ -155,15 +156,15 @@ def spec_test(
     if resid_scale <= 1e-12 * max(panel_scale, 1.0):
         # noiseless panel: zero residual covariance, statistic compared at the
         # sigma floor, reported as a non-rejection
-        sigma_u = np.zeros((n, n))
+        v = np.zeros((W.n_working_factors,) * 2)
     else:
-        cov = sparse_idio_cov(fit_res.residuals, rule)
-        sigma_u = cov.sigma_u
+        sigma_u = sparse_idio_cov(fit_res.residuals, rule).sigma_u
         r_work = F.shape[1]
         if t > r_work:
-            sigma_u = sigma_u * (t / (t - r_work))
+            sigma_u *= t / (t - r_work)
+        v = W.values.T @ sigma_u @ W.values
     stat = spec_statistic(F, G)
-    a_hat, v, m_hat = _plug_ins(F, W.values, sigma_u)
+    a_hat, m_hat = _plug_ins(F, v, n)
     sd = sigma_bootstrap(a_hat, v / n, n_draws=n_draws, seed=seed, rng=rng)
     sd = max(sd, _SIGMA_FLOOR)
     z = n * np.sqrt(t) * (stat - m_hat) / sd

@@ -2,6 +2,7 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -227,6 +228,34 @@ class TestSparseIdioCov:
         np.testing.assert_array_equal(cov.sigma_u, ref)
         assert cov.nonzero_offdiag == np.sum(ref != 0) - 700
 
+    @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
+    @pytest.mark.parametrize("layout", ["C", "F", "column_strided"])
+    def test_exactly_symmetric(self, layout, rule):
+        """No (S + S')/2 is taken: the result is symmetric bit for bit, signed zeros included.
+
+        F order is the CLI's layout (the transposed CSV body); a strided view
+        is copied first, since numpy's gemm product of it is not symmetric.
+        """
+        rng = np.random.default_rng(13)
+        wide = rng.standard_normal((300, 60))
+        wide[:150] += 0.6 * wide[150:]
+        U = {"C": np.ascontiguousarray(wide[:, :30]), "F": np.asfortranarray(wide[:, :30]),
+             "column_strided": wide[:, ::2]}[layout]
+        sigma = sparse_idio_cov(U, rule).sigma_u
+        assert sigma.tobytes() == sigma.T.copy().tobytes()
+        assert ((sigma + sigma.T) / 2.0).tobytes() == sigma.tobytes()
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0])
+    def test_sparsity_m_row_blocks_match_whole_matrix(self, q):
+        # N = 700 spans eight row blocks; each row's sum is the whole-matrix one
+        rng = np.random.default_rng(14)
+        U = rng.standard_normal((700, 40))
+        U[:350] += 0.5 * U[350:]
+        cov = sparse_idio_cov(U, SCAD)
+        sigma = cov.sigma_u
+        per_row = np.count_nonzero(sigma, axis=1) if q == 0 else np.sum(np.abs(sigma) ** q, axis=1)
+        assert cov.sparsity_m(q) == float(np.max(per_row))
+
     def test_sparsity_diagnostic(self):
         cov = SparseCovariance(
             sigma_u=np.array([[1.0, 0.5], [0.5, 2.0]]),
@@ -296,6 +325,55 @@ class TestInvertSparseCov:
         np.testing.assert_allclose(inv, np.linalg.inv(shifted), rtol=1e-9)
         assert inv[1, 1] == pytest.approx(1.0 / (3.0 + floor), rel=1e-12)
         assert inv[3, 3] == pytest.approx(1.0 / (4.0 + floor), rel=1e-12)
+
+
+    def test_cholesky_gate_input_keeps_its_bits(self, monkeypatch):
+        """The floor comes off one block copy's diagonal: the gate sees the bits of s - floor * I."""
+        a, _ = _permuted_blocks(np.random.default_rng(7), spd=True)
+        seen = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda s: seen.append(s.copy()) or cholesky(s))
+        invert_sparse_cov(a)
+        floor = 1e-6 * np.mean(np.diag(a))
+        expected = [a[np.ix_(b, b)] - floor * np.eye(b.size) for b in _blocks(a)[0]]
+        assert [s.tobytes() for s in seen] == [e.tobytes() for e in expected]
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in bytes, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOneNByNArray:
+    """At N = 1200, T = 240 the covariance path holds one N x N array (8 N^2 bytes) and row blocks.
+
+    The former S + S' average and the |sigma|^q of `sparsity_m` each took
+    another one or two (peaks of 2.02 and 2.00 x 8 N^2).
+    """
+
+    N, T = 1200, 240
+
+    @pytest.fixture(scope="class")
+    def residuals(self):
+        rng = np.random.default_rng(15)
+        U = rng.standard_normal((self.N, self.T))
+        U[: self.N // 2] += 0.3 * U[self.N // 2 :]
+        return U
+
+    def test_sparse_idio_cov_peak(self, residuals):
+        _, peak = _traced_peak(sparse_idio_cov, residuals, SCAD)
+        assert peak < 1.25 * 8 * self.N**2
+
+    def test_sparsity_m_peak(self, residuals):
+        cov = sparse_idio_cov(residuals, SCAD)
+        for q in (0.0, 1.0):
+            _, peak = _traced_peak(cov.sparsity_m, q)
+            assert peak < 0.25 * 8 * self.N**2
 
 
 def _permuted_blocks(rng, spd: bool):
@@ -500,12 +578,12 @@ def test_runtime_imports_no_scipy():
 
 
 def _dense_spectral_calls(tree):
-    """Lines calling np.linalg.svd, np.linalg.inv or np.linalg.norm(., 2) outside invert_sparse_cov."""
+    """Lines calling np.linalg.svd, np.linalg.inv or np.linalg.norm(., 2) outside _inverse_blocks."""
     found = []
 
     def visit(node, in_inverse):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            in_inverse = in_inverse or node.name == "invert_sparse_cov"
+            in_inverse = in_inverse or node.name == "_inverse_blocks"
         if isinstance(node, ast.Call) and not in_inverse:
             f = node.func
             if (
@@ -535,10 +613,21 @@ def test_covariance_study_makes_no_dense_spectral_call():
     pass (2-vCPU host, one BLAS thread), dropping the SVDs of
     `np.linalg.norm(., 2)` took the study's own time from 1.39 to 0.68 s,
     and inverting block by block took `invert_sparse_cov` from 0.91 to
-    0.64 s.  Only `invert_sparse_cov` inverts, one block at a time.
+    0.64 s.  Only `_inverse_blocks`, which `invert_sparse_cov` and the
+    CLI's row writer share, inverts, one block at a time.
     """
     offenders = []
     for name in ("experiments.py", "covariance.py"):
         path = Path(divproj.__file__).parent / name
         offenders += [f"{name}:{line}" for line in _dense_spectral_calls(ast.parse(path.read_text()))]
     assert offenders == []
+
+
+def test_one_inverse_call_site():
+    """The package calls np.linalg.inv in one place, `_inverse_blocks`."""
+    sites = []
+    for path in sorted(Path(divproj.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.linalg.inv", "numpy.linalg.inv"):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert len(sites) == 1, sites

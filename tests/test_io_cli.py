@@ -3,15 +3,18 @@ import functools
 import inspect
 import json
 import re
+import tracemalloc
+import warnings
 from io import StringIO
 
 import numpy as np
 import pytest
 
 from divproj.cli import SIMULATIONS, _build_parser, run
-from divproj.covariance import ThresholdRule
+from divproj import cli as cli_module
+from divproj.covariance import SparseCovariance, ThresholdRule, _blocks, invert_sparse_cov
 from divproj import io as io_module
-from divproj.exceptions import DegenerateDataError
+from divproj.exceptions import DegenerateDataError, NumericalWarning
 from divproj.experiments import experiment_spectest
 from divproj.fdr import farm_test
 from divproj.forecast import FixedWeightScheme, rolling_forecast
@@ -23,12 +26,17 @@ from divproj.io import (
     write_matrix,
     write_panel,
     write_rows_csv,
-    write_series,
     write_sparse_triplets,
 )
 from divproj.projection import PanelData
 from divproj.spectest import DEFAULT_RULE, spec_test
 from divproj.weights import build_weights, initial_transform_weights, rolling_window_weights
+
+
+def write_series(path, values, labels=None, value_name: str = "value") -> None:
+    """Write a (time, value) CSV, the layout `read_series` reads."""
+    values = np.asarray(values, dtype=float).reshape(-1, 1)
+    write_matrix(path, values, labels or [str(j + 1) for j in range(len(values))], [value_name], corner="time")
 
 
 @pytest.fixture
@@ -220,6 +228,8 @@ def test_writers_match_the_csv_module(tmp_path):
 
     write_matrix(tmp_path / "m.csv", values, labels, cols, corner="id")
     assert (tmp_path / "m.csv").read_bytes() == _csv_rendering(["id", *cols], labels, values)
+    io_module._write_labelled(tmp_path / "g.csv", ["id", *cols], labels, iter(values))  # rows from any iterable
+    assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "m.csv").read_bytes()
     write_matrix(tmp_path / "d.csv", values)
     assert (tmp_path / "d.csv").read_bytes() == _csv_rendering(
         ["row", *cols], [f"r{i + 1}" for i in range(len(values))], values)
@@ -541,6 +551,78 @@ def test_initial_weights_trim_the_companion_series(tmp_path, command):
         result = json.loads((out / "spectest.json").read_text())
         for key in ("statistic", "mean_hat", "sigma_hat", "z", "p_value"):
             assert result[key] == getattr(expected, key), key
+
+
+def _covariance_case(case, rng):
+    """A 30 x 30 symmetric matrix: one dense positive definite block, permuted blocks, or indefinite."""
+    n = 30
+    if case == "dense":
+        m = rng.standard_normal((n, n))
+        return m @ m.T / n + np.eye(n)
+    sigma = np.diag(rng.uniform(1.0, 2.0, n))
+    perm = rng.permutation(n)
+    for b in (perm[:6], perm[6:9], perm[9:13]):
+        m = rng.standard_normal((b.size, b.size))
+        sigma[np.ix_(b, b)] = m @ m.T + b.size * np.eye(b.size)
+    if case == "shifted":
+        sigma[np.ix_(perm[6:9], perm[6:9])] *= -1.0
+    return sigma
+
+
+@pytest.mark.parametrize("case", ["dense", "blocks", "shifted"])
+def test_cov_inverse_file_is_the_dense_inverse(tmp_path, monkeypatch, case):
+    """sigma_u_inv.csv, written row by row from the blocks, has the bytes of write_matrix(invert_sparse_cov(.))."""
+    rng = np.random.default_rng(21)
+    sigma = _covariance_case(case, rng)
+    monkeypatch.setattr(cli_module, "sparse_idio_cov",
+                        lambda residuals, rule: SparseCovariance(sigma.copy(), omega=0.1, nonzero_offdiag=0))
+    write_panel(tmp_path / "x.csv", PanelData(rng.standard_normal((30, 40))))
+    ids = [f"s{i + 1}" for i in range(30)]
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["cov", "--panel", str(tmp_path / "x.csv"), "--scheme", "walsh", "--R", "1", "--out", str(out)]) == 0
+        write_matrix(tmp_path / "ref.csv", invert_sparse_cov(sigma), ids, ids, corner="series")
+    shifts = [w for w in caught if issubclass(w.category, NumericalWarning)]
+    assert len(shifts) == (2 if case == "shifted" else 0)
+    blocks, singles = _blocks(sigma)
+    assert sorted(b.size for b in blocks) == ([30] if case == "dense" else [3, 4, 6])
+    assert singles.size == (0 if case == "dense" else 17)
+    assert (out / "sigma_u_inv.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def wide_panel(tmp_path_factory):
+    """An N = 1200, T = 240 two-factor panel, a characteristic driving its loadings, and its factors, as CSV files."""
+    d = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(1200)
+    z = np.sin(rng.standard_normal(1200))
+    F = rng.standard_normal((240, 2))
+    X = (np.column_stack([z, z**2]) + 0.5 * rng.standard_normal((1200, 2))) @ F.T + rng.standard_normal((1200, 240))
+    write_panel(d / "panel.csv", PanelData(X))
+    write_matrix(d / "chars.csv", z[:, None], [f"s{i + 1}" for i in range(1200)], ["z"], corner="series")
+    write_panel(d / "factors.csv", PanelData(F.T, series_ids=["g1", "g2"]))
+    return d
+
+
+@pytest.mark.parametrize("command", ["cov", "spectest"])
+def test_wide_commands_hold_one_n_by_n_array(wide_panel, tmp_path, command):
+    """At N = 1200 the cov and spectest commands peak below two N x N arrays (2 x 8 N^2 bytes).
+
+    They hold the thresholded covariance and row-sized temporaries: the
+    former S + S' average, the spec test's rescaled copy and the dense
+    inverse beside the covariance are gone (peaks of 3.4 and 2.5 x 8 N^2).
+    """
+    flags = {"cov": ["--scheme", "sieve", "--R", "2", "--chars", str(wide_panel / "chars.csv")],
+             "spectest": ["--factors", str(wide_panel / "factors.csv"), "--scheme", "initial", "--draws", "200"]}
+    tracemalloc.start()
+    try:
+        code = run([command, "--panel", str(wide_panel / "panel.csv"), *flags[command], "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 8 * 1200**2
 
 
 def _library_default(func, name):

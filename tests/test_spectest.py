@@ -5,9 +5,10 @@ from scipy.stats import kstest, norm
 from divproj import spectest
 from divproj.covariance import ThresholdRule
 from divproj.exceptions import DimensionError, SingularGramError
-from divproj.projection import pseudo_inverse
+from divproj.projection import _solve_gram, pseudo_inverse
+from divproj.projection import fit as projection_fit
 from divproj.simulation import SimConfig, generate_panel, rep_rng
-from divproj.spectest import mean_hat, sigma_bootstrap, spec_statistic, spec_test
+from divproj.spectest import SpecTestResult, mean_hat, sigma_bootstrap, spec_statistic, spec_test
 from divproj.weights import sieve_weights
 
 
@@ -137,6 +138,26 @@ class TestSpecTest:
         res = spec_test(X, F, W, n_draws=500, seed=1)
         assert res.statistic == pytest.approx(0.0, abs=1e-10)
         assert res.p_value > 0.05
+
+    def test_noiseless_panel_result_is_that_of_a_zero_n_by_n_covariance(self):
+        """The noiseless branch passes an R x R zero V; every field equals the N x N zero covariance's, signed zeros included."""
+        rng = np.random.default_rng(7)
+        B = rng.standard_normal((30, 2))
+        F = rng.standard_normal((25, 2))
+        X = B @ F.T
+        W = sieve_weights(rng.standard_normal(30), 2)
+        res = spec_test(X, F, W, n_draws=500, seed=1)
+        n, t = X.shape
+        F_hat = projection_fit(X, W).factors
+        v = W.values.T @ np.zeros((n, n)) @ W.values
+        a_hat = 2.0 * _solve_gram(F_hat.T @ F_hat / t, np.eye(2), strict=True)
+        m_hat = mean_hat(F_hat, W, np.zeros((n, n)))
+        sd = max(sigma_bootstrap(a_hat, v / n, n_draws=500, seed=1), spectest._SIGMA_FLOOR)
+        stat = spec_statistic(F_hat, F)
+        z = float(n * np.sqrt(t) * (stat - m_hat) / sd)
+        expected = SpecTestResult(stat, m_hat, sd, z, float(spectest._two_sided_p(z)), 500, 1)
+        assert res == expected
+        assert repr(res) == repr(expected)
 
     def test_weight_dimension_check(self):
         rng = np.random.default_rng(8)
