@@ -13,6 +13,7 @@ from scipy.sparse.csgraph import connected_components
 import divproj
 from divproj import covariance, experiments
 from divproj.covariance import (
+    KINDS,
     SparseCovariance,
     ThresholdRule,
     _blocks,
@@ -228,9 +229,9 @@ class TestSparseIdioCov:
         np.testing.assert_array_equal(cov.sigma_u, ref)
         assert cov.nonzero_offdiag == np.sum(ref != 0) - 700
 
-    @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
+    @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("layout", ["C", "F", "column_strided"])
-    def test_exactly_symmetric(self, layout, rule):
+    def test_exactly_symmetric(self, layout, kind):
         """No (S + S')/2 is taken: the result is symmetric bit for bit, signed zeros included.
 
         F order is the CLI's layout (the transposed CSV body); a strided view
@@ -241,7 +242,9 @@ class TestSparseIdioCov:
         wide[:150] += 0.6 * wide[150:]
         U = {"C": np.ascontiguousarray(wide[:, :30]), "F": np.asfortranarray(wide[:, :30]),
              "column_strided": wide[:, ::2]}[layout]
-        sigma = sparse_idio_cov(U, rule).sigma_u
+        cov = sparse_idio_cov(U, ThresholdRule(kind=kind, constant_C=0.5))
+        sigma = cov.sigma_u
+        assert cov.nonzero_offdiag > 2000  # many entries survive the threshold
         assert sigma.tobytes() == sigma.T.copy().tobytes()
         assert ((sigma + sigma.T) / 2.0).tobytes() == sigma.tobytes()
 
@@ -326,7 +329,6 @@ class TestInvertSparseCov:
         assert inv[1, 1] == pytest.approx(1.0 / (3.0 + floor), rel=1e-12)
         assert inv[3, 3] == pytest.approx(1.0 / (4.0 + floor), rel=1e-12)
 
-
     def test_cholesky_gate_input_keeps_its_bits(self, monkeypatch):
         """The floor comes off one block copy's diagonal: the gate sees the bits of s - floor * I."""
         a, _ = _permuted_blocks(np.random.default_rng(7), spd=True)
@@ -340,11 +342,11 @@ class TestInvertSparseCov:
 
 
 def _traced_peak(fn, *args):
-    """fn(*args) and the peak of the memory it allocated, in bytes, under tracemalloc."""
+    """The peak of the memory fn(*args) allocates, in bytes, under tracemalloc."""
     tracemalloc.start()
     try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -366,14 +368,12 @@ class TestOneNByNArray:
         return U
 
     def test_sparse_idio_cov_peak(self, residuals):
-        _, peak = _traced_peak(sparse_idio_cov, residuals, SCAD)
-        assert peak < 1.25 * 8 * self.N**2
+        assert _traced_peak(sparse_idio_cov, residuals, SCAD) < 1.25 * 8 * self.N**2
 
     def test_sparsity_m_peak(self, residuals):
         cov = sparse_idio_cov(residuals, SCAD)
         for q in (0.0, 1.0):
-            _, peak = _traced_peak(cov.sparsity_m, q)
-            assert peak < 0.25 * 8 * self.N**2
+            assert _traced_peak(cov.sparsity_m, q) < 0.25 * 8 * self.N**2
 
 
 def _permuted_blocks(rng, spd: bool):

@@ -584,7 +584,7 @@ def test_cov_inverse_file_is_the_dense_inverse(tmp_path, monkeypatch, case):
         assert run(["cov", "--panel", str(tmp_path / "x.csv"), "--scheme", "walsh", "--R", "1", "--out", str(out)]) == 0
         write_matrix(tmp_path / "ref.csv", invert_sparse_cov(sigma), ids, ids, corner="series")
     shifts = [w for w in caught if issubclass(w.category, NumericalWarning)]
-    assert len(shifts) == (2 if case == "shifted" else 0)
+    assert len(shifts) == (2 if case == "shifted" else 0)  # the command's and the reference's
     blocks, singles = _blocks(sigma)
     assert sorted(b.size for b in blocks) == ([30] if case == "dense" else [3, 4, 6])
     assert singles.size == (0 if case == "dense" else 17)
