@@ -6,7 +6,11 @@ writes a manifest.json with the resolved configuration so it can be
 re-run exactly.  A JSON file passed through --config supplies defaults
 that explicit flags override; its values are parsed as the flags they
 name, so a bad value exits 1 and an unreadable file 2.  DIVPROJ_THREADS is
-the fallback for --threads and is parsed as the flag would be.
+the fallback for --threads and is parsed as the flag would be.  --threads
+counts the worker processes of `simulate`'s replications and must be at
+least 1.  `simulate` runs at one BLAS thread: `main` runs the command line
+again with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
+1 unless they are, so results.csv has the same bytes on any host.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from . import __version__
 from .covariance import ThresholdRule, _inverse_rows, sparse_idio_cov
 from .exceptions import DivprojError
 from .experiments import (
+    _ONE_BLAS_THREAD,
     experiment_cov,
     experiment_forecast,
     experiment_postsel,
@@ -91,7 +96,7 @@ def _build_parser() -> _Parser:
             type=int,
             # a string default goes through type=int, so a bad value is a usage error
             default=os.environ.get("DIVPROJ_THREADS", "1"),
-            help="worker threads for simulation replications (default: $DIVPROJ_THREADS or 1)",
+            help="worker processes for simulate's replications (default: $DIVPROJ_THREADS or 1)",
         )
 
     def scheme_flags(p, need_R=True):
@@ -457,6 +462,8 @@ def run(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _parse(_build_parser(), argv)
+        if args.threads < 1:
+            raise UsageError(f"--threads (or DIVPROJ_THREADS) must be at least 1, got {args.threads}")
         return _COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"divproj: {exc}", file=sys.stderr)
@@ -467,6 +474,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # the BLAS reads its thread count when numpy loads, so simulate pins it by starting again
+    if sys.argv[1:2] == ["simulate"] and any(os.environ.get(k) != v for k, v in _ONE_BLAS_THREAD.items()):
+        os.execve(sys.executable, sys.orig_argv, {**os.environ, **_ONE_BLAS_THREAD})
     sys.exit(run())
 
 

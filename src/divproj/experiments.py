@@ -3,18 +3,25 @@
 Four studies are implemented: covariance estimation error against the
 dimension, out-of-sample forecast comparisons against the PC benchmark,
 post-selection inference z-statistics, and size/power of the factor
-specification test.  Replications are the unit of parallelism; every
-replication owns a counter-based RNG substream keyed by (seed,
-replication, stream) and results are aggregated in replication order, so
-output is identical for any `threads` value at a fixed BLAS thread count.
-The BLAS thread count itself can move the last digits: `experiment_cov`'s
-N x N products give different `err_*` digits at 1 and 2 OpenBLAS threads.
+specification test.  Each study is one module-level replication function,
+`(cell, rep) -> result`, and a grid of cells; `_replicate` runs every
+replication of every cell, in replication order.  Each replication owns a
+counter-based RNG substream keyed by (seed, replication, stream).
+
+`threads` counts processes.  At `threads=1` the replications run in the
+calling process, whose BLAS thread count can move the last digits
+(`experiment_cov`'s `err_*` differ at 1 and 2 OpenBLAS threads).  At
+`threads > 1` they run in `spawn`ed workers whose OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS are 1 before numpy loads, so the output
+is that of `threads=1` at one BLAS thread, on any host and for any worker
+count.  A spawned worker imports the calling script again, so a script that
+calls a study with `threads > 1` needs an `if __name__ == "__main__":` guard.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -27,13 +34,48 @@ from .spectest import DEFAULT_RULE as SPEC_TEST_RULE
 from .spectest import spec_test
 from .weights import WeightMatrix, build_weights, sieve_weights
 
+# the environment of a process whose BLAS runs one thread; the BLAS reads it when numpy loads
+_ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
 
-def _map_replications(fn, n_reps: int, threads: int = 1) -> list:
-    """Apply fn to 0..n_reps-1, preserving replication order."""
-    if threads <= 1:
-        return [fn(i) for i in range(n_reps)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_reps)))
+
+def _worker_count(threads: int, n_jobs: int) -> int:
+    """Worker processes for `threads`: no more than the jobs or the CPUs this process may use."""
+    import os
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(threads, n_jobs, cpus or 1))
+
+
+def _replicate(rep_fn, cells, n_reps: int, threads: int) -> list[list]:
+    """rep_fn(cell, rep) for each cell and rep in 0..n_reps-1: one list per cell, in replication order.
+
+    At `threads == 1` the calls run in this process.  Above it they run in
+    `spawn`ed workers started with the BLAS pinned to one thread, so
+    `rep_fn` and every cell must pickle (see the module docstring).
+    """
+    if threads < 1 or n_reps < 1:
+        raise ValueError(f"threads and n_reps must be at least 1, got {threads} and {n_reps}")
+    jobs = ([cell for cell in cells for _ in range(n_reps)], list(range(n_reps)) * len(cells))
+    if threads == 1:
+        results = list(map(rep_fn, *jobs))
+    else:
+        import multiprocessing
+        import os
+        from concurrent.futures import ProcessPoolExecutor
+
+        saved = {name: os.environ.get(name) for name in _ONE_BLAS_THREAD}
+        os.environ.update(_ONE_BLAS_THREAD)  # the spawned workers inherit it
+        try:
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(_worker_count(threads, len(jobs[1])), mp_context=spawn) as pool:
+                results = list(pool.map(rep_fn, *jobs))
+        finally:
+            for name, value in saved.items():
+                if value is None:
+                    os.environ.pop(name, None)
+                else:
+                    os.environ[name] = value
+    return [results[i * n_reps : (i + 1) * n_reps] for i in range(len(cells))]
 
 
 def _mean_se(values: np.ndarray):
@@ -58,6 +100,35 @@ def _scheme_weights(scheme: str, sim, r_work: int, x0: np.ndarray) -> WeightMatr
 # Covariance estimation study (operator-norm errors against the dimension)
 # ---------------------------------------------------------------------------
 
+def _cov_rep(cell, rep, *, C_values, rule_kind, extra_factors, include_pc, include_known):
+    """{(method, C): (covariance error, inverse error)} of one replication."""
+    cfg, sigma_true, sigma_true_inv, truth_pattern = cell
+    sim = generate_panel(cfg, replication=rep)
+    X = sim.panel.X
+    residual_sets = {}
+    for extra in extra_factors:
+        r_work = cfg.n_factors_true + extra
+        W = sieve_weights(sim.z_chars, r_work)
+        residual_sets[f"dp_R{r_work}"] = projection_fit(X, W).residuals
+    if include_pc:
+        residual_sets["pc"] = pc_factors(X, cfg.n_factors_true).residuals
+    if include_known:
+        B_hat = estimate_loadings(X, sim.F_true)
+        residual_sets["known_factor"] = X - B_hat @ sim.F_true.T
+    out = {}
+    for method, U_hat in residual_sets.items():
+        for C in C_values:
+            rule = ThresholdRule(kind=rule_kind, constant_C=C)
+            cov = sparse_idio_cov(U_hat, rule)
+            # Both errors vanish outside the blocks of this union: the
+            # inverses are block-diagonal over their own matrices' blocks.
+            partition = _blocks((cov.sigma_u != 0) | truth_pattern)
+            err = _sym_opnorm(cov.sigma_u - sigma_true, partition)
+            inv_err = _sym_opnorm(invert_sparse_cov(cov) - sigma_true_inv, partition)
+            out[(method, C)] = (err, inv_err)
+    return out
+
+
 def experiment_cov(
     sizes=(100, 200, 300),
     alphas=(0.5, 1.0),
@@ -78,70 +149,30 @@ def experiment_cov(
     working factor counts r + extra, the PC estimator with the true r, and
     the known-factor benchmark, all thresholded with the same rule.  N = T
     along `sizes`.  Returns a list of result rows.
+
+    At `threads=1` the replications run in this process, at its BLAS's
+    digits; above 1, in up to `threads` spawned one-BLAS-thread workers,
+    whose digits do not depend on the host (a calling script needs an
+    `if __name__ == "__main__":` guard).  n_reps or threads < 1: ValueError.
     """
+    grid = [(alpha, rho, size) for alpha in alphas for rho in rho_Ts for size in sizes]
+    cells = []
+    for alpha, rho, size in grid:
+        cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=n_factors_true,
+                        alpha_strength=alpha, rho_T=rho, seed=seed)
+        sigma_true = true_idio_cov(cfg)
+        sigma_true_inv = invert_sparse_cov(sigma_true)
+        cells.append((cfg, sigma_true, sigma_true_inv, (sigma_true != 0) | (sigma_true_inv != 0)))
+    rep_fn = partial(_cov_rep, C_values=C_values, rule_kind=rule_kind, extra_factors=extra_factors,
+                     include_pc=include_pc, include_known=include_known)
     rows = []
-    for alpha in alphas:
-        for rho in rho_Ts:
-            for size in sizes:
-                cfg = SimConfig(
-                    n_series=size,
-                    n_periods=size,
-                    n_factors_true=n_factors_true,
-                    alpha_strength=alpha,
-                    rho_T=rho,
-                    seed=seed,
-                )
-                sigma_true = true_idio_cov(cfg)
-                sigma_true_inv = invert_sparse_cov(sigma_true)
-                truth_pattern = (sigma_true != 0) | (sigma_true_inv != 0)
-
-                def one_rep(rep, cfg=cfg, sigma_true=sigma_true, sigma_true_inv=sigma_true_inv,
-                            truth_pattern=truth_pattern):
-                    sim = generate_panel(cfg, replication=rep)
-                    X = sim.panel.X
-                    residual_sets = {}
-                    for extra in extra_factors:
-                        r_work = cfg.n_factors_true + extra
-                        W = sieve_weights(sim.z_chars, r_work)
-                        residual_sets[f"dp_R{r_work}"] = projection_fit(X, W).residuals
-                    if include_pc:
-                        residual_sets["pc"] = pc_factors(X, cfg.n_factors_true).residuals
-                    if include_known:
-                        B_hat = estimate_loadings(X, sim.F_true)
-                        residual_sets["known_factor"] = X - B_hat @ sim.F_true.T
-                    out = {}
-                    for method, U_hat in residual_sets.items():
-                        for C in C_values:
-                            rule = ThresholdRule(kind=rule_kind, constant_C=C)
-                            cov = sparse_idio_cov(U_hat, rule)
-                            # Both errors vanish outside the blocks of this union: the
-                            # inverses are block-diagonal over their own matrices' blocks.
-                            partition = _blocks((cov.sigma_u != 0) | truth_pattern)
-                            err = _sym_opnorm(cov.sigma_u - sigma_true, partition)
-                            inv_err = _sym_opnorm(invert_sparse_cov(cov) - sigma_true_inv, partition)
-                            out[(method, C)] = (err, inv_err)
-                    return out
-
-                per_rep = _map_replications(one_rep, n_reps, threads)
-                for key in per_rep[0]:
-                    method, C = key
-                    errs = np.array([res[key][0] for res in per_rep])
-                    inv_errs = np.array([res[key][1] for res in per_rep])
-                    err_mean, err_se = _mean_se(errs)
-                    inv_mean, inv_se = _mean_se(inv_errs)
-                    rows.append(
-                        {
-                            "alpha": alpha,
-                            "rho_T": rho,
-                            "N": size,
-                            "method": method,
-                            "C": C,
-                            "err_cov_mean": err_mean,
-                            "err_cov_se": err_se,
-                            "err_inv_mean": inv_mean,
-                            "err_inv_se": inv_se,
-                        }
-                    )
+    for (alpha, rho, size), per_rep in zip(grid, _replicate(rep_fn, cells, n_reps, threads)):
+        for method, C in per_rep[0]:
+            err_mean, err_se = _mean_se([res[method, C][0] for res in per_rep])
+            inv_mean, inv_se = _mean_se([res[method, C][1] for res in per_rep])
+            rows.append({"alpha": alpha, "rho_T": rho, "N": size, "method": method, "C": C,
+                         "err_cov_mean": err_mean, "err_cov_se": err_se,
+                         "err_inv_mean": inv_mean, "err_inv_se": inv_se})
     return rows
 
 
@@ -181,6 +212,25 @@ def _forecast_path(cfg: SimConfig, rep: int, n_steps: int, coef_factors, beta0: 
     return y_main, X_main, X_pre, sim.z_chars
 
 
+def _forecast_rep(cfg, rep, *, n_steps, schemes, extra_factors, epsilon):
+    """{method: rolling forecast MSE} of one replication, PC with the true r as "pc"."""
+    coef_factors = np.ones(cfg.n_factors_true)
+    y, X, X_pre, z = _forecast_path(cfg, rep, n_steps, coef_factors, 1.5, 0.5)
+    window = cfg.n_periods
+    out = {"pc": rolling_forecast(y, X, window, n_steps, PCScheme(cfg.n_factors_true)).mse}
+    # one scheme at the largest count; its siblings share each window's SVD
+    r_max = cfg.n_factors_true + max(extra_factors, default=0)
+    rolling = RollingWeightScheme(X_pre, r_max, epsilon)
+    for extra in extra_factors:
+        r_work = cfg.n_factors_true + extra
+        if "characteristic" in schemes:
+            sch = FixedWeightScheme(sieve_weights(z, r_work))
+            out[f"characteristic_R{r_work}"] = rolling_forecast(y, X, window, n_steps, sch).mse
+        if "rolling" in schemes:
+            out[f"rolling_R{r_work}"] = rolling_forecast(y, X, window, n_steps, rolling.with_factors(r_work)).mse
+    return out
+
+
 def experiment_forecast(
     window_sizes=(50, 100),
     rho_Ts=(0.0, 0.5, 0.9),
@@ -199,68 +249,51 @@ def experiment_forecast(
     The target follows y_{t+1} = 1.5 + 0.5 y_t + (1, 1)'f_t + eps with two
     true factors; each method is evaluated on identical windows and the
     per-replication MSE ratio to PC (true r) is averaged over replications.
+    `threads` counts worker processes, with the digits and the `__main__`
+    guard of `experiment_cov`.
     """
-    r = 2
-    coef_factors = np.ones(r)
+    grid = [(alpha, rho, window) for alpha in alphas for rho in rho_Ts for window in window_sizes]
+    cells = [SimConfig(n_series=n_series, n_periods=window, n_factors_true=2, alpha_strength=alpha,
+                       rho_T=rho, seed=seed) for alpha, rho, window in grid]
+    rep_fn = partial(_forecast_rep, n_steps=n_steps, schemes=schemes, extra_factors=extra_factors, epsilon=epsilon)
     rows = []
-    for alpha in alphas:
-        for rho in rho_Ts:
-            for window in window_sizes:
-                cfg = SimConfig(
-                    n_series=n_series,
-                    n_periods=window,
-                    n_factors_true=r,
-                    alpha_strength=alpha,
-                    rho_T=rho,
-                    seed=seed,
-                )
-
-                def one_rep(rep, cfg=cfg):
-                    y, X, X_pre, z = _forecast_path(cfg, rep, n_steps, coef_factors, 1.5, 0.5)
-                    window = cfg.n_periods
-                    mse_pc = rolling_forecast(
-                        y, X, window, n_steps, PCScheme(cfg.n_factors_true)
-                    ).mse
-                    out = {"pc": mse_pc}
-                    # one scheme at the largest count; its siblings share each window's SVD
-                    r_max = cfg.n_factors_true + max(extra_factors, default=0)
-                    rolling = RollingWeightScheme(X_pre, r_max, epsilon)
-                    for extra in extra_factors:
-                        r_work = cfg.n_factors_true + extra
-                        if "characteristic" in schemes:
-                            sch = FixedWeightScheme(sieve_weights(z, r_work))
-                            out[f"characteristic_R{r_work}"] = rolling_forecast(
-                                y, X, window, n_steps, sch
-                            ).mse
-                        if "rolling" in schemes:
-                            out[f"rolling_R{r_work}"] = rolling_forecast(
-                                y, X, window, n_steps, rolling.with_factors(r_work)
-                            ).mse
-                    return out
-
-                per_rep = _map_replications(one_rep, n_reps, threads)
-                for method in per_rep[0]:
-                    if method == "pc":
-                        continue
-                    ratios = np.array([res[method] / res["pc"] for res in per_rep])
-                    ratio_mean, ratio_se = _mean_se(ratios)
-                    rows.append(
-                        {
-                            "alpha": alpha,
-                            "rho_T": rho,
-                            "N": n_series,
-                            "T": window,
-                            "method": method,
-                            "mse_ratio_mean": ratio_mean,
-                            "mse_ratio_se": ratio_se,
-                        }
-                    )
+    for (alpha, rho, window), per_rep in zip(grid, _replicate(rep_fn, cells, n_reps, threads)):
+        for method in per_rep[0]:
+            if method == "pc":
+                continue
+            ratio_mean, ratio_se = _mean_se([res[method] / res["pc"] for res in per_rep])
+            rows.append({"alpha": alpha, "rho_T": rho, "N": n_series, "T": window, "method": method,
+                         "mse_ratio_mean": ratio_mean, "mse_ratio_se": ratio_se})
     return rows
 
 
 # ---------------------------------------------------------------------------
 # Post-selection inference study (z-statistics and coverage)
 # ---------------------------------------------------------------------------
+
+def _postsel_rep(cfg, rep, *, theta, beta, factor_coef, working_factors, include_plain, weights, C,
+                 s2_y, s2_g, level):
+    """{method: (standardized estimate, covered)} of one replication."""
+    rng = rep_rng(cfg.seed, rep)
+    sim = generate_panel(cfg, rng=rng)
+    x0 = sim.panel.X[:, 0]
+    X = sim.panel.X[:, 1:]
+    t = X.shape[1]
+    eps_g = rng.standard_normal(t)
+    eta = rng.standard_normal(t)
+    confounder = factor_coef * sim.F_true[1:, 0] if factor_coef and cfg.n_factors_true > 0 else 0.0
+    g = theta @ X + confounder + eps_g
+    y = beta * g + theta @ X + confounder + eta
+    designs = {f"dp_R{k}": _scheme_weights(weights, sim, k, x0) for k in working_factors}
+    if include_plain:
+        designs["plain"] = None
+    out = {}
+    for method, W in designs.items():
+        res = double_selection(y, g, X, W, C=C, sigma2_y=s2_y, sigma2_g=s2_g)
+        lo, hi = confidence_interval(res, level)
+        out[method] = ((res.beta_hat - beta) / res.se, lo <= beta <= hi)
+    return out
+
 
 def experiment_postsel(
     r_values=(0, 2),
@@ -310,6 +343,9 @@ def experiment_postsel(
     With `oracle_sigma` the penalty levels use the design's true residual
     variances (the penalty is defined through them; the feasible iteration
     is a stand-in for real data where they are unknown).
+
+    `threads` counts worker processes, with the digits and the `__main__`
+    guard of `experiment_cov`.
     """
     if support_offset is None:
         support_offset = SimConfig.n_blocks * SimConfig.block_size
@@ -317,65 +353,46 @@ def experiment_postsel(
         raise ValueError("sparse support does not fit into N series")
     theta = np.zeros(n_series)
     theta[support_offset : support_offset + len(sparse_coefs)] = sparse_coefs
-    s2_y = (beta**2 + 1.0) if oracle_sigma else None  # Var(beta eps_g + eta)
-    s2_g = 1.0 if oracle_sigma else None
+    # one extra column, the initial observation; serially independent errors in this design
+    cells = [SimConfig(n_series=n_series, n_periods=n_periods + 1, n_factors_true=r,
+                       alpha_strength=alpha_strength, rho_T=0.0, seed=seed) for r in r_values]
+    rep_fn = partial(
+        _postsel_rep, theta=theta, beta=beta, factor_coef=factor_coef, working_factors=working_factors,
+        include_plain=include_plain, weights=weights, C=C,
+        s2_y=(beta**2 + 1.0) if oracle_sigma else None,  # Var(beta eps_g + eta)
+        s2_g=1.0 if oracle_sigma else None, level=level,
+    )
     samples: dict[str, np.ndarray] = {}
     rows = []
-    for r in r_values:
-        cfg = SimConfig(
-            n_series=n_series,
-            n_periods=n_periods + 1,  # one extra column: the initial observation
-            n_factors_true=r,
-            alpha_strength=alpha_strength,
-            rho_T=0.0,  # serially independent errors in this design
-            seed=seed,
-        )
-        methods = [f"dp_R{k}" for k in working_factors] + (["plain"] if include_plain else [])
-
-        def one_rep(rep, cfg=cfg, r=r):
-            rng = rep_rng(cfg.seed, rep)
-            sim = generate_panel(cfg, rng=rng)
-            x0 = sim.panel.X[:, 0]
-            X = sim.panel.X[:, 1:]
-            t = X.shape[1]
-            eps_g = rng.standard_normal(t)
-            eta = rng.standard_normal(t)
-            confounder = factor_coef * sim.F_true[1:, 0] if factor_coef and r > 0 else 0.0
-            g = theta @ X + confounder + eps_g
-            y = beta * g + theta @ X + confounder + eta
-            out = {}
-            for k in working_factors:
-                W = _scheme_weights(weights, sim, k, x0)
-                res = double_selection(y, g, X, W, C=C, sigma2_y=s2_y, sigma2_g=s2_g)
-                lo, hi = confidence_interval(res, level)
-                out[f"dp_R{k}"] = ((res.beta_hat - beta) / res.se, lo <= beta <= hi)
-            if include_plain:
-                res = double_selection(y, g, X, None, C=C, sigma2_y=s2_y, sigma2_g=s2_g)
-                lo, hi = confidence_interval(res, level)
-                out["plain"] = ((res.beta_hat - beta) / res.se, lo <= beta <= hi)
-            return out
-
-        per_rep = _map_replications(one_rep, n_reps, threads)
-        for method in methods:
+    for r, per_rep in zip(r_values, _replicate(rep_fn, cells, n_reps, threads)):
+        for method in per_rep[0]:
             z = np.array([res[method][0] for res in per_rep])
             cover = np.array([res[method][1] for res in per_rep])
             samples[f"r{r}_{method}"] = z
-            rows.append(
-                {
-                    "r": r,
-                    "method": method,
-                    "mean_z": float(np.mean(z)),
-                    "std_z": float(np.std(z, ddof=1)),
-                    "coverage": float(np.mean(cover)),
-                    "level": level,
-                }
-            )
+            rows.append({"r": r, "method": method, "mean_z": float(np.mean(z)),
+                         "std_z": float(np.std(z, ddof=1)), "coverage": float(np.mean(cover)), "level": level})
     return samples, rows
 
 
 # ---------------------------------------------------------------------------
 # Specification test study (size and power)
 # ---------------------------------------------------------------------------
+
+def _spectest_rep(cell, rep, *, rule, n_draws, level):
+    """Whether the specification test rejects at `level` in one replication."""
+    cfg, gamma, scheme = cell
+    rng = rep_rng(cfg.seed, rep)
+    sim = generate_panel(cfg, rng=rng)
+    x0 = sim.panel.X[:, 0]
+    X = sim.panel.X[:, 1:]
+    F = sim.F_true[1:]
+    h = rng.standard_normal(F.shape)
+    G = F + gamma * h
+    W = _scheme_weights(scheme, sim, cfg.n_factors_true, x0)
+    boot_rng = rep_rng(cfg.seed, rep, stream=1)
+    res = spec_test(X, G, W, rule=rule, n_draws=n_draws, seed=cfg.seed, rng=boot_rng)
+    return res.p_value < level
+
 
 def experiment_spectest(
     gammas=(0.0, 0.2),
@@ -397,46 +414,18 @@ def experiment_spectest(
     power.  SCAD thresholding feeds the bias and variance plug-ins; the
     default C = 1 keeps those plug-ins nearly unbiased, which is what the
     test's size hinges on (larger constants over-shrink the block
-    covariances and inflate the statistic).
+    covariances and inflate the statistic).  `threads` counts worker
+    processes, with the digits and the `__main__` guard of `experiment_cov`.
     """
-    rule = replace(SPEC_TEST_RULE, constant_C=C)
+    grid = [(scheme, gamma, t_len) for scheme in schemes for gamma in gammas for t_len in T_values]
+    # an extra initial observation for initial weights
+    cells = [(SimConfig(n_series=n_series, n_periods=t_len + 1, n_factors_true=n_factors_true,
+                        alpha_strength=1.0, rho_T=0.0, seed=seed), gamma, scheme)
+             for scheme, gamma, t_len in grid]
+    rep_fn = partial(_spectest_rep, rule=replace(SPEC_TEST_RULE, constant_C=C), n_draws=n_draws, level=level)
     rows = []
-    for scheme in schemes:
-        for gamma in gammas:
-            for t_len in T_values:
-                cfg = SimConfig(
-                    n_series=n_series,
-                    n_periods=t_len + 1,  # extra initial observation for initial weights
-                    n_factors_true=n_factors_true,
-                    alpha_strength=1.0,
-                    rho_T=0.0,
-                    seed=seed,
-                )
-
-                def one_rep(rep, cfg=cfg, gamma=gamma, scheme=scheme):
-                    rng = rep_rng(cfg.seed, rep)
-                    sim = generate_panel(cfg, rng=rng)
-                    x0 = sim.panel.X[:, 0]
-                    X = sim.panel.X[:, 1:]
-                    F = sim.F_true[1:]
-                    h = rng.standard_normal(F.shape)
-                    G = F + gamma * h
-                    W = _scheme_weights(scheme, sim, cfg.n_factors_true, x0)
-                    boot_rng = rep_rng(cfg.seed, rep, stream=1)
-                    res = spec_test(X, G, W, rule=rule, n_draws=n_draws, seed=cfg.seed, rng=boot_rng)
-                    return res.p_value < level
-
-                rejects = np.array(_map_replications(one_rep, n_reps, threads), dtype=float)
-                rate, se = _mean_se(rejects)
-                rows.append(
-                    {
-                        "scheme": scheme,
-                        "gamma": gamma,
-                        "T": t_len,
-                        "N": n_series,
-                        "rejection_rate": rate,
-                        "mc_se": se,
-                        "level": level,
-                    }
-                )
+    for (scheme, gamma, t_len), rejects in zip(grid, _replicate(rep_fn, cells, n_reps, threads)):
+        rate, se = _mean_se(rejects)
+        rows.append({"scheme": scheme, "gamma": gamma, "T": t_len, "N": n_series,
+                     "rejection_rate": rate, "mc_se": se, "level": level})
     return rows

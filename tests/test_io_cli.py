@@ -2,10 +2,14 @@ import csv
 import functools
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,6 +506,22 @@ class TestCLI:
         assert run(["estimate", "--panel", str(path), "--threads", "2", "--out", str(tmp_path / "b")]) == 0
         assert json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]["threads"] == 2
 
+    @pytest.mark.parametrize("flag, env", [(["--threads", "0"], None), (["--threads", "-3"], None),
+                                           ([], "0")])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("DIVPROJ_THREADS", env)
+        out = tmp_path / "out"
+        assert run(["simulate", "--experiment", "table3", "--reps", "2", *flag, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("divproj: --threads")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["fig1", "table3"])
+    def test_zero_reps_is_an_error_without_traceback(self, tmp_path, capsys, name):
+        assert run(["simulate", "--experiment", name, "--reps", "0", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("divproj: ") and "n_reps" in err and "Traceback" not in err
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DIVPROJ_THREADS", "3")
         out = tmp_path / "env_out"
@@ -699,3 +719,23 @@ class TestSimulateSettings:
         assert run(["simulate", "--experiment", "table2", "--C", "3", "--out", str(tmp_path)]) == 1
         assert calls == []
         assert "--C" in capsys.readouterr().err
+
+
+def test_simulate_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path):
+    """`simulate` writes the same results.csv at 1 and 2 OpenBLAS threads, in process and in workers.
+
+    `main` runs the command again at one BLAS thread, which OpenBLAS reads
+    when numpy is imported, so each run needs its own interpreter.  On a
+    one-core host both settings run one thread, and the test cannot tell
+    them apart.
+    """
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    outputs = []
+    for blas, threads in [("1", "1"), ("2", "1"), ("2", "2")]:
+        out = tmp_path / f"blas{blas}_threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "divproj.cli", "simulate", "--experiment", "fig1", "--reps", "1",
+                        "--seed", "3", "--threads", threads, "--out", str(out)], env=env, check=True)
+        outputs.append((out / "results.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]

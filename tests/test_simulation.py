@@ -1,4 +1,5 @@
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import divproj
+from divproj import experiments
 from divproj.experiments import (
+    _worker_count,
     experiment_cov,
     experiment_forecast,
     experiment_postsel,
@@ -300,3 +303,70 @@ class TestExperimentDrivers:
         b = experiment_spectest(gammas=(0.0,), T_values=(60,), schemes=("characteristic",),
                                 n_reps=6, seed=5, threads=3)
         assert a == b
+
+    @pytest.mark.parametrize("study", [experiment_cov, experiment_forecast, experiment_postsel,
+                                       experiment_spectest])
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_raise(self, study, threads):
+        with pytest.raises(ValueError, match="threads"):
+            study(**SMALL_STUDIES[study.__name__], threads=threads)
+
+    @pytest.mark.parametrize("study", [experiment_cov, experiment_forecast, experiment_postsel,
+                                       experiment_spectest])
+    def test_no_replications_raise(self, study):
+        with pytest.raises(ValueError, match="n_reps"):
+            study(**{**SMALL_STUDIES[study.__name__], "n_reps": 0})
+
+    def test_worker_count_is_capped_by_jobs_and_cpus(self):
+        """The cap is computed without starting a process."""
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert 1 <= _worker_count(10_000, 3) <= min(3, cpus)
+        assert _worker_count(10_000, 10_000) == cpus
+        assert _worker_count(2, 1) == 1
+        assert _worker_count(2, 0) == 1
+
+
+# Small calls of each study, without `threads`
+SMALL_STUDIES = {
+    "experiment_cov": dict(sizes=(60, 100), alphas=(1.0,), rho_Ts=(0.7,), n_reps=3, seed=1),
+    "experiment_forecast": dict(window_sizes=(40,), rho_Ts=(0.5,), alphas=(1.0,), n_series=50,
+                                n_steps=10, n_reps=2, seed=2),
+    "experiment_postsel": dict(n_series=80, n_periods=80, n_reps=2, seed=3),
+    "experiment_spectest": dict(gammas=(0.0, 0.2), T_values=(60,), schemes=("characteristic",),
+                                n_series=60, n_reps=2, n_draws=200, seed=4),
+}
+
+
+def _bits(out):
+    """A study's output with arrays as bytes and scalars as their type and repr, for exact comparison."""
+    if isinstance(out, np.ndarray):
+        return out.dtype.str, out.shape, out.tobytes()
+    if isinstance(out, dict):
+        return {key: _bits(value) for key, value in out.items()}
+    if isinstance(out, (list, tuple)):
+        return [_bits(value) for value in out]
+    return type(out).__name__, repr(out)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_STUDIES))
+def test_worker_processes_give_the_one_blas_thread_digits(name):
+    """threads=2 from this process equals threads=1 in an interpreter pinned to one BLAS thread.
+
+    The workers pin their BLAS to one thread whatever this process runs
+    with.  At these sizes on a two-core OpenBLAS host only the covariance
+    study's digits move with the BLAS thread count; the other three check
+    the worker path itself.  On a one-core host this process runs one BLAS
+    thread too, and the test cannot tell the two apart.
+    """
+    kwargs = SMALL_STUDIES[name]
+    script = (
+        "import pickle, sys\n"
+        "from divproj import experiments\n"
+        f"sys.stdout.buffer.write(pickle.dumps(experiments.{name}(threads=1, **{kwargs!r})))\n"
+    )
+    src = str(Path(divproj.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    pinned = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True)
+    out = getattr(experiments, name)(threads=2, **kwargs)
+    assert _bits(out) == _bits(pickle.loads(pinned.stdout))
