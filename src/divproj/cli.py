@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import ThresholdRule, _inverse_rows, sparse_idio_cov
+from .covariance import KINDS, ThresholdRule, _inverse_rows, sparse_idio_cov
 from .exceptions import DivprojError
 from .experiments import (
     _ONE_BLAS_THREAD,
@@ -56,7 +56,6 @@ from .weights import build_weights, check_diversified
 
 SCHEME_CHOICES = ("hadamard", "walsh", "sieve", "rolling", "initial")
 THRESHOLD_RULE = ThresholdRule()  # the library's default thresholding constants
-RULE_CHOICES = ("hard", "soft", "scad")
 # `simulate --experiment` name -> (experiment, columns of results.csv)
 SIMULATIONS = {
     "fig1": (experiment_cov, ["alpha", "rho_T", "N", "method", "C",
@@ -136,7 +135,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("cov", help="sparse idiosyncratic covariance")
     p.add_argument("--panel", required=True)
     scheme_flags(p)
-    p.add_argument("--rule", choices=RULE_CHOICES, default=THRESHOLD_RULE.kind)
+    p.add_argument("--rule", choices=KINDS, default=THRESHOLD_RULE.kind)
     p.add_argument("--C", type=float, default=THRESHOLD_RULE.constant_C, help="threshold constant")
     p.add_argument("--scad-a", type=float, default=THRESHOLD_RULE.scad_a)
     p.add_argument("--sparse", action="store_true", help="write (i, j, value) triplets")
@@ -146,7 +145,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--panel", required=True)
     p.add_argument("--factors", required=True, help="observed factors CSV (panel layout)")
     scheme_flags(p, need_R=False)
-    p.add_argument("--rule", choices=RULE_CHOICES, default=SPEC_TEST_RULE.kind)
+    p.add_argument("--rule", choices=KINDS, default=SPEC_TEST_RULE.kind)
     p.add_argument("--C", type=float, default=None, help="threshold constant (spec_test's default if omitted)")
     p.add_argument("--draws", type=int, default=_default(spec_test, "n_draws"))
     common(p)
@@ -464,6 +463,8 @@ def run(argv=None) -> int:
         args = _parse(_build_parser(), argv)
         if args.threads < 1:
             raise UsageError(f"--threads (or DIVPROJ_THREADS) must be at least 1, got {args.threads}")
+        if args.seed < 0:
+            raise UsageError(f"--seed must be at least 0, got {args.seed}")
         return _COMMANDS[args.subcommand](args)
     except UsageError as exc:
         print(f"divproj: {exc}", file=sys.stderr)

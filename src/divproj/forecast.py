@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import projection
 from .exceptions import DimensionError, InsufficientDataError
-from .projection import _check_pc_rank, _pc_from_vt, _pc_scores, _solve_gram
+from .projection import _check_pc_rank, _pc_from_vt, _pc_scores, _solve_gram, estimate_factors
 from .weights import WeightMatrix, _rolling_history, _trimmed_weights
 
 # The rolling evaluator takes as many windows per block as keep the block's
@@ -105,7 +105,7 @@ def _windows(X: np.ndarray, start: int, window: int, count: int) -> np.ndarray:
 
 
 class FixedWeightScheme:
-    """Window factor estimates from one fixed diversified weight matrix."""
+    """Window factor estimates from one fixed weight matrix: one `estimate_factors` call per block of windows."""
 
     def __init__(self, weights: WeightMatrix):
         self.weights = weights
@@ -115,12 +115,7 @@ class FixedWeightScheme:
         return self.weights.n_working_factors
 
     def window_factors(self, X, start: int, window: int, count: int) -> np.ndarray:
-        W = self.weights.values
-        if W.shape[0] != X.shape[0]:
-            raise DimensionError(
-                f"weights have {W.shape[0]} rows but panel has {X.shape[0]} series"
-            )
-        return _windows(X, start, window, count).mT @ W / X.shape[0]
+        return estimate_factors(_windows(X, start, window, count), self.weights)
 
 
 class PCScheme:
@@ -191,7 +186,7 @@ class RollingWeightScheme:
         _check_pc_rank(_rolling_history(hist_wins[0], self.n_factors, self.epsilon), self.n_factors)
         vts = np.stack([self._window_vt(X, start + j, hist_wins[j]) for j in range(count)])
         _, loadings = _pc_from_vt(hist_wins, vts[:, : self.n_factors])
-        return _windows(X, start, window, count).mT @ _trimmed_weights(loadings, self.epsilon) / X.shape[0]
+        return estimate_factors(_windows(X, start, window, count), _trimmed_weights(loadings, self.epsilon))
 
     def _window_vt(self, X, start: int, hist_win: np.ndarray) -> np.ndarray:
         """The memoised leading rows of V' of the history window before column `start` of X."""

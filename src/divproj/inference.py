@@ -21,9 +21,10 @@ When an active-set gram is singular (a joining variable's Schur
 complement is at most _RANK_TOL times its diagonal entry), the check
 fails or the path takes more than 4N kinks, cyclic coordinate descent with
 active-set cycling solves the problem instead, from the caller's warm
-start; only this fallback builds the dense G.  The purged grams of the
-factor step are singular themselves (W'U_hat = 0); the path needs only
-its active-set grams to be regular.
+start; it reads only G's diagonal and the rows of the coefficients it moves,
+so no path builds the dense G.  The purged grams of the factor step are
+singular themselves (W'U_hat = 0); the path needs only its active-set
+grams to be regular.
 """
 
 from __future__ import annotations
@@ -67,24 +68,18 @@ class DoubleSelectionResult:
         return self.beta_hat / self.se
 
 
-def _dense_gram(D):
-    """The dense gram D'D/T of a T x N design."""
-    return D.T @ D / D.shape[0]
-
-
 class _GramRows:
     """The gram G = D'D/T of a T x N design D, one row at a time.
 
     ``G[j]`` is row j, computed as D'D[:, j]/T on first use and kept.
-    ``G @ v`` is D'(D v)/T.  ``np.asarray(G)`` builds the dense N x N gram
-    once; only the coordinate-descent fallback asks for it.  A dense
-    ndarray serves every solver here in place of this object.
+    ``G @ v`` is D'(D v)/T and ``G.diagonal()`` the column sums of D*D over
+    T, so no method builds the N x N gram.  A dense ndarray serves every
+    solver here in place of this object.
     """
 
     def __init__(self, D):
         self._D = D
         self._rows = {}
-        self._dense = None
 
     def __getitem__(self, j):
         row = self._rows.get(j)
@@ -95,10 +90,8 @@ class _GramRows:
     def __matmul__(self, v):
         return self._D.T @ (self._D @ v) / self._D.shape[0]
 
-    def __array__(self, dtype=None, copy=None):
-        if self._dense is None:
-            self._dense = _dense_gram(self._D)
-        return np.asarray(self._dense, dtype=dtype, copy=copy)
+    def diagonal(self):
+        return np.einsum("ij,ij->j", self._D, self._D) / self._D.shape[0]
 
 
 def _sweep(G, Gdiag, c, q, gamma, halftau, order) -> float:
@@ -124,14 +117,13 @@ def _cd_lasso(G, c, tau, gamma0=None, max_iter=1000, tol=1e-10):
     G = D'D/T and c = D'y/T, so the objective is
     mean(y^2) - 2 c'g + g'Gg + tau ||g||_1.  Returns (gamma, converged),
     where `converged` is False if the largest coefficient change of a full
-    sweep still exceeds `tol` after `max_iter` sweeps.  A `_GramRows` G is
-    made dense here.
+    sweep still exceeds `tol` after `max_iter` sweeps.  G (a `_GramRows` or
+    an ndarray) is read through G.diagonal(), G @ gamma0 and moved rows G[j].
     """
-    G = np.asarray(G)
     n = c.size
     gamma = np.zeros(n) if gamma0 is None else np.array(gamma0, dtype=float)
     q = G @ gamma if gamma0 is not None else np.zeros(n)
-    Gdiag = np.ascontiguousarray(np.diag(G))
+    Gdiag = G.diagonal()
     halftau = tau / 2.0
     all_idx = np.arange(n)
 

@@ -121,14 +121,15 @@ def _orthobasis(a: np.ndarray) -> np.ndarray:
 
 
 def estimate_factors(panel, weights: WeightMatrix | np.ndarray) -> np.ndarray:
-    """Diversified projection F_hat = X'W / N (T x R)."""
+    """Diversified projection F_hat = X'W / N (T x R).
+
+    Stacks (..., N, T) of panels, with one N x R W or a stack of them, give stacks (..., T, R).
+    """
     X = as_matrix(panel)
     W = weights.values if isinstance(weights, WeightMatrix) else np.asarray(weights, dtype=float)
-    if W.shape[0] != X.shape[0]:
-        raise DimensionError(
-            f"weights have {W.shape[0]} rows but panel has {X.shape[0]} series"
-        )
-    return X.T @ W / X.shape[0]
+    if W.shape[-2] != X.shape[-2]:
+        raise DimensionError(f"weights have {W.shape[-2]} rows but panel has {X.shape[-2]} series")
+    return X.mT @ W / X.shape[-2]
 
 
 def estimate_loadings(panel, factors: np.ndarray) -> np.ndarray:

@@ -93,8 +93,8 @@ def sigma_bootstrap(
     Small negative eigenvalues of V_hat are clipped at zero with a warning;
     negativity beyond rounding noise is an error.
     """
-    if n_draws < 1:
-        raise ValueError("n_draws must be positive")
+    if n_draws < 2:
+        raise ValueError(f"n_draws must be at least 2 for a standard deviation, got {n_draws}")
     A = np.atleast_2d(np.asarray(a_hat, dtype=float))
     V = np.atleast_2d(np.asarray(v_hat, dtype=float))
     V = (V + V.T) / 2.0

@@ -226,8 +226,6 @@ def check_diversified(weights: WeightMatrix | np.ndarray) -> WeightDiagnostics:
     eigs = np.linalg.eigvalsh(gram)
     lo, hi = float(eigs[0]), float(eigs[-1])
     cond = np.inf if lo <= 0 else hi / lo
-    if hi == 0.0:
-        cond = np.inf
     return WeightDiagnostics(
         max_abs_entry=float(np.max(np.abs(values))),
         min_eig_gram=lo,

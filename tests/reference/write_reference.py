@@ -45,14 +45,10 @@ CLI_N, CLI_T, CLI_SEED = 40, 60, 1001
 FDR_Q = 0.1
 
 
-def _write_table(path: Path, header, labels, body) -> None:
-    lines = [",".join(header)]
-    lines += [",".join([lab, *map(repr, row)]) for lab, row in zip(labels, body.tolist())]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _write_inputs(inputs: Path) -> None:
     """The panel, characteristics, target, treatment and observed factors of the subcommands."""
+    from divproj.io import write_matrix
+
     rng = np.random.default_rng(CLI_SEED)
     n, t = CLI_N, CLI_T
     z = np.sin(rng.standard_normal(n))
@@ -69,11 +65,11 @@ def _write_inputs(inputs: Path) -> None:
         y[j] = 1.5 + 0.5 * y[j - 1] + F[j - 1].sum() + 0.5 * g[j] + rng.standard_normal()
     times = [str(j + 1) for j in range(t)]
     series = [f"s{i + 1}" for i in range(n)]
-    _write_table(inputs / "panel.csv", ["time", *series], times, X.T)
-    _write_table(inputs / "chars.csv", ["series", "z"], series, z[:, None])
-    _write_table(inputs / "target.csv", ["time", "y"], times, y[:, None])
-    _write_table(inputs / "treatment.csv", ["time", "g"], times, g[:, None])
-    _write_table(inputs / "factors.csv", ["time", "g1", "g2"], times, F + 0.1 * rng.standard_normal((t, 2)))
+    write_matrix(inputs / "panel.csv", X.T, times, series, corner="time")
+    write_matrix(inputs / "chars.csv", z[:, None], series, ["z"], corner="series")
+    write_matrix(inputs / "target.csv", y[:, None], times, ["y"], corner="time")
+    write_matrix(inputs / "treatment.csv", g[:, None], times, ["g"], corner="time")
+    write_matrix(inputs / "factors.csv", F + 0.1 * rng.standard_normal((t, 2)), times, ["g1", "g2"], corner="time")
 
 
 def _commands(inputs: Path, out: Path) -> dict[str, list[str]]:

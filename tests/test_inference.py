@@ -42,6 +42,11 @@ def gram_form(design, response):
     return design.T @ design / t, design.T @ response / t
 
 
+def dense_gram(G):
+    """The dense D'D/T of a `_GramRows` G, built from its design."""
+    return G._D.T @ G._D / G._D.shape[0]
+
+
 def correlated_design(seed):
     """(G, c) of a 40 x 30 design whose neighbouring columns correlate (a random walk across columns)."""
     rng = np.random.default_rng(seed)
@@ -243,7 +248,7 @@ class TestHomotopyLasso:
         fallbacks = counting(monkeypatch, inference, "_cd_lasso")
         unconverged = 0
         for G, c, tau, gamma0 in calls:
-            assert np.linalg.eigvalsh(G)[0] <= 1e-5
+            assert np.linalg.eigvalsh(dense_gram(G))[0] <= 1e-5
             n_before = len(fallbacks)
             gamma, _ = _lasso(G, c, tau, gamma0=gamma0)
             reference, converged = _cd_lasso(G, c, tau, gamma0=gamma0)
@@ -356,7 +361,7 @@ def design_calls(monkeypatch):
 
 
 class TestGramRowsOnDemand:
-    """The lasso reads G = D'D/T row by row; only coordinate descent builds it whole."""
+    """The lasso reads G = D'D/T row by row, and no path builds it whole."""
 
     def test_results_equal_the_dense_gram(self, monkeypatch):
         """Bitwise-equal results with the dense gram, and c - G gamma moved by rounding only."""
@@ -364,7 +369,7 @@ class TestGramRowsOnDemand:
 
         def measuring(G, c, tau, gamma0=None):
             gamma, converged = _lasso(G, c, tau, gamma0=gamma0)
-            dense = np.asarray(G)
+            dense = dense_gram(G)
             moves.append(np.max(np.abs((c - G @ gamma) - (c - dense @ gamma))) / max(np.max(np.abs(c)), 1.0))
             return gamma, converged
 
@@ -375,30 +380,30 @@ class TestGramRowsOnDemand:
                 m.setattr(inference, "_lasso", measuring)
                 res = double_selection(*args, **kwargs)
             with monkeypatch.context() as m:
-                m.setattr(inference, "_GramRows", inference._dense_gram)
+                m.setattr(inference, "_GramRows", lambda D: D.T @ D / D.shape[0])
                 ref = double_selection(*args, **kwargs)
             np.testing.assert_array_equal(res.selected, ref.selected)
             assert res.beta_hat == ref.beta_hat and res.se == ref.se
         assert len(moves) >= 2 * len(calls)
         assert max(moves) < 1e-13
 
-    def test_dense_gram_only_in_the_fallback(self, monkeypatch):
-        built = []
-        dense_gram = inference._dense_gram
-
-        def counting(D):
-            built.append(D.shape)
-            return dense_gram(D)
-
-        calls = design_calls(monkeypatch)
-        monkeypatch.setattr(inference, "_dense_gram", counting)
-        for args, kwargs in calls:
-            double_selection(*args, **kwargs)
-        assert built == []
+    def test_forced_fallback_stays_below_the_dense_gram(self, monkeypatch):
+        """Coordinate descent alone, at N = 1200 and T = 240, peaks below 8 N^2 bytes and keeps the path's answer."""
+        y, g, X, W = purged_panel(0, 1200, 240)
+        path = double_selection(y, g, X, W)
         monkeypatch.setattr(inference, "_homotopy_lasso", lambda G, c, tau: None)
-        res = double_selection(*calls[-1][0])
-        assert built == [(240, 600)]
+        fallbacks = counting(monkeypatch, inference, "_cd_lasso")
+        tracemalloc.start()
+        try:
+            res = double_selection(y, g, X, W)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(fallbacks) >= 2
+        assert peak < 8 * 1200**2
         assert res.selected.size > 0
+        np.testing.assert_array_equal(res.selected, path.selected)
+        assert res.beta_hat == path.beta_hat
 
     def test_desk_sized_call_stays_below_the_dense_gram(self):
         """One call at N = 1200, T = 240 peaks below 8 N^2 bytes, the size of G alone."""
@@ -433,8 +438,7 @@ class TestGramRowsOnDemand:
         np.testing.assert_allclose(first, dense[7], rtol=1e-13, atol=1e-15)
         v = rng.standard_normal(30)
         np.testing.assert_allclose(G @ v, dense @ v, rtol=1e-12, atol=1e-14)
-        assert np.asarray(G) is np.asarray(G)
-        np.testing.assert_array_equal(np.asarray(G), dense)
+        np.testing.assert_allclose(G.diagonal(), np.diag(dense), rtol=1e-13, atol=1e-15)
 
 
 def recorded_paths(run):

@@ -506,6 +506,28 @@ class TestCLI:
         assert run(["estimate", "--panel", str(path), "--threads", "2", "--out", str(tmp_path / "b")]) == 0
         assert json.loads((tmp_path / "b" / "manifest.json").read_text())["config"]["threads"] == 2
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--experiment", "table3", "--reps", "1"],
+        ["spectest", "--panel", "panel.csv", "--factors", "factors.csv"],
+    ])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run([*command, "--seed", "-1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("divproj: --seed")
+        assert not out.exists()
+
+    def test_one_bootstrap_draw_is_a_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        F = rng.standard_normal((50, 2))
+        panel, factors = tmp_path / "panel.csv", tmp_path / "factors.csv"
+        write_panel(panel, PanelData(rng.standard_normal((12, 2)) @ F.T + rng.standard_normal((12, 50))))
+        write_panel(factors, PanelData(F.T, series_ids=["f1", "f2"]))
+        out = tmp_path / "out"
+        assert run(["spectest", "--panel", str(panel), "--factors", str(factors), "--scheme", "hadamard",
+                    "--draws", "1", "--out", str(out)]) == 2
+        assert "n_draws must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag, env", [(["--threads", "0"], None), (["--threads", "-3"], None),
                                            ([], "0")])
     def test_threads_below_one_is_a_usage_error(self, tmp_path, monkeypatch, capsys, flag, env):

@@ -119,6 +119,11 @@ class TestSigmaBootstrap:
         with pytest.raises(ValueError):
             sigma_bootstrap(np.eye(2), np.diag([1.0, -0.5]), n_draws=100, seed=0)
 
+    def test_one_draw_rejected(self):
+        """One draw has no sample standard deviation (ddof=1), so no p-value."""
+        with pytest.raises(ValueError, match="n_draws must be at least 2"):
+            sigma_bootstrap(np.eye(2), np.eye(2), n_draws=1, seed=0)
+
 
 def _null_instance(rep, t_len=100, seed=17):
     cfg = SimConfig(n_series=200, n_periods=t_len + 1, n_factors_true=2,
