@@ -28,6 +28,11 @@ inverses are kept apart (`_inverse_blocks`), so a caller that writes the
 inverse row by row never holds it as a dense N x N array.  An operator
 norm may be taken over a coarser partition, one whose blocks hold whole
 components, so one partition can serve several matrices.
+
+`sparse_idio_cov` and `invert_sparse_cov` return new arrays.  Their private
+forms, `_threshold_cov` and `_invert_into`, write into an N x N array that
+the caller gives, with the same bits, so a caller that makes many
+estimates (the covariance study) can reuse its buffers.
 """
 
 from __future__ import annotations
@@ -140,13 +145,22 @@ def sparse_idio_cov(residuals_hat: np.ndarray, rule: ThresholdRule) -> SparseCov
     exactly symmetric.  Its S may then differ from the view's product in
     the last bits.
     """
+    return _threshold_cov(residuals_hat, rule)
+
+
+def _threshold_cov(residuals_hat: np.ndarray, rule: ThresholdRule, out: np.ndarray | None = None) -> SparseCovariance:
+    """`sparse_idio_cov`, with S written into `out` (a C-contiguous float N x N array) when one is given.
+
+    numpy hands U U' to syrk with or without `out`, so both give the same
+    bits.  The result's `sigma_u` is `out` itself.
+    """
     U = np.atleast_2d(np.asarray(residuals_hat, dtype=float))
     if not (U.flags.c_contiguous or U.flags.f_contiguous):
         U = np.ascontiguousarray(U)
     n, t = U.shape
     if t < 2:
         raise DegenerateDataError("need at least two time periods")
-    S = U @ U.T
+    S = np.matmul(U, U.T, out=out)
     S /= t
     d = np.diag(S).copy()
     if np.any(d <= 0):
@@ -235,15 +249,15 @@ def _above_floor(sigma: np.ndarray, singles: np.ndarray, blocks: list[np.ndarray
     return True
 
 
-def _inverse_blocks(sigma: np.ndarray):
+def _inverse_blocks(sigma: np.ndarray, stacklevel: int = 3):
     """The inverse of a symmetric `sigma` by connected blocks, repaired as in `invert_sparse_cov`.
 
     Returns (blocks, inverses, singles, inverse_singles): the `_blocks`
     partition, the inverse of each block (in the order of its members),
     and the inverse's diagonal at the singletons.  The inverse is zero
     everywhere else.  Each block is copied, shifted, inverted and released
-    one at a time.  The shift's warning names the caller of this helper's
-    caller.
+    one at a time.  The shift's warning is raised at `stacklevel`; the
+    default names the caller of this helper's caller.
     """
     d = np.diagonal(sigma)
     mean_diag = float(np.mean(d))
@@ -263,7 +277,7 @@ def _inverse_blocks(sigma: np.ndarray):
                 f"covariance smallest eigenvalue {lam_min:.3g} <= floor {eig_floor:.3g}; "
                 f"shifting diagonal by {shift:.3g} before inversion",
                 NumericalWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
     inverses = []
     for b in blocks:
@@ -318,8 +332,16 @@ def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
     than that rounding.
     """
     sigma = cov.sigma_u if isinstance(cov, SparseCovariance) else np.asarray(cov, dtype=float)
-    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma)
-    out = np.zeros_like(sigma)
+    return _invert_into(sigma, np.empty_like(sigma))
+
+
+def _invert_into(sigma: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write `invert_sparse_cov(sigma)` into `out`, an N x N float array, from `_inverse_blocks`; returns `out`.
+
+    The shift's warning names the caller of this helper's caller.
+    """
+    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma, stacklevel=4)
+    out.fill(0.0)
     out[singles, singles] = inverse_singles
     for b, inverse in zip(blocks, inverses):
         out[np.ix_(b, b)] = inverse

@@ -25,13 +25,13 @@ from functools import partial
 
 import numpy as np
 
-from .covariance import ThresholdRule, _blocks, _sym_opnorm, invert_sparse_cov, sparse_idio_cov
+from .covariance import ThresholdRule, _blocks, _invert_into, _sym_opnorm, _threshold_cov, invert_sparse_cov
 from .forecast import FixedWeightScheme, PCScheme, RollingWeightScheme, rolling_forecast
 from .inference import confidence_interval, double_selection
 from .projection import estimate_loadings, fit as projection_fit, pc_factors
 from .simulation import SimConfig, generate_panel, loading_scale, rep_rng, true_idio_cov
 from .spectest import DEFAULT_RULE as SPEC_TEST_RULE
-from .spectest import spec_test
+from .spectest import _check_draws, spec_test
 from .weights import WeightMatrix, build_weights, sieve_weights
 
 # the environment of a process whose BLAS runs one thread; the BLAS reads it when numpy loads
@@ -100,32 +100,51 @@ def _scheme_weights(scheme: str, sim, r_work: int, x0: np.ndarray) -> WeightMatr
 # Covariance estimation study (operator-norm errors against the dimension)
 # ---------------------------------------------------------------------------
 
-def _cov_rep(cell, rep, *, C_values, rule_kind, extra_factors, include_pc, include_known):
-    """{(method, C): (covariance error, inverse error)} of one replication."""
-    cfg, sigma_true, sigma_true_inv, truth_pattern = cell
-    sim = generate_panel(cfg, replication=rep)
-    X = sim.panel.X
-    residual_sets = {}
+def _cov_residuals(X, z, F, r, extra_factors, include_pc, include_known):
+    """(method, N x T residuals) of each factor estimate of the covariance study, one set at a time."""
     for extra in extra_factors:
-        r_work = cfg.n_factors_true + extra
-        W = sieve_weights(sim.z_chars, r_work)
-        residual_sets[f"dp_R{r_work}"] = projection_fit(X, W).residuals
+        yield f"dp_R{r + extra}", projection_fit(X, sieve_weights(z, r + extra)).residuals
     if include_pc:
-        residual_sets["pc"] = pc_factors(X, cfg.n_factors_true).residuals
+        yield "pc", pc_factors(X, r).residuals
     if include_known:
-        B_hat = estimate_loadings(X, sim.F_true)
-        residual_sets["known_factor"] = X - B_hat @ sim.F_true.T
+        yield "known_factor", X - estimate_loadings(X, F) @ F.T
+
+
+def _cov_errors(U_hat, rule, cell, S, E):
+    """(covariance error, inverse error) of one thresholded estimate, made in the N x N buffers S and E.
+
+    S receives the estimate, and E its error and then its inverse's error.
+    Each error is the whole-matrix difference `a - b` written in place, so
+    its bits are those of the difference.
+    """
+    _, sigma_true, sigma_true_inv, truth_pattern = cell
+    _threshold_cov(U_hat, rule, out=S)
+    # Both errors vanish outside the blocks of this union: the
+    # inverses are block-diagonal over their own matrices' blocks.
+    partition = _blocks((S != 0) | truth_pattern)
+    err = _sym_opnorm(np.subtract(S, sigma_true, out=E), partition)
+    _invert_into(S, E)  # a shift's warning names _cov_rep
+    E -= sigma_true_inv
+    return err, _sym_opnorm(E, partition)
+
+
+def _cov_rep(cell, rep, *, C_values, rule_kind, extra_factors, include_pc, include_known):
+    """{(method, C): (covariance error, inverse error)} of one replication.
+
+    One residual set is alive at a time: each is thresholded at every C
+    and both errors are taken before the next is made.  All estimates of
+    the replication share two N x N buffers (`_cov_errors`).
+    """
+    cfg = cell[0]
+    sim = generate_panel(cfg, replication=rep)
+    X, z, F = sim.panel.X, sim.z_chars, sim.F_true
+    del sim  # and with it the simulated noise
+    S, E = np.empty((2, cfg.n_series, cfg.n_series))
     out = {}
-    for method, U_hat in residual_sets.items():
+    for method, U_hat in _cov_residuals(X, z, F, cfg.n_factors_true, extra_factors, include_pc, include_known):
         for C in C_values:
-            rule = ThresholdRule(kind=rule_kind, constant_C=C)
-            cov = sparse_idio_cov(U_hat, rule)
-            # Both errors vanish outside the blocks of this union: the
-            # inverses are block-diagonal over their own matrices' blocks.
-            partition = _blocks((cov.sigma_u != 0) | truth_pattern)
-            err = _sym_opnorm(cov.sigma_u - sigma_true, partition)
-            inv_err = _sym_opnorm(invert_sparse_cov(cov) - sigma_true_inv, partition)
-            out[(method, C)] = (err, inv_err)
+            out[(method, C)] = _cov_errors(U_hat, ThresholdRule(kind=rule_kind, constant_C=C), cell, S, E)
+        del U_hat  # before the next set is made
     return out
 
 
@@ -149,6 +168,11 @@ def experiment_cov(
     working factor counts r + extra, the PC estimator with the true r, and
     the known-factor benchmark, all thresholded with the same rule.  N = T
     along `sizes`.  Returns a list of result rows.
+
+    A replication makes its residual sets one at a time and writes each
+    estimate's S and both error matrices into two N x N buffers, which its
+    estimates share; the errors keep the bits of the whole-matrix
+    differences (`_cov_errors`).
 
     At `threads=1` the replications run in this process, at its BLAS's
     digits; above 1, in up to `threads` spawned one-BLAS-thread workers,
@@ -416,7 +440,9 @@ def experiment_spectest(
     test's size hinges on (larger constants over-shrink the block
     covariances and inflate the statistic).  `threads` counts worker
     processes, with the digits and the `__main__` guard of `experiment_cov`.
+    n_draws < 2 raises `spec_test`'s ValueError before any panel is drawn.
     """
+    _check_draws(n_draws)
     grid = [(scheme, gamma, t_len) for scheme in schemes for gamma in gammas for t_len in T_values]
     # an extra initial observation for initial weights
     cells = [(SimConfig(n_series=n_series, n_periods=t_len + 1, n_factors_true=n_factors_true,

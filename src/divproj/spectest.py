@@ -78,6 +78,11 @@ def mean_hat(factors_est: np.ndarray, weights: WeightMatrix | np.ndarray, sigma_
     return _plug_ins(F, W.T @ np.asarray(sigma_u, dtype=float) @ W, W.shape[0])[1]
 
 
+def _check_draws(n_draws: int) -> None:
+    if n_draws < 2:
+        raise ValueError(f"n_draws must be at least 2 for a standard deviation, got {n_draws}")
+
+
 def sigma_bootstrap(
     a_hat: np.ndarray,
     v_hat: np.ndarray,
@@ -93,8 +98,7 @@ def sigma_bootstrap(
     Small negative eigenvalues of V_hat are clipped at zero with a warning;
     negativity beyond rounding noise is an error.
     """
-    if n_draws < 2:
-        raise ValueError(f"n_draws must be at least 2 for a standard deviation, got {n_draws}")
+    _check_draws(n_draws)
     A = np.atleast_2d(np.asarray(a_hat, dtype=float))
     V = np.atleast_2d(np.asarray(v_hat, dtype=float))
     V = (V + V.T) / 2.0
@@ -137,8 +141,10 @@ def spec_test(
     fitting R factor loadings; without it the test over-rejects in small
     samples.  The rescale is made in place on the thresholded matrix, so
     the test holds one N x N array.  A noiseless panel has V = 0, and no
-    N x N matrix is built for it.
+    N x N matrix is built for it.  n_draws < 2 raises `sigma_bootstrap`'s
+    ValueError before any of the work.
     """
+    _check_draws(n_draws)
     G = np.atleast_2d(np.asarray(observed, dtype=float))
     W = weights if isinstance(weights, WeightMatrix) else WeightMatrix(np.asarray(weights, dtype=float))
     if W.n_working_factors != G.shape[1]:

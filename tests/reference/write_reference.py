@@ -16,6 +16,7 @@ and why, in CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -137,6 +138,23 @@ def _environment() -> dict:
     }
 
 
+@contextlib.contextmanager
+def _recording(module, name: str, keep, record: list):
+    """Within the block, each call of `module.name` appends keep(args, result) to `record`."""
+    fn = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        res = fn(*args, **kwargs)
+        record.append(keep(args, res))
+        return res
+
+    setattr(module, name, recording)
+    try:
+        yield
+    finally:
+        setattr(module, name, fn)
+
+
 def compute() -> dict:
     """The reference values, the smallest decision margins and the environment, in this process.
 
@@ -144,26 +162,18 @@ def compute() -> dict:
     recorded number and the cut-off of a decision taken on it: the
     post-selection study's coverage (|z| against the normal quantile),
     the spec-test study's rejections (each replication's p-value against
-    the level) and the `fdr` command's Benjamini-Hochberg rejections (the
-    k-th smallest p-value against k q / N).
+    the level), the `cov` command's thresholding (each off-diagonal |s_ij|
+    of S = U U'/T against its threshold tau_ij, which decides whether
+    sigma_u.csv holds a zero) and the `fdr` command's Benjamini-Hochberg
+    rejections (the k-th smallest p-value against k q / N).
     """
-    from divproj import cli, experiments
+    from divproj import cli, covariance, experiments
 
     values, margins = {}, {}
     p_values = []
-    spec_test = experiments.spec_test
-
-    def recording(*args, **kwargs):
-        res = spec_test(*args, **kwargs)
-        p_values.append(res.p_value)
-        return res
-
-    experiments.spec_test = recording
-    try:
+    with _recording(experiments, "spec_test", lambda args, res: res.p_value, p_values):
         for name, kwargs in STUDIES.items():
             values[name] = _plain(getattr(experiments, name)(threads=1, **kwargs))
-    finally:
-        experiments.spec_test = spec_test
     samples, rows = values["experiment_postsel"]
     values["experiment_postsel"] = {"rows": rows, "z_samples": samples}
 
@@ -178,12 +188,21 @@ def compute() -> dict:
         inputs.mkdir()
         _write_inputs(inputs)
         values["cli"] = {}
+        thresholded = {}  # each command's (s, tau) row blocks
+
+        def copies(args, res):  # the caller overwrites S's row block with the result
+            return np.array(args[0]), np.array(args[1])
+
         for name, argv in _commands(inputs, out).items():
-            if cli.run(argv) != 0:
-                raise RuntimeError(f"divproj {name} failed")
+            with _recording(covariance, "threshold_value", copies, thresholded.setdefault(name, [])):
+                if cli.run(argv) != 0:
+                    raise RuntimeError(f"divproj {name} failed")
             values["cli"][name] = {
                 path.name: _read_output(path) for path in sorted((out / name).iterdir()) if path.name != "manifest.json"
             }
+    s, tau = (np.vstack(x) for x in zip(*thresholded["cov"]))  # the command's one S, row block after row block
+    off = ~np.eye(CLI_N, dtype=bool)
+    margins["cov thresholding"] = float(np.min(np.abs(np.abs(s[off]) - tau[off]) / tau[off]))
     p = np.sort(values["cli"]["fdr"]["fdr.csv"]["p"])
     cut = FDR_Q * np.arange(1, p.size + 1) / p.size
     margins["fdr rejections"] = float(np.min(np.abs(p - cut) / cut))

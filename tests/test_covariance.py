@@ -2,7 +2,8 @@ import ast
 import os
 import subprocess
 import sys
-import tracemalloc
+import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,8 @@ from divproj.covariance import (
 )
 from divproj.exceptions import DegenerateDataError, NumericalWarning
 from divproj.experiments import experiment_cov
-from divproj.projection import fit
-from divproj.simulation import SimConfig, cross_section_cov, generate_panel
+from divproj.projection import estimate_loadings, fit, pc_factors
+from divproj.simulation import SimConfig, cross_section_cov, generate_panel, true_idio_cov
 from divproj.weights import sieve_weights
 
 HARD = ThresholdRule(kind="hard", constant_C=2.0)
@@ -283,8 +284,9 @@ class TestInvertSparseCov:
 
     def test_eigenvalue_floor_shift(self):
         sigma = np.diag([2.0, 2.0, -1.0])  # indefinite; the floor is 1e-6 x mean diagonal = 1e-6
-        with pytest.warns(NumericalWarning, match="shifting diagonal"):
+        with pytest.warns(NumericalWarning, match="shifting diagonal") as record:
             inv = invert_sparse_cov(sigma)
+        assert record[0].filename == __file__  # the warning names the caller
         # the diagonal is shifted by 1e-6 - (-1) before inversion
         np.testing.assert_allclose(inv, np.diag(1.0 / np.array([3.0 + 1e-6, 3.0 + 1e-6, 1e-6])), rtol=1e-9)
 
@@ -341,16 +343,6 @@ class TestInvertSparseCov:
         assert [s.tobytes() for s in seen] == [e.tobytes() for e in expected]
 
 
-def _traced_peak(fn, *args):
-    """The peak of the memory fn(*args) allocates, in bytes, under tracemalloc."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestOneNByNArray:
     """At N = 1200, T = 240 the covariance path holds one N x N array (8 N^2 bytes) and row blocks.
 
@@ -367,13 +359,13 @@ class TestOneNByNArray:
         U[: self.N // 2] += 0.3 * U[self.N // 2 :]
         return U
 
-    def test_sparse_idio_cov_peak(self, residuals):
-        assert _traced_peak(sparse_idio_cov, residuals, SCAD) < 1.25 * 8 * self.N**2
+    def test_sparse_idio_cov_peak(self, residuals, traced_peak):
+        assert traced_peak(sparse_idio_cov, residuals, SCAD) < 1.25 * 8 * self.N**2
 
-    def test_sparsity_m_peak(self, residuals):
+    def test_sparsity_m_peak(self, residuals, traced_peak):
         cov = sparse_idio_cov(residuals, SCAD)
         for q in (0.0, 1.0):
-            assert _traced_peak(cov.sparsity_m, q) < 0.25 * 8 * self.N**2
+            assert traced_peak(cov.sparsity_m, q) < 0.25 * 8 * self.N**2
 
 
 def _permuted_blocks(rng, spd: bool):
@@ -516,6 +508,76 @@ def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
     assert len(counted) == n_cells + 2 * n_estimates
     monkeypatch.setattr(experiments, "_sym_opnorm", lambda e, partition: _sym_opnorm(e))
     assert rows == experiment_cov(**kwargs)
+
+
+def _whole_matrix_errors(cfg, rep, rule_kind, C_values, extra_factors):
+    """{(method, C): (covariance error, inverse error)} of one replication, from fresh whole N x N matrices."""
+    sigma_true = true_idio_cov(cfg)
+    sigma_true_inv = invert_sparse_cov(sigma_true)
+    truth_pattern = (sigma_true != 0) | (sigma_true_inv != 0)
+    sim = generate_panel(cfg, replication=rep)
+    X, F, r = sim.panel.X, sim.F_true, cfg.n_factors_true
+    residual_sets = {f"dp_R{r + e}": fit(X, sieve_weights(sim.z_chars, r + e)).residuals for e in extra_factors}
+    residual_sets["pc"] = pc_factors(X, r).residuals
+    residual_sets["known_factor"] = X - estimate_loadings(X, F) @ F.T
+    out = {}
+    for method, U in residual_sets.items():
+        for C in C_values:
+            cov = sparse_idio_cov(U, ThresholdRule(kind=rule_kind, constant_C=C))
+            partition = _blocks((cov.sigma_u != 0) | truth_pattern)
+            out[method, C] = (_sym_opnorm(cov.sigma_u - sigma_true, partition),
+                              _sym_opnorm(invert_sparse_cov(cov) - sigma_true_inv, partition))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::divproj.exceptions.NumericalWarning")  # the oracle's own shifts
+@pytest.mark.parametrize("rule_kind", KINDS)
+def test_covariance_study_errors_equal_the_whole_matrix_formulas(rule_kind):
+    """Every bit of the study's err_* equals that of the errors of fresh whole matrices.
+
+    The study streams its residual sets and writes S and both error
+    matrices into reused buffers; the oracle makes each set and matrix anew.
+    Hard thresholding at C = 1 leaves indefinite estimates here, whose
+    inverses take an eigenvalue shift.
+    """
+    sizes, alphas, n_reps, C_values, extra = (40, 60), (0.5, 1.0), 2, (1.0, 2.0), (0, 2)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        rows = experiment_cov(sizes=sizes, alphas=alphas, rho_Ts=(0.7,), n_reps=n_reps, seed=5,
+                              C_values=C_values, rule_kind=rule_kind, extra_factors=extra)
+    shifted = {w.filename for w in record if issubclass(w.category, NumericalWarning)}
+    assert shifted == ({experiments.__file__} if rule_kind == "hard" else set())  # the warnings name the study
+    expected = []
+    for alpha in alphas:
+        for size in sizes:
+            cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=1, alpha_strength=alpha, rho_T=0.7, seed=5)
+            per_rep = [_whole_matrix_errors(cfg, rep, rule_kind, C_values, extra) for rep in range(n_reps)]
+            for method, C in per_rep[0]:
+                err_mean, err_se = experiments._mean_se([res[method, C][0] for res in per_rep])
+                inv_mean, inv_se = experiments._mean_se([res[method, C][1] for res in per_rep])
+                expected.append({"alpha": alpha, "rho_T": 0.7, "N": size, "method": method, "C": C,
+                                 "err_cov_mean": err_mean, "err_cov_se": err_se,
+                                 "err_inv_mean": inv_mean, "err_inv_se": inv_se})
+    assert len(rows) == 2 * 2 * 4 * 2  # alphas x sizes x methods x C
+    assert rows == expected
+
+
+def test_covariance_replication_holds_one_residual_set_and_two_buffers(traced_peak):
+    """One replication of the benchmark's shape at N = T = 300 peaks below 8 x 8 N^2 bytes.
+
+    tracemalloc peaks: 12.4 x 8 N^2 with all six residual sets alive and
+    fresh N x N arrays for each estimate's S, inverse and two errors, 6.4 x
+    8 N^2 with one set at a time and two reused buffers.
+    """
+    n = 300
+    cfg = SimConfig(n_series=n, n_periods=n, n_factors_true=1, rho_T=0.7, seed=3)
+    sigma_true = true_idio_cov(cfg)
+    sigma_true_inv = invert_sparse_cov(sigma_true)
+    cell = (cfg, sigma_true, sigma_true_inv, (sigma_true != 0) | (sigma_true_inv != 0))
+    rep = partial(experiments._cov_rep, C_values=(1.0, 2.0), rule_kind="scad", extra_factors=(0, 1, 2, 3),
+                  include_pc=True, include_known=True)
+    rep(cell, 0)  # numpy's one-time allocations
+    assert traced_peak(rep, cell, 1) < 8 * 8 * n**2
 
 
 def _imports(node, package: str) -> bool:

@@ -1,4 +1,3 @@
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -447,7 +446,7 @@ class TestForecastArguments:
                              scheme=PCScheme(1))
 
 
-def test_blocks_bound_the_memory_of_a_study_sized_forecast():
+def test_blocks_bound_the_memory_of_a_study_sized_forecast(traced_peak):
     """One rolling forecast at the study's size stays below a stack of every window.
 
     N = 100, window 100, 50 steps, rolling weights with R = 5.  tracemalloc
@@ -460,10 +459,4 @@ def test_blocks_bound_the_memory_of_a_study_sized_forecast():
     history = rng.standard_normal((n, window + 1))
     y = rng.standard_normal(window + steps + 1)
     rolling_forecast(y, X, window, steps, RollingWeightScheme(history, 5))  # numpy's one-time allocations
-    tracemalloc.start()
-    try:
-        rolling_forecast(y, X, window, steps, RollingWeightScheme(history, 5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert traced_peak(lambda: rolling_forecast(y, X, window, steps, RollingWeightScheme(history, 5))) < 1 << 20

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -387,46 +386,31 @@ class TestGramRowsOnDemand:
         assert len(moves) >= 2 * len(calls)
         assert max(moves) < 1e-13
 
-    def test_forced_fallback_stays_below_the_dense_gram(self, monkeypatch):
+    def test_forced_fallback_stays_below_the_dense_gram(self, monkeypatch, traced_peak):
         """Coordinate descent alone, at N = 1200 and T = 240, peaks below 8 N^2 bytes and keeps the path's answer."""
         y, g, X, W = purged_panel(0, 1200, 240)
         path = double_selection(y, g, X, W)
         monkeypatch.setattr(inference, "_homotopy_lasso", lambda G, c, tau: None)
         fallbacks = counting(monkeypatch, inference, "_cd_lasso")
-        tracemalloc.start()
-        try:
-            res = double_selection(y, g, X, W)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        results = []
+        peak = traced_peak(lambda: results.append(double_selection(y, g, X, W)))
+        (res,) = results
         assert len(fallbacks) >= 2
         assert peak < 8 * 1200**2
         assert res.selected.size > 0
         np.testing.assert_array_equal(res.selected, path.selected)
         assert res.beta_hat == path.beta_hat
 
-    def test_desk_sized_call_stays_below_the_dense_gram(self):
+    def test_desk_sized_call_stays_below_the_dense_gram(self, traced_peak):
         """One call at N = 1200, T = 240 peaks below 8 N^2 bytes, the size of G alone."""
         y, g, X, W = purged_panel(0, 1200, 240)
-        tracemalloc.start()
-        try:
-            double_selection(y, g, X, W)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 1200**2
+        assert traced_peak(double_selection, y, g, X, W) < 8 * 1200**2
 
-    def test_benchmark_sized_call_peaks_below_two_panels(self):
+    def test_benchmark_sized_call_peaks_below_two_panels(self, traced_peak):
         """One call at N = T = 200 holds one N x T purged panel beside X at a time."""
         n = t = 200
         y, g, X, W = purged_panel(0, n, t)
-        tracemalloc.start()
-        try:
-            double_selection(y, g, X, W)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * n * t * 8
+        assert traced_peak(double_selection, y, g, X, W) < 2 * n * t * 8
 
     def test_rows_are_computed_once_and_match_the_gram(self):
         rng = np.random.default_rng(4)

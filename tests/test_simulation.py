@@ -2,7 +2,6 @@ import os
 import pickle
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -91,17 +90,11 @@ class TestGeneratePanel:
         np.testing.assert_array_equal(sim.U_true, U)
         np.testing.assert_array_equal(sim.panel.X, B @ F.T + U)
 
-    def test_peak_memory_is_two_and_a_half_panels(self):
+    def test_peak_memory_is_two_and_a_half_panels(self, traced_peak):
         """The draw, the coloring and X = B F' + U share two N x T arrays."""
         n, t = 200, 201
         cfg = SimConfig(n_series=n, n_periods=t, n_factors_true=2, rho_T=0.7, seed=1)
-        tracemalloc.start()
-        try:
-            generate_panel(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * n * t * 8
+        assert traced_peak(generate_panel, cfg) < 2.5 * n * t * 8
 
     def test_rep_rng_streams_are_independent(self):
         a = rep_rng(1, 0, 0).standard_normal(4)
@@ -137,17 +130,11 @@ class TestAR1Draw:
         assert not np.shares_memory(out, ubar)
 
     @pytest.mark.parametrize("n,t", [(4000, 50), (50, 4000)])
-    def test_memory_is_linear_in_panel_size(self, n, t):
+    def test_memory_is_linear_in_panel_size(self, n, t, traced_peak):
         # an N x N or T x T factor would be 80 times the panel here
         cfg = small_config(n_series=n, n_periods=t, rho_N=0.7, rho_T=0.5)
         ubar = rep_rng(0).standard_normal((n, t))
-        tracemalloc.start()
-        try:
-            draw_idiosyncratic(cfg, ubar)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 8 * n * t
+        assert traced_peak(draw_idiosyncratic, cfg, ubar) <= 4 * 8 * n * t
 
     def test_draw_does_not_depend_on_blas_threads(self):
         """Seeded panels hash the same with one and with two OpenBLAS threads.
@@ -316,6 +303,15 @@ class TestExperimentDrivers:
     def test_no_replications_raise(self, study):
         with pytest.raises(ValueError, match="n_reps"):
             study(**{**SMALL_STUDIES[study.__name__], "n_reps": 0})
+
+    @pytest.mark.parametrize("n_draws", [1, 0])
+    def test_too_few_bootstrap_draws_raise_before_any_panel(self, monkeypatch, n_draws):
+        def generate_panel(*args, **kwargs):
+            raise AssertionError("a panel was drawn")
+
+        monkeypatch.setattr(experiments, "generate_panel", generate_panel)
+        with pytest.raises(ValueError, match="n_draws must be at least 2"):
+            experiment_spectest(**{**SMALL_STUDIES["experiment_spectest"], "n_draws": n_draws}, threads=1)
 
     def test_worker_count_is_capped_by_jobs_and_cpus(self):
         """The cap is computed without starting a process."""

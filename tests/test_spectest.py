@@ -144,6 +144,18 @@ class TestSpecTest:
         assert res.statistic == pytest.approx(0.0, abs=1e-10)
         assert res.p_value > 0.05
 
+    def test_one_draw_rejected_before_the_fit(self, monkeypatch):
+        """n_draws < 2 fails with `sigma_bootstrap`'s message before the panel is fitted or thresholded."""
+        def fail(*args, **kwargs):
+            raise AssertionError("the test's work started")
+
+        monkeypatch.setattr(spectest, "projection_fit", fail)
+        monkeypatch.setattr(spectest, "sparse_idio_cov", fail)
+        X, F, W, _ = _null_instance(0, t_len=40)
+        for n_draws in (1, 0):
+            with pytest.raises(ValueError, match="n_draws must be at least 2"):
+                spec_test(X, F, W, n_draws=n_draws, seed=1)
+
     def test_noiseless_panel_result_is_that_of_a_zero_n_by_n_covariance(self):
         """The noiseless branch passes an R x R zero V; every field equals the N x N zero covariance's, signed zeros included."""
         rng = np.random.default_rng(7)

@@ -78,17 +78,9 @@ class TestWalshHadamard:
             for r in range(1, min(n, 8) + 1):
                 np.testing.assert_array_equal(walsh_hadamard_weights(n, r).values, full[:n, :r])
 
-    def test_memory_grows_with_n_times_r(self):
-        import tracemalloc
-
+    def test_memory_grows_with_n_times_r(self, traced_peak):
         n, r = 2**20 + 1, 3  # the full Sylvester matrix would be 2^21 x 2^21
-        tracemalloc.start()
-        try:
-            walsh_hadamard_weights(n, r)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * n * r
+        assert traced_peak(walsh_hadamard_weights, n, r) < 64 * n * r
 
 
 class TestSieve:
