@@ -27,7 +27,10 @@ block's smallest one may be at or below its eigenvalue floor.  The blocks'
 inverses are kept apart (`_inverse_blocks`), so a caller that writes the
 inverse row by row never holds it as a dense N x N array.  An operator
 norm may be taken over a coarser partition, one whose blocks hold whole
-components, so one partition can serve several matrices.
+components, such as the join of two patterns' partitions (`_join`), so one
+partition can serve several matrices, and a caller may pass on a partition
+it has.  A block of consecutive indices is read and written as a slice
+view, not gathered (`_block_index`), with the same bits.
 
 `sparse_idio_cov` and `invert_sparse_cov` return new arrays.  Their private
 forms, `_threshold_cov` and `_invert_into`, write into an N x N array that
@@ -53,8 +56,8 @@ class ThresholdRule:
     """Thresholding family with its constants.
 
     kind : 'hard', 'soft' or 'scad'
-    constant_C : scale of the correlation threshold (C in tau_ij)
-    scad_a : SCAD shape, must exceed 2; 3.7 is the canonical value
+    constant_C : scale of the correlation threshold (C in tau_ij), at least 0 (not NaN)
+    scad_a : SCAD shape, finite and above 2; 3.7 is the canonical value
     """
 
     kind: str = "scad"
@@ -64,10 +67,10 @@ class ThresholdRule:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown thresholding kind {self.kind!r}")
-        if self.constant_C < 0:
-            raise ValueError("constant_C must be non-negative")
-        if self.scad_a <= 2:
-            raise ValueError("scad_a must exceed 2")
+        if not self.constant_C >= 0:  # NaN fails too
+            raise ValueError(f"constant_C must be non-negative, got {self.constant_C}")
+        if not 2 < self.scad_a < np.inf:
+            raise ValueError(f"scad_a must be finite and exceed 2, got {self.scad_a}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class SparseCovariance:
 
 
 def threshold_value(s, tau, rule: ThresholdRule):
-    """Apply the generalized thresholding function h(s, tau) element-wise.
+    """Apply the generalized thresholding function h(s, tau) element-wise; tau >= 0 (NaN raises ValueError).
 
     hard:  s * 1{|s| >= tau}
     soft:  sign(s) * max(|s| - tau, 0)
@@ -110,8 +113,8 @@ def threshold_value(s, tau, rule: ThresholdRule):
     scalar = np.isscalar(s) or np.ndim(s) == 0
     s = np.asarray(s, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0):
-        raise ValueError("threshold must be non-negative")
+    if not np.all(tau >= 0):  # NaN fails too
+        raise ValueError("threshold must be non-negative, not NaN")
     a_s = np.abs(s)
     if rule.kind == "hard":
         out = np.where(a_s >= tau, s, 0.0)
@@ -163,7 +166,7 @@ def _threshold_cov(residuals_hat: np.ndarray, rule: ThresholdRule, out: np.ndarr
     S = np.matmul(U, U.T, out=out)
     S /= t
     d = np.diag(S).copy()
-    if np.any(d <= 0):
+    if not np.all(d > 0):  # a NaN variance would give NaN thresholds
         bad = int(np.argmin(d))
         raise DegenerateDataError(
             f"residual variance of series {bad} is not positive ({d[bad]:.3g})"
@@ -188,11 +191,6 @@ def _blocks(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     ordered by their smallest member, and the indices of the singletons.
     After a symmetric permutation `a` is block-diagonal over the former and
     diagonal on the latter.
-
-    Each round hooks every root to the smallest root it shares an edge with
-    and then compresses the pointers until each node points at its root, so
-    a root is always the smallest member of its tree.  Edges inside one tree
-    are dropped, and the rounds end when no edge is left.
     """
     n = a.shape[0]
     pattern = a != 0
@@ -200,7 +198,28 @@ def _blocks(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     # np.flatnonzero of a boolean array is about 10x faster than a 2-D np.nonzero
     lo, hi = np.divmod(np.flatnonzero(pattern), n)
     upper = lo < hi  # one direction per edge
-    lo, hi = lo[upper], hi[upper]
+    return _components(n, lo[upper], hi[upper])
+
+
+def _join(first, second, n: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """`_blocks((a != 0) | (b != 0))` for n x n matrices a and b, from `first = _blocks(a)` and `second = _blocks(b)`.
+
+    The union's components join the two partitions: they are those of the
+    at most 2n edges that link each block's smallest member to the others.
+    """
+    blocks = first[0] + second[0]
+    lo = np.repeat(np.array([b[0] for b in blocks], dtype=np.intp), [b.size - 1 for b in blocks])
+    return _components(n, lo, np.concatenate([np.empty(0, dtype=np.intp), *(b[1:] for b in blocks)]))
+
+
+def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """`_blocks`' result for the graph on n nodes with the edges lo[k] < hi[k].
+
+    Each round hooks every root to the smallest root it shares an edge with
+    and then compresses the pointers until each node points at its root, so
+    a root is always the smallest member of its tree.  Edges inside one tree
+    are dropped, and the rounds end when no edge is left.
+    """
     labels = np.arange(n)
     while lo.size:
         np.minimum.at(labels, hi, lo)
@@ -217,6 +236,15 @@ def _blocks(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     return blocks, np.flatnonzero(sizes[labels] == 1)
 
 
+def _block_index(b: np.ndarray):
+    """Index of block b x b (b sorted): two slices, a view, if b is a run of consecutive indices, else np.ix_(b, b).
+
+    numpy's linalg copies its input into its own buffer, so a view gives the
+    gathered block's bits; a caller that modifies the block copies it first.
+    """
+    return (slice(b[0], b[-1] + 1),) * 2 if b[-1] - b[0] + 1 == b.size else np.ix_(b, b)
+
+
 def _sym_opnorm(e: np.ndarray, partition=None) -> float:
     """Spectral norm of a symmetric matrix: its largest |eigenvalue|, block by block.
 
@@ -227,7 +255,7 @@ def _sym_opnorm(e: np.ndarray, partition=None) -> float:
     blocks, singles = _blocks(e) if partition is None else partition
     norm = np.abs(np.diagonal(e)[singles]).max(initial=0.0)
     for b in blocks:
-        w = np.linalg.eigvalsh(e[np.ix_(b, b)])
+        w = np.linalg.eigvalsh(e[_block_index(b)])
         norm = max(norm, -w[0], w[-1])
     return float(norm)
 
@@ -241,7 +269,8 @@ def _above_floor(sigma: np.ndarray, singles: np.ndarray, blocks: list[np.ndarray
         return False
     try:
         for b in blocks:
-            s = sigma[np.ix_(b, b)]
+            idx = _block_index(b)
+            s = sigma[idx].copy() if isinstance(idx[0], slice) else sigma[idx]
             s[np.diag_indices_from(s)] -= floor
             np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
@@ -249,15 +278,16 @@ def _above_floor(sigma: np.ndarray, singles: np.ndarray, blocks: list[np.ndarray
     return True
 
 
-def _inverse_blocks(sigma: np.ndarray, stacklevel: int = 3):
+def _inverse_blocks(sigma: np.ndarray, stacklevel: int = 3, partition=None):
     """The inverse of a symmetric `sigma` by connected blocks, repaired as in `invert_sparse_cov`.
 
     Returns (blocks, inverses, singles, inverse_singles): the `_blocks`
     partition, the inverse of each block (in the order of its members),
     and the inverse's diagonal at the singletons.  The inverse is zero
-    everywhere else.  Each block is copied, shifted, inverted and released
-    one at a time.  The shift's warning is raised at `stacklevel`; the
-    default names the caller of this helper's caller.
+    everywhere else.  `partition`, if given, is `_blocks(sigma)`.  Each
+    block is read (`_block_index`), copied if shifted, and inverted one at
+    a time.  The shift's warning is raised at `stacklevel`; the default
+    names the caller of this helper's caller.
     """
     d = np.diagonal(sigma)
     mean_diag = float(np.mean(d))
@@ -266,11 +296,11 @@ def _inverse_blocks(sigma: np.ndarray, stacklevel: int = 3):
         raise DegenerateDataError(
             f"covariance mean diagonal {mean_diag:.3g} <= 0: no diagonal shift makes it positive definite"
         )
-    blocks, singles = _blocks(sigma)
+    blocks, singles = _blocks(sigma) if partition is None else partition
     shift = 0.0
     if not _above_floor(sigma, singles, blocks, eig_floor):
         lam_min = float(min([d[singles].min(initial=np.inf)]
-                            + [np.linalg.eigvalsh(sigma[np.ix_(b, b)])[0] for b in blocks]))
+                            + [np.linalg.eigvalsh(sigma[_block_index(b)])[0] for b in blocks]))
         if lam_min <= eig_floor:
             shift = eig_floor - lam_min
             warnings.warn(
@@ -281,8 +311,10 @@ def _inverse_blocks(sigma: np.ndarray, stacklevel: int = 3):
             )
     inverses = []
     for b in blocks:
-        s = sigma[np.ix_(b, b)]
-        s[np.diag_indices_from(s)] += shift
+        s = sigma[_block_index(b)]
+        if shift:
+            s = s.copy()  # never shift sigma's own entries through a view
+            s[np.diag_indices_from(s)] += shift
         inverses.append(np.linalg.inv(s))  # numpy, not scipy.linalg: one BLAS (see tests/test_covariance.py)
     return blocks, inverses, singles, 1.0 / (d[singles] + shift)
 
@@ -335,14 +367,15 @@ def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
     return _invert_into(sigma, np.empty_like(sigma))
 
 
-def _invert_into(sigma: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _invert_into(sigma: np.ndarray, out: np.ndarray, partition=None) -> np.ndarray:
     """Write `invert_sparse_cov(sigma)` into `out`, an N x N float array, from `_inverse_blocks`; returns `out`.
 
-    The shift's warning names the caller of this helper's caller.
+    `partition`, if given, is `_blocks(sigma)`.  The shift's warning names
+    the caller of this helper's caller.
     """
-    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma, stacklevel=4)
+    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma, stacklevel=4, partition=partition)
     out.fill(0.0)
     out[singles, singles] = inverse_singles
     for b, inverse in zip(blocks, inverses):
-        out[np.ix_(b, b)] = inverse
+        out[_block_index(b)] = inverse
     return out

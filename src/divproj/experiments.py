@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .covariance import ThresholdRule, _blocks, _invert_into, _sym_opnorm, _threshold_cov, invert_sparse_cov
+from .covariance import ThresholdRule, _blocks, _invert_into, _join, _sym_opnorm, _threshold_cov, invert_sparse_cov
 from .forecast import FixedWeightScheme, PCScheme, RollingWeightScheme, rolling_forecast
 from .inference import confidence_interval, double_selection
 from .projection import estimate_loadings, fit as projection_fit, pc_factors
@@ -110,20 +110,29 @@ def _cov_residuals(X, z, F, r, extra_factors, include_pc, include_known):
         yield "known_factor", X - estimate_loadings(X, F) @ F.T
 
 
+def _cov_cell(cfg: SimConfig):
+    """(cfg, Sigma, Sigma^{-1}, the `_blocks` partition of their joint pattern): one cell of the covariance study."""
+    sigma_true = true_idio_cov(cfg)
+    sigma_true_inv = invert_sparse_cov(sigma_true)
+    return cfg, sigma_true, sigma_true_inv, _blocks((sigma_true != 0) | (sigma_true_inv != 0))
+
+
 def _cov_errors(U_hat, rule, cell, S, E):
     """(covariance error, inverse error) of one thresholded estimate, made in the N x N buffers S and E.
 
     S receives the estimate, and E its error and then its inverse's error.
     Each error is the whole-matrix difference `a - b` written in place, so
-    its bits are those of the difference.
+    its bits are those of the difference.  S is partitioned once, for its
+    inverse and, joined with the truth's partition, for both norms.
     """
-    _, sigma_true, sigma_true_inv, truth_pattern = cell
+    _, sigma_true, sigma_true_inv, truth_partition = cell
     _threshold_cov(U_hat, rule, out=S)
-    # Both errors vanish outside the blocks of this union: the
-    # inverses are block-diagonal over their own matrices' blocks.
-    partition = _blocks((S != 0) | truth_pattern)
+    own = _blocks(S)
+    # Both errors vanish outside the blocks of S's and the truth's joint
+    # pattern: the inverses are block-diagonal over their own matrices' blocks.
+    partition = _join(own, truth_partition, S.shape[0])
     err = _sym_opnorm(np.subtract(S, sigma_true, out=E), partition)
-    _invert_into(S, E)  # a shift's warning names _cov_rep
+    _invert_into(S, E, own)  # a shift's warning names _cov_rep
     E -= sigma_true_inv
     return err, _sym_opnorm(E, partition)
 
@@ -172,7 +181,8 @@ def experiment_cov(
     A replication makes its residual sets one at a time and writes each
     estimate's S and both error matrices into two N x N buffers, which its
     estimates share; the errors keep the bits of the whole-matrix
-    differences (`_cov_errors`).
+    differences (`_cov_errors`).  The truth is partitioned once per cell
+    (`_cov_cell`) and each estimate's S once.
 
     At `threads=1` the replications run in this process, at its BLAS's
     digits; above 1, in up to `threads` spawned one-BLAS-thread workers,
@@ -180,13 +190,9 @@ def experiment_cov(
     `if __name__ == "__main__":` guard).  n_reps or threads < 1: ValueError.
     """
     grid = [(alpha, rho, size) for alpha in alphas for rho in rho_Ts for size in sizes]
-    cells = []
-    for alpha, rho, size in grid:
-        cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=n_factors_true,
-                        alpha_strength=alpha, rho_T=rho, seed=seed)
-        sigma_true = true_idio_cov(cfg)
-        sigma_true_inv = invert_sparse_cov(sigma_true)
-        cells.append((cfg, sigma_true, sigma_true_inv, (sigma_true != 0) | (sigma_true_inv != 0)))
+    cells = [_cov_cell(SimConfig(n_series=size, n_periods=size, n_factors_true=n_factors_true,
+                                 alpha_strength=alpha, rho_T=rho, seed=seed))
+             for alpha, rho, size in grid]
     rep_fn = partial(_cov_rep, C_values=C_values, rule_kind=rule_kind, extra_factors=extra_factors,
                      include_pc=include_pc, include_known=include_known)
     rows = []

@@ -17,7 +17,12 @@ from divproj.covariance import (
     KINDS,
     SparseCovariance,
     ThresholdRule,
+    _above_floor,
+    _block_index,
     _blocks,
+    _inverse_blocks,
+    _inverse_rows,
+    _join,
     _sym_opnorm,
     invert_sparse_cov,
     sparse_idio_cov,
@@ -77,6 +82,16 @@ class TestThresholdValue:
         with pytest.raises(ValueError):
             threshold_value(1.0, -0.1, HARD)
 
+    @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
+    def test_nan_threshold_rejected(self, rule):
+        """np.any(tau < 0) is False for a NaN tau; the check must not let it through."""
+        with pytest.raises(ValueError, match="not NaN"):
+            threshold_value(1.0, np.nan, rule)
+        tau = np.full((2, 3), 0.5)
+        tau[1, 2] = np.nan
+        with pytest.raises(ValueError, match="not NaN"):
+            threshold_value(np.ones((2, 3)), tau, rule)
+
 
 def _dense_threshold(s, tau, rule):
     """The thresholding formula applied to every entry: the reference for threshold_value's bits."""
@@ -108,7 +123,7 @@ class TestThresholdBits:
     @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
     def test_scalar_tau_and_scalar_s(self, rule):
         s = self._edges()
-        for tau in (self.TAU, 0.0, np.nan):
+        for tau in (self.TAU, 0.0):
             assert threshold_value(s, tau, rule).tobytes() == _dense_threshold(s, tau, rule).tobytes()
             for x in s:
                 got = np.float64(threshold_value(x, tau, rule))
@@ -122,7 +137,7 @@ class TestThresholdBits:
         k = SCAD.scad_a
         s[0, :4] = tau[0, :4] * np.array([1.0, -2.0, k, -k])  # |s| on tau, 2 tau and a tau
         s[1, :3] = [0.0, -0.0, np.nan]
-        tau[2, :2] = np.nan
+        tau[2, :2] = np.inf
         tau[3] = 0.0  # C = 0
         assert threshold_value(s, tau, rule).tobytes() == _dense_threshold(s, tau, rule).tobytes()
 
@@ -149,6 +164,29 @@ class TestThresholdRule:
             ThresholdRule(scad_a=2.0)
         with pytest.raises(ValueError):
             ThresholdRule(constant_C=-1.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nan_constant_rejected(self, kind):
+        """`constant_C < 0` is False for NaN, which thresholded nothing: every entry stayed."""
+        with pytest.raises(ValueError, match="constant_C"):
+            ThresholdRule(kind=kind, constant_C=np.nan)
+
+    @pytest.mark.parametrize("scad_a", [np.nan, np.inf, -np.inf, 2.0])
+    def test_scad_a_must_be_finite_and_above_two(self, scad_a):
+        """An infinite a gave NaN for every |s| in (2 tau, inf), where SCAD interpolates."""
+        with pytest.raises(ValueError, match="scad_a"):
+            ThresholdRule(scad_a=scad_a)
+
+    def test_limits_that_stay_valid(self):
+        assert ThresholdRule(constant_C=0.0).constant_C == 0.0
+        assert ThresholdRule(constant_C=np.inf).constant_C == np.inf  # thresholds every off-diagonal entry
+        assert ThresholdRule(scad_a=np.nextafter(2.0, 3.0)).scad_a > 2.0
+
+    def test_nan_residual_variance_rejected(self):
+        U = np.random.default_rng(3).standard_normal((4, 20))
+        U[2, 5] = np.nan
+        with pytest.raises(DegenerateDataError, match="series 2"):
+            sparse_idio_cov(U, SCAD)
 
 
 class TestSparseIdioCov:
@@ -343,6 +381,91 @@ class TestInvertSparseCov:
         assert [s.tobytes() for s in seen] == [e.tobytes() for e in expected]
 
 
+def _indefinite_run_block():
+    """A hard-thresholded sample covariance (N = 40 > T = 20): one block of all 40 indices, indefinite."""
+    rng = np.random.default_rng(0)
+    U = rng.standard_normal((40, 20))
+    U[:20] += 0.8 * U[20:]
+    sigma = sparse_idio_cov(U, ThresholdRule(kind="hard", constant_C=0.5)).sigma_u
+    blocks, singles = _blocks(sigma)
+    assert [b.size for b in blocks] == [40] and singles.size == 0
+    assert np.linalg.eigvalsh(sigma)[0] < 0
+    return sigma
+
+
+def _gathered_inverses(sigma):
+    """The blocks' inverses of `_inverse_blocks`, each from an `np.ix_` gather: the reference for the views' bits."""
+    blocks, singles = _blocks(sigma)
+    floor = 1e-6 * np.mean(np.diagonal(sigma))
+    lam_min = min([np.diagonal(sigma)[singles].min(initial=np.inf)]
+                  + [np.linalg.eigvalsh(sigma[np.ix_(b, b)])[0] for b in blocks])
+    shift = floor - lam_min if lam_min <= floor else 0.0
+    inverses = []
+    for b in blocks:
+        s = sigma[np.ix_(b, b)]
+        s[np.diag_indices_from(s)] += shift
+        inverses.append(np.linalg.inv(s))
+    return blocks, inverses
+
+
+class TestBlockViews:
+    """A block of consecutive indices is read through a slice view: the gathered block's bits, and sigma's stay."""
+
+    def test_block_index(self):
+        a = np.arange(36.0).reshape(6, 6)
+        run = np.array([2, 3, 4])
+        assert _block_index(run) == (slice(2, 5), slice(2, 5))
+        assert np.shares_memory(a[_block_index(run)], a)
+        scattered = np.array([0, 3, 4])
+        assert a[_block_index(scattered)].tobytes() == a[np.ix_(scattered, scattered)].tobytes()
+
+    @pytest.mark.filterwarnings("ignore::divproj.exceptions.NumericalWarning")
+    @pytest.mark.parametrize("case", ["run", "run_shifted", "permuted", "permuted_shifted"])
+    def test_inverses_equal_the_gathered_computation(self, case):
+        if case.startswith("run"):
+            sigma = _indefinite_run_block()
+            if case == "run":
+                sigma += 2.0 * np.eye(40)
+        else:
+            sigma, blocks = _permuted_blocks(np.random.default_rng(7), spd=True)
+            assert sum(not _is_run(b) for b in _blocks(sigma)[0]) >= 5
+            if case == "permuted_shifted":
+                sigma[np.ix_(blocks[1], blocks[1])] *= -1.0
+        blocks, inverses = _gathered_inverses(sigma)
+        got_blocks, got, _, _ = _inverse_blocks(sigma)
+        assert [b.tolist() for b in got_blocks] == [b.tolist() for b in blocks]
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in inverses]
+        dense = invert_sparse_cov(sigma)
+        for b, inverse in zip(blocks, inverses):
+            assert dense[np.ix_(b, b)].tobytes() == inverse.tobytes()
+
+    def test_shift_on_a_run_leaves_sigma_unchanged(self):
+        sigma = _indefinite_run_block()
+        before = sigma.tobytes()
+        with pytest.warns(NumericalWarning, match="shifting diagonal"):
+            inverse = invert_sparse_cov(sigma)
+        assert sigma.tobytes() == before
+        with pytest.warns(NumericalWarning, match="shifting diagonal"):
+            rows = np.array(list(_inverse_rows(sigma)))
+        assert sigma.tobytes() == before
+        assert rows.tobytes() == inverse.tobytes()
+        blocks, singles = _blocks(sigma)
+        assert not _above_floor(sigma, singles, blocks, 1e-6)
+        assert sigma.tobytes() == before
+
+    def test_gate_on_a_run_leaves_sigma_unchanged(self):
+        sigma = _indefinite_run_block() + 2.0 * np.eye(40)  # positive definite: the gate passes
+        before = sigma.tobytes()
+        blocks, singles = _blocks(sigma)
+        assert _above_floor(sigma, singles, blocks, 1e-6)
+        assert sigma.tobytes() == before
+
+    def test_opnorm_of_a_run_equals_the_gathered_one(self):
+        e = _indefinite_run_block()
+        w = np.linalg.eigvalsh(e[np.ix_(np.arange(40), np.arange(40))])
+        assert _sym_opnorm(e) == max(-w[0], w[-1])
+
+
 class TestOneNByNArray:
     """At N = 1200, T = 240 the covariance path holds one N x N array (8 N^2 bytes) and row blocks.
 
@@ -453,6 +576,47 @@ def _random_tree(rng, n):
     return a
 
 
+STRUCTURED = [
+    lambda rng: np.ones((50, 50)),
+    lambda rng: np.diag(rng.standard_normal(50)),
+    lambda rng: np.zeros((6, 6)),
+    lambda rng: np.ones((1, 1)),
+    lambda rng: np.zeros((1, 1)),
+    lambda rng: _random_order_path(rng, 1200),
+    lambda rng: _random_tree(rng, 1200),
+]
+STRUCTURED_IDS = ["dense", "diagonal", "zero", "one", "one_zero", "path_1200", "tree_1200"]
+
+
+def _is_run(b) -> bool:
+    return b[-1] - b[0] + 1 == b.size
+
+
+def _runs_pattern(rng, n):
+    """A pattern whose blocks are unions of runs of consecutive indices, each run of length 1-8."""
+    cuts = np.cumsum(rng.integers(1, 9, n))
+    starts = np.concatenate([[0], cuts[cuts < n]])
+    groups = rng.integers(0, max(1, starts.size // 3), starts.size)
+    a = np.zeros((n, n))
+    for g in np.unique(groups):
+        members = np.concatenate([np.arange(lo, hi) for lo, hi in
+                                  zip(starts[groups == g], np.append(starts[1:], n)[groups == g])])
+        a[np.ix_(members, members)] = 1.0
+    return a
+
+
+def _assert_join(a, b):
+    """The join of a's and b's partitions is `_blocks` of their union, and scipy's partition of it."""
+    joined = _join(_blocks(a), _blocks(b), a.shape[0])
+    union = (a != 0) | (b != 0)
+    for blocks, singles in (_blocks(union), _scipy_blocks(union)):
+        assert len(joined[0]) == len(blocks)
+        for x, y in zip(joined[0], blocks):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(joined[1], singles)
+    return joined
+
+
 class TestBlocks:
     """`_blocks` matches scipy's connected components, blocks and order alike."""
 
@@ -464,22 +628,48 @@ class TestBlocks:
             _assert_same_partition(m | m.T)
             _assert_same_partition(m * rng.standard_normal((n, n)))  # one-sided entries
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda rng: np.ones((50, 50)),
-            lambda rng: np.diag(rng.standard_normal(50)),
-            lambda rng: np.zeros((6, 6)),
-            lambda rng: np.ones((1, 1)),
-            lambda rng: np.zeros((1, 1)),
-            lambda rng: _random_order_path(rng, 1200),
-            lambda rng: _random_tree(rng, 1200),
-        ],
-        ids=["dense", "diagonal", "zero", "one", "one_zero", "path_1200", "tree_1200"],
-    )
+    @pytest.mark.parametrize("make", STRUCTURED, ids=STRUCTURED_IDS)
     def test_structured_patterns(self, make):
         a = make(np.random.default_rng(12))
         _assert_same_partition(a)
+
+    @pytest.mark.parametrize("make", STRUCTURED, ids=STRUCTURED_IDS)
+    def test_join_of_structured_patterns(self, make):
+        a = make(np.random.default_rng(12))
+        n = a.shape[0]
+        rng = np.random.default_rng(n)
+        perm = rng.permutation(n)
+        _assert_join(a, a[np.ix_(perm, perm)])
+        _assert_join(a, rng.random((n, n)) < 1.0 / n)  # one-sided entries
+        _assert_join(a, np.eye(n))
+
+    def test_join_of_permuted_blocks(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            a, b = (_permuted_blocks(rng, spd=False)[0] for _ in range(2))
+            _assert_join(a, b)
+            _assert_join(a, a)
+
+    @pytest.mark.parametrize("n", [30, 60, 400])
+    def test_join_of_blocks_that_span_several_runs(self, n):
+        rng = np.random.default_rng(n + 1)
+        spanning = 0
+        for _ in range(10):
+            a, b = _runs_pattern(rng, n), _runs_pattern(rng, n)
+            spanning += any(not _is_run(x) for x in _blocks(a)[0])
+            _assert_join(a, b)
+        assert spanning >= 5
+
+    def test_join_of_partitions_without_blocks(self):
+        n = 9
+        pairs = [(np.eye(n), np.zeros((n, n))), (np.zeros((n, n)), np.diag(np.arange(n))),
+                 (np.ones((1, 1)), np.zeros((1, 1)))]
+        for a, b in pairs:
+            joined = _assert_join(a, b)
+            assert joined[0] == []
+            np.testing.assert_array_equal(joined[1], np.arange(a.shape[0]))
+        joined = _assert_join(np.eye(n), _random_order_path(np.random.default_rng(1), n))
+        assert len(joined[0]) == 1 and joined[1].size == 0
 
     def test_covariance_study_rows_equal_with_the_reference(self, monkeypatch):
         kwargs = dict(sizes=(40, 60), alphas=(1.0,), rho_Ts=(0.7,), n_reps=2, seed=5,
@@ -491,7 +681,12 @@ class TestBlocks:
 
 
 def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
-    """Each estimate's two errors share one `_blocks` call and equal the norms on their own patterns."""
+    """Each estimate makes one `_blocks` call, and its errors equal the norms on their own patterns.
+
+    A cell partitions twice: the truth's inverse and the truth's joint
+    pattern.  An estimate partitions its S once; its inverse reuses that
+    partition, and both errors share its join with the truth's.
+    """
     kwargs = dict(sizes=(40, 60), alphas=(1.0,), rho_Ts=(0.7,), n_reps=2, seed=5,
                   C_values=(1.0, 2.0), extra_factors=(0, 2))
     counted = []
@@ -505,7 +700,7 @@ def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
         m.setattr(experiments, "_blocks", counting_blocks)
         rows = experiment_cov(**kwargs)
     n_cells, n_estimates = 2, 2 * 2 * 4 * 2  # sizes; sizes x reps x methods x C
-    assert len(counted) == n_cells + 2 * n_estimates
+    assert len(counted) == 2 * n_cells + n_estimates
     monkeypatch.setattr(experiments, "_sym_opnorm", lambda e, partition: _sym_opnorm(e))
     assert rows == experiment_cov(**kwargs)
 
@@ -570,10 +765,7 @@ def test_covariance_replication_holds_one_residual_set_and_two_buffers(traced_pe
     8 N^2 with one set at a time and two reused buffers.
     """
     n = 300
-    cfg = SimConfig(n_series=n, n_periods=n, n_factors_true=1, rho_T=0.7, seed=3)
-    sigma_true = true_idio_cov(cfg)
-    sigma_true_inv = invert_sparse_cov(sigma_true)
-    cell = (cfg, sigma_true, sigma_true_inv, (sigma_true != 0) | (sigma_true_inv != 0))
+    cell = experiments._cov_cell(SimConfig(n_series=n, n_periods=n, n_factors_true=1, rho_T=0.7, seed=3))
     rep = partial(experiments._cov_rep, C_values=(1.0, 2.0), rule_kind="scad", extra_factors=(0, 1, 2, 3),
                   include_pc=True, include_known=True)
     rep(cell, 0)  # numpy's one-time allocations

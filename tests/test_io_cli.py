@@ -516,6 +516,22 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("divproj: --seed")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    @pytest.mark.parametrize("command", ["cov", "spectest"])
+    def test_threshold_constant_must_be_a_non_negative_number(self, tmp_path, capsys, command, value):
+        """A NaN C once thresholded nothing: `cov --C nan` wrote the raw covariance and exited 0."""
+        rng = np.random.default_rng(5)
+        F = rng.standard_normal((50, 2))
+        panel, factors = tmp_path / "panel.csv", tmp_path / "factors.csv"
+        write_panel(panel, PanelData(rng.standard_normal((12, 2)) @ F.T + rng.standard_normal((12, 50))))
+        write_panel(factors, PanelData(F.T, series_ids=["f1", "f2"]))
+        args = {"cov": ["--R", "2"], "spectest": ["--factors", str(factors)]}[command]
+        out = tmp_path / "out"
+        assert run([command, "--panel", str(panel), "--scheme", "hadamard", *args, "--C", value,
+                    "--out", str(out)]) == 2
+        assert "constant_C must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_bootstrap_draw_is_a_data_error(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
         F = rng.standard_normal((50, 2))
