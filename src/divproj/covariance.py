@@ -8,9 +8,9 @@ hard, soft or SCAD rule at the entry-adaptive level
 which amounts to a constant threshold on correlations.  Diagonal entries
 are never touched.
 
-The soft and SCAD formulas run only on the entries with |s| > tau (NaNs
-included); the others are set to sign(s) * 0.0, the signed zero that the
-formula gives them.
+Each rule's formula is written once (`_shrink`).  Soft and SCAD run only
+on the entries with |s| > tau (NaNs included); the others are set to
+sign(s) * 0.0, the signed zero that the formula gives them.
 
 No symmetrizing average (S + S')/2 is taken.  S = U U'/T is computed from
 one contiguous U, which numpy hands to BLAS syrk: one triangle is computed
@@ -19,7 +19,8 @@ the thresholded matrix is exactly symmetric too, and the average would
 return it unchanged, signed zeros included.
 
 The thresholded matrix is sparse, and after a permutation it is
-block-diagonal over the connected components of its nonzero pattern.  Its
+block-diagonal over the connected components of its nonzero pattern,
+which the thresholding pass labels as it goes (`_threshold_rows`).  Its
 eigenvalues and its inverse are computed one block at a time, which is
 exact (Mazumder & Hastie 2012); a dense, connected matrix is one block.
 The inverse computes eigenvalues only when a Cholesky test finds that some
@@ -33,9 +34,10 @@ it has.  A block of consecutive indices is read and written as a slice
 view, not gathered (`_block_index`), with the same bits.
 
 `sparse_idio_cov` and `invert_sparse_cov` return new arrays.  Their private
-forms, `_threshold_cov` and `_invert_into`, write into an N x N array that
-the caller gives, with the same bits, so a caller that makes many
-estimates (the covariance study) can reuse its buffers.
+forms (`_sample_cov`, `_threshold_rows`, `_invert_into`) write into N x N
+arrays that the caller gives, with the same bits, so a caller that makes
+many estimates (the covariance study) can form S once, threshold it at
+each C into one reused buffer and keep each estimate's partition.
 """
 
 from __future__ import annotations
@@ -111,32 +113,40 @@ def threshold_value(s, tau, rule: ThresholdRule):
            and the identity beyond a*tau (no shrinkage of large entries)
     """
     scalar = np.isscalar(s) or np.ndim(s) == 0
-    s = np.asarray(s, dtype=float)
-    tau = np.asarray(tau, dtype=float)
+    s, tau = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(tau, dtype=float))
     if not np.all(tau >= 0):  # NaN fails too
         raise ValueError("threshold must be non-negative, not NaN")
-    a_s = np.abs(s)
-    if rule.kind == "hard":
-        out = np.where(a_s >= tau, s, 0.0)
-    else:
-        # Both rules give sign(s) * 0.0 wherever |s| <= tau.  The rule runs
-        # only on the other entries (NaNs among them), with the operations it
-        # would apply to the whole array, so every bit is the whole-array one.
-        keep = ~(a_s <= tau)
-        out = np.sign(s, out=np.empty(keep.shape))
-        out *= 0.0
-        if keep.ndim:  # numpy's 0-d arithmetic may give a NaN another sign than its array loops
-            s, tau = (x[keep] for x in np.broadcast_arrays(s, tau))
-        a_s = np.abs(s)
-        sign = np.sign(s)
-        soft = sign * np.maximum(a_s - tau, 0.0)
-        if rule.kind == "soft":
-            out[keep] = soft
-        else:
-            a = rule.scad_a
-            mid = ((a - 1.0) * s - sign * a * tau) / (a - 2.0)
-            out[keep] = np.where(a_s <= 2.0 * tau, soft, np.where(a_s <= a * tau, mid, s))
+    out = np.empty(s.shape)
+    _shrink(s, tau, rule, out)
     return float(out) if scalar else out
+
+
+def _shrink(s: np.ndarray, tau: np.ndarray, rule: ThresholdRule, out: np.ndarray):
+    """Write h(s, tau) into `out` (s's shape; it may be s); return the flat indices of the kept entries and h there.
+
+    Hard keeps |s| >= tau and sets +0.0 elsewhere.  Soft and SCAD keep
+    |s| > tau and NaN, and set sign(s) * 0.0 elsewhere, which is what their
+    formula gives; it runs on the kept entries alone, with the bits of the
+    whole-array computation.
+    """
+    a_s = np.abs(s)
+    kept = np.flatnonzero(a_s >= tau if rule.kind == "hard" else ~(a_s <= tau))
+    # numpy's 0-d arithmetic may give a NaN another sign than its array loops
+    s_k, tau_k = (s.ravel()[kept], tau.ravel()[kept]) if s.ndim else (s, tau)
+    if rule.kind == "hard":
+        values = s_k
+        out.fill(0.0)
+    else:
+        a_s, sign = np.abs(s_k), np.sign(s_k)
+        values = sign * np.maximum(a_s - tau_k, 0.0)
+        if rule.kind == "scad":
+            a = rule.scad_a
+            mid = ((a - 1.0) * s_k - sign * a * tau_k) / (a - 2.0)
+            values = np.where(a_s <= 2.0 * tau_k, values, np.where(a_s <= a * tau_k, mid, s_k))
+        np.sign(s, out=out)
+        out *= 0.0
+    out.ravel()[kept] = values
+    return kept, values
 
 
 def sparse_idio_cov(residuals_hat: np.ndarray, rule: ThresholdRule) -> SparseCovariance:
@@ -148,14 +158,22 @@ def sparse_idio_cov(residuals_hat: np.ndarray, rule: ThresholdRule) -> SparseCov
     exactly symmetric.  Its S may then differ from the view's product in
     the last bits.
     """
-    return _threshold_cov(residuals_hat, rule)
+    return _threshold_cov(residuals_hat, rule)[0]
 
 
-def _threshold_cov(residuals_hat: np.ndarray, rule: ThresholdRule, out: np.ndarray | None = None) -> SparseCovariance:
-    """`sparse_idio_cov`, with S written into `out` (a C-contiguous float N x N array) when one is given.
+def _threshold_cov(residuals_hat: np.ndarray, rule: ThresholdRule):
+    """(`sparse_idio_cov`, the `_blocks` partition of its sigma_u), from one S thresholded in place."""
+    S, d, omega = _sample_cov(residuals_hat)
+    partition = _threshold_rows(S, d, omega, rule, S)
+    nonzero = int(np.count_nonzero(S)) - S.shape[0]
+    return SparseCovariance(sigma_u=S, omega=omega, nonzero_offdiag=nonzero), partition
+
+
+def _sample_cov(residuals_hat: np.ndarray, out: np.ndarray | None = None):
+    """(S = U U'/T, its diagonal d, omega) of N x T residuals; S is written into `out` (C-contiguous N x N) if given.
 
     numpy hands U U' to syrk with or without `out`, so both give the same
-    bits.  The result's `sigma_u` is `out` itself.
+    bits, and S is exactly symmetric.
     """
     U = np.atleast_2d(np.asarray(residuals_hat, dtype=float))
     if not (U.flags.c_contiguous or U.flags.f_contiguous):
@@ -171,17 +189,30 @@ def _threshold_cov(residuals_hat: np.ndarray, rule: ThresholdRule, out: np.ndarr
         raise DegenerateDataError(
             f"residual variance of series {bad} is not positive ({d[bad]:.3g})"
         )
-    omega = float(np.sqrt(np.log(n) / t) + 1.0 / np.sqrt(n))
-    # Threshold S in place, a row block at a time, so that tau and the rule's
-    # temporaries are row blocks rather than N x N arrays.
+    return S, d, float(np.sqrt(np.log(n) / t) + 1.0 / np.sqrt(n))
+
+
+def _threshold_rows(S: np.ndarray, d: np.ndarray, omega: float, rule: ThresholdRule, out: np.ndarray):
+    """Write S thresholded by `rule` into `out` (C-contiguous N x N, or S itself); return its `_blocks` partition.
+
+    S is an exactly symmetric `_sample_cov` with diagonal d.  Row block by
+    row block, so tau and the temporaries are row blocks; the nonzeros of
+    each block's upper triangle (every edge: the result is symmetric) are
+    hooked into the component labels while the block is in cache.
+    """
+    n = S.shape[0]
+    labels = np.arange(n)
     step = max(1, _BLOCK_ENTRIES // n)
     for i in range(0, n, step):
         rows = slice(i, i + step)
         tau = rule.constant_C * np.sqrt(np.outer(d[rows], d)) * omega
-        S[rows] = threshold_value(S[rows], tau, rule)
-    np.fill_diagonal(S, d)
-    nonzero = int(np.count_nonzero(S)) - n
-    return SparseCovariance(sigma_u=S, omega=omega, nonzero_offdiag=nonzero)
+        kept, values = _shrink(S[rows], tau, rule, out[rows])
+        lo, hi = np.divmod(kept[values != 0], n)
+        lo += i
+        upper = lo < hi
+        labels = _components(labels, lo[upper], hi[upper])
+    np.fill_diagonal(out, d)
+    return _partition(labels)
 
 
 def _blocks(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -198,7 +229,8 @@ def _blocks(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     # np.flatnonzero of a boolean array is about 10x faster than a 2-D np.nonzero
     lo, hi = np.divmod(np.flatnonzero(pattern), n)
     upper = lo < hi  # one direction per edge
-    return _components(n, lo[upper], hi[upper])
+    lo, hi = lo[upper], hi[upper]  # the full lists are freed before the hooking
+    return _partition(_components(np.arange(n), lo, hi))
 
 
 def _join(first, second, n: int) -> tuple[list[np.ndarray], np.ndarray]:
@@ -209,20 +241,21 @@ def _join(first, second, n: int) -> tuple[list[np.ndarray], np.ndarray]:
     """
     blocks = first[0] + second[0]
     lo = np.repeat(np.array([b[0] for b in blocks], dtype=np.intp), [b.size - 1 for b in blocks])
-    return _components(n, lo, np.concatenate([np.empty(0, dtype=np.intp), *(b[1:] for b in blocks)]))
+    hi = np.concatenate([np.empty(0, dtype=np.intp), *(b[1:] for b in blocks)])
+    return _partition(_components(np.arange(n), lo, hi))
 
 
-def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """`_blocks`' result for the graph on n nodes with the edges lo[k] < hi[k].
+def _components(labels: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """`labels` (each node's smallest fellow member so far, np.arange(n) at first) after the edges lo[k] -- hi[k].
 
     Each round hooks every root to the smallest root it shares an edge with
     and then compresses the pointers until each node points at its root, so
     a root is always the smallest member of its tree.  Edges inside one tree
-    are dropped, and the rounds end when no edge is left.
+    are dropped, and the rounds end when no edge is left.  `labels` may be
+    changed.
     """
-    labels = np.arange(n)
     while lo.size:
-        np.minimum.at(labels, hi, lo)
+        np.minimum.at(labels, labels[hi], labels[lo])
         while True:
             up = labels[labels]
             if np.array_equal(up, labels):
@@ -231,7 +264,12 @@ def _components(n: int, lo: np.ndarray, hi: np.ndarray) -> tuple[list[np.ndarray
         lo, hi = labels[lo], labels[hi]
         keep = lo != hi
         lo, hi = np.minimum(lo[keep], hi[keep]), np.maximum(lo[keep], hi[keep])
-    sizes = np.bincount(labels, minlength=n)
+    return labels
+
+
+def _partition(labels: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """`_blocks`' result from component labels: the blocks of more than one member, and the singletons."""
+    sizes = np.bincount(labels, minlength=labels.size)
     blocks = [np.flatnonzero(labels == k) for k in np.flatnonzero(sizes > 1)]
     return blocks, np.flatnonzero(sizes[labels] == 1)
 
@@ -278,7 +316,7 @@ def _above_floor(sigma: np.ndarray, singles: np.ndarray, blocks: list[np.ndarray
     return True
 
 
-def _inverse_blocks(sigma: np.ndarray, stacklevel: int = 3, partition=None):
+def _inverse_blocks(sigma: np.ndarray, partition=None):
     """The inverse of a symmetric `sigma` by connected blocks, repaired as in `invert_sparse_cov`.
 
     Returns (blocks, inverses, singles, inverse_singles): the `_blocks`
@@ -286,8 +324,7 @@ def _inverse_blocks(sigma: np.ndarray, stacklevel: int = 3, partition=None):
     and the inverse's diagonal at the singletons.  The inverse is zero
     everywhere else.  `partition`, if given, is `_blocks(sigma)`.  Each
     block is read (`_block_index`), copied if shifted, and inverted one at
-    a time.  The shift's warning is raised at `stacklevel`; the default
-    names the caller of this helper's caller.
+    a time.  The shift's warning names the caller of this helper's caller.
     """
     d = np.diagonal(sigma)
     mean_diag = float(np.mean(d))
@@ -307,7 +344,7 @@ def _inverse_blocks(sigma: np.ndarray, stacklevel: int = 3, partition=None):
                 f"covariance smallest eigenvalue {lam_min:.3g} <= floor {eig_floor:.3g}; "
                 f"shifting diagonal by {shift:.3g} before inversion",
                 NumericalWarning,
-                stacklevel=stacklevel,
+                stacklevel=3,
             )
     inverses = []
     for b in blocks:
@@ -319,13 +356,14 @@ def _inverse_blocks(sigma: np.ndarray, stacklevel: int = 3, partition=None):
     return blocks, inverses, singles, 1.0 / (d[singles] + shift)
 
 
-def _inverse_rows(sigma: np.ndarray):
+def _inverse_rows(sigma: np.ndarray, partition=None):
     """The rows of `invert_sparse_cov(sigma)`, one at a time, built from `_inverse_blocks`.
 
-    The blocks are inverted, and any shift warned about, before this returns.
+    `partition`, if given, is `_blocks(sigma)`.  The blocks are inverted,
+    and any shift warned about, before this returns.
     """
     n = sigma.shape[0]
-    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma)
+    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma, partition=partition)
     parts = [None] * n  # row i: (its columns, their values)
     for b, inverse in zip(blocks, inverses):
         for i, values in zip(b.tolist(), inverse):
@@ -364,16 +402,12 @@ def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
     than that rounding.
     """
     sigma = cov.sigma_u if isinstance(cov, SparseCovariance) else np.asarray(cov, dtype=float)
-    return _invert_into(sigma, np.empty_like(sigma))
+    return _invert_into(_inverse_blocks(sigma), np.empty_like(sigma))
 
 
-def _invert_into(sigma: np.ndarray, out: np.ndarray, partition=None) -> np.ndarray:
-    """Write `invert_sparse_cov(sigma)` into `out`, an N x N float array, from `_inverse_blocks`; returns `out`.
-
-    `partition`, if given, is `_blocks(sigma)`.  The shift's warning names
-    the caller of this helper's caller.
-    """
-    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma, stacklevel=4, partition=partition)
+def _invert_into(inverse, out: np.ndarray) -> np.ndarray:
+    """Write the N x N inverse whose blocks `_inverse_blocks` returned (`inverse`) into `out`; returns `out`."""
+    blocks, inverses, singles, inverse_singles = inverse
     out.fill(0.0)
     out[singles, singles] = inverse_singles
     for b, inverse in zip(blocks, inverses):

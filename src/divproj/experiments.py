@@ -25,7 +25,8 @@ from functools import partial
 
 import numpy as np
 
-from .covariance import ThresholdRule, _blocks, _invert_into, _join, _sym_opnorm, _threshold_cov, invert_sparse_cov
+from .covariance import (ThresholdRule, _blocks, _inverse_blocks, _invert_into, _join, _sample_cov,
+                         _sym_opnorm, _threshold_rows, invert_sparse_cov)
 from .forecast import FixedWeightScheme, PCScheme, RollingWeightScheme, rolling_forecast
 from .inference import confidence_interval, double_selection
 from .projection import estimate_loadings, fit as projection_fit, pc_factors
@@ -117,32 +118,34 @@ def _cov_cell(cfg: SimConfig):
     return cfg, sigma_true, sigma_true_inv, _blocks((sigma_true != 0) | (sigma_true_inv != 0))
 
 
-def _cov_errors(U_hat, rule, cell, S, E):
-    """(covariance error, inverse error) of one thresholded estimate, made in the N x N buffers S and E.
+def _cov_errors(est, own, cell):
+    """(covariance error, inverse error) of the thresholded estimate in the N x N buffer `est`, which it overwrites.
 
-    S receives the estimate, and E its error and then its inverse's error.
-    Each error is the whole-matrix difference `a - b` written in place, so
-    its bits are those of the difference.  S is partitioned once, for its
-    inverse and, joined with the truth's partition, for both norms.
+    `own` is the estimate's partition.  The estimate's blocks are inverted
+    first; `est` then takes the covariance error and then the inverse's
+    error.  Each error is the whole-matrix difference `a - b` written in
+    place, so its bits are those of the difference.
     """
     _, sigma_true, sigma_true_inv, truth_partition = cell
-    _threshold_cov(U_hat, rule, out=S)
-    own = _blocks(S)
-    # Both errors vanish outside the blocks of S's and the truth's joint
-    # pattern: the inverses are block-diagonal over their own matrices' blocks.
-    partition = _join(own, truth_partition, S.shape[0])
-    err = _sym_opnorm(np.subtract(S, sigma_true, out=E), partition)
-    _invert_into(S, E, own)  # a shift's warning names _cov_rep
-    E -= sigma_true_inv
-    return err, _sym_opnorm(E, partition)
+    # Both errors vanish outside the blocks of the estimate's and the truth's
+    # joint pattern: the inverses are block-diagonal over their own matrices' blocks.
+    partition = _join(own, truth_partition, est.shape[0])
+    inverse = _inverse_blocks(est, partition=own)  # a shift's warning names _cov_rep
+    est -= sigma_true
+    err = _sym_opnorm(est, partition)
+    _invert_into(inverse, est)
+    est -= sigma_true_inv
+    return err, _sym_opnorm(est, partition)
 
 
 def _cov_rep(cell, rep, *, C_values, rule_kind, extra_factors, include_pc, include_known):
     """{(method, C): (covariance error, inverse error)} of one replication.
 
-    One residual set is alive at a time: each is thresholded at every C
-    and both errors are taken before the next is made.  All estimates of
-    the replication share two N x N buffers (`_cov_errors`).
+    One residual set is alive at a time.  Its S is formed once, in one of
+    two N x N buffers that all estimates of the replication share, and
+    each C thresholds it into the other (`_threshold_rows`), which also
+    gives the estimate's partition.  Both errors of an estimate are taken
+    in that buffer (`_cov_errors`) before the next C is thresholded.
     """
     cfg = cell[0]
     sim = generate_panel(cfg, replication=rep)
@@ -151,9 +154,11 @@ def _cov_rep(cell, rep, *, C_values, rule_kind, extra_factors, include_pc, inclu
     S, E = np.empty((2, cfg.n_series, cfg.n_series))
     out = {}
     for method, U_hat in _cov_residuals(X, z, F, cfg.n_factors_true, extra_factors, include_pc, include_known):
-        for C in C_values:
-            out[(method, C)] = _cov_errors(U_hat, ThresholdRule(kind=rule_kind, constant_C=C), cell, S, E)
+        _, d, omega = _sample_cov(U_hat, out=S)
         del U_hat  # before the next set is made
+        for C in C_values:
+            own = _threshold_rows(S, d, omega, ThresholdRule(kind=rule_kind, constant_C=C), E)
+            out[(method, C)] = _cov_errors(E, own, cell)
     return out
 
 
@@ -178,11 +183,12 @@ def experiment_cov(
     the known-factor benchmark, all thresholded with the same rule.  N = T
     along `sizes`.  Returns a list of result rows.
 
-    A replication makes its residual sets one at a time and writes each
-    estimate's S and both error matrices into two N x N buffers, which its
-    estimates share; the errors keep the bits of the whole-matrix
-    differences (`_cov_errors`).  The truth is partitioned once per cell
-    (`_cov_cell`) and each estimate's S once.
+    A replication makes its residual sets one at a time, forms each set's
+    S once and thresholds it at every C, and writes the estimates and both
+    error matrices into two N x N buffers, which its estimates share; the
+    errors keep the bits of the whole-matrix differences (`_cov_rep`,
+    `_cov_errors`).  The truth is partitioned once per cell (`_cov_cell`);
+    an estimate's partition comes from its thresholding pass.
 
     At `threads=1` the replications run in this process, at its BLAS's
     digits; above 1, in up to `threads` spawned one-BLAS-thread workers,

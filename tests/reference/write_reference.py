@@ -188,19 +188,18 @@ def compute() -> dict:
         inputs.mkdir()
         _write_inputs(inputs)
         values["cli"] = {}
-        thresholded = {}  # each command's (s, tau) row blocks
+        raw, taus = {}, {}  # each command's S before thresholding, and its tau row blocks
 
-        def copies(args, res):  # the caller overwrites S's row block with the result
-            return np.array(args[0]), np.array(args[1])
-
+        # S is thresholded in place after _sample_cov returns; _shrink leaves tau as it was
         for name, argv in _commands(inputs, out).items():
-            with _recording(covariance, "threshold_value", copies, thresholded.setdefault(name, [])):
+            with (_recording(covariance, "_sample_cov", lambda args, res: res[0].copy(), raw.setdefault(name, [])),
+                  _recording(covariance, "_shrink", lambda args, res: np.array(args[1]), taus.setdefault(name, []))):
                 if cli.run(argv) != 0:
                     raise RuntimeError(f"divproj {name} failed")
             values["cli"][name] = {
                 path.name: _read_output(path) for path in sorted((out / name).iterdir()) if path.name != "manifest.json"
             }
-    s, tau = (np.vstack(x) for x in zip(*thresholded["cov"]))  # the command's one S, row block after row block
+    (s,), tau = raw["cov"], np.vstack(taus["cov"])  # the command's one S, and its tau row block after row block
     off = ~np.eye(CLI_N, dtype=bool)
     margins["cov thresholding"] = float(np.min(np.abs(np.abs(s[off]) - tau[off]) / tau[off]))
     p = np.sort(values["cli"]["fdr"]["fdr.csv"]["p"])

@@ -24,6 +24,7 @@ from divproj.covariance import (
     _inverse_rows,
     _join,
     _sym_opnorm,
+    _threshold_rows,
     invert_sparse_cov,
     sparse_idio_cov,
     threshold_value,
@@ -154,6 +155,234 @@ class TestThresholdBits:
         np.fill_diagonal(ref, d)
         ref = (ref + ref.T) / 2.0
         assert sparse_idio_cov(U, rule).sigma_u.tobytes() == ref.tobytes()
+
+
+def _threshold_value_before(s, tau, rule):
+    """`threshold_value` as it was before the row-block kernel, frozen: the reference for the kernel's bits."""
+    scalar = np.isscalar(s) or np.ndim(s) == 0
+    s = np.asarray(s, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    a_s = np.abs(s)
+    if rule.kind == "hard":
+        out = np.where(a_s >= tau, s, 0.0)
+    else:
+        keep = ~(a_s <= tau)
+        out = np.sign(s, out=np.empty(keep.shape))
+        out *= 0.0
+        if keep.ndim:
+            s, tau = (x[keep] for x in np.broadcast_arrays(s, tau))
+        a_s = np.abs(s)
+        sign = np.sign(s)
+        soft = sign * np.maximum(a_s - tau, 0.0)
+        if rule.kind == "soft":
+            out[keep] = soft
+        else:
+            a = rule.scad_a
+            mid = ((a - 1.0) * s - sign * a * tau) / (a - 2.0)
+            out[keep] = np.where(a_s <= 2.0 * tau, soft, np.where(a_s <= a * tau, mid, s))
+    return float(out) if scalar else out
+
+
+def _kernel_reference(S, d, omega, rule):
+    """The thresholded S as it was computed before the kernel: the frozen formula on each row block, then the diagonal d.
+
+    The row blocks matter for NaN entries alone: numpy's vector loops and
+    their scalar tails may give a NaN different signs, and where an entry
+    falls depends on the array the formula runs on.
+    """
+    n = S.shape[0]
+    ref = np.empty_like(S)
+    step = max(1, covariance._BLOCK_ENTRIES // n)
+    for i in range(0, n, step):
+        rows = slice(i, i + step)
+        ref[rows] = _threshold_value_before(S[rows], rule.constant_C * np.sqrt(np.outer(d[rows], d)) * omega, rule)
+    np.fill_diagonal(ref, d)
+    return ref
+
+
+def _run_kernel(S, d, omega, rule, in_place):
+    """(the kernel's output, its partition), into a new buffer or in place; S keeps its bits in the former case."""
+    before = S.tobytes()
+    if in_place:
+        out = S.copy()
+        partition = _threshold_rows(out, d, omega, rule, out)
+    else:
+        out = np.full_like(S, np.nan)
+        partition = _threshold_rows(S, d, omega, rule, out)
+        assert S.tobytes() == before
+    return out, partition
+
+
+def _assert_partition(partition, reference):
+    blocks, singles = partition
+    assert [b.tolist() for b in blocks] == [b.tolist() for b in reference[0]]
+    np.testing.assert_array_equal(singles, reference[1])
+
+
+SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf and inf * 0 in the formulas
+class TestThresholdKernel:
+    """`_threshold_rows` writes the frozen formulas' bits and labels the components across its row blocks.
+
+    N = 700 spans eight row blocks of 93 rows.
+    """
+
+    N = 700
+
+    def _special_input(self, rule):
+        """A symmetric S whose off-diagonal entries sit on tau, 2 tau and a tau exactly, or are NaN, infinite or zero."""
+        n = self.N
+        rng = np.random.default_rng(30)
+        U = rng.standard_normal((n, 40))
+        U[: n // 2] += 0.4 * U[n // 2 :]
+        S = U @ U.T / 40
+        d = np.diag(S).copy()
+        omega = float(np.sqrt(np.log(n) / 40) + 1.0 / np.sqrt(n))
+        tau = rule.constant_C * np.sqrt(np.outer(d, d)) * omega
+        a = rule.scad_a
+        i, j = np.triu_indices(n, 1)
+        pick = rng.choice(i.size, 12 * 60, replace=False).reshape(12, 60)
+        for k, sel in enumerate(pick):
+            r, c = i[sel], j[sel]
+            sign = 1.0 if k % 2 == 0 else -1.0
+            if k < 6:  # |s| = tau, 2 tau and a tau, both signs
+                values = sign * [tau[r, c], 2.0 * tau[r, c], a * tau[r, c]][k // 2]
+            else:
+                values = SPECIAL[k - 6]
+            S[r, c] = S[c, r] = values
+        assert S.tobytes() == S.T.copy().tobytes()
+        return S, d, omega
+
+    @pytest.mark.parametrize("in_place", [False, True], ids=["buffer", "in_place"])
+    @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD, ThresholdRule(kind="hard", constant_C=0.0),
+                                      ThresholdRule(kind="scad", constant_C=0.0),
+                                      ThresholdRule(kind="soft", constant_C=np.inf)],
+                             ids=["hard", "soft", "scad", "hard_C0", "scad_C0", "soft_Cinf"])
+    def test_bits_equal_the_formulas_before(self, rule, in_place):
+        S, d, omega = self._special_input(rule)
+        out, partition = _run_kernel(S, d, omega, rule, in_place)
+        ref = _kernel_reference(S, d, omega, rule)
+        assert out.tobytes() == ref.tobytes()  # signed zeros and NaN signs included
+        _assert_partition(partition, _blocks(ref))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_zero_entries_link_nothing(self, kind):
+        """At C = 0 hard thresholding keeps every entry, the exact zeros (+0.0 and -0.0) among them; no zero is an edge."""
+        n = self.N
+        rng = np.random.default_rng(34)
+        pattern = _random_sparse(1.0)(n, rng)
+        S, d, omega = _pattern_input(pattern, rng)
+        zero = ~(pattern | pattern.T | np.eye(n, dtype=bool))
+        negative = np.triu(rng.random((n, n)) < 0.5, 1)
+        S[zero] = 0.0
+        S[zero & (negative | negative.T)] = -0.0
+        rule = ThresholdRule(kind=kind, constant_C=0.0)
+        for in_place in (False, True):
+            out, partition = _run_kernel(S, d, omega, rule, in_place)
+            assert out.tobytes() == _kernel_reference(S, d, omega, rule).tobytes()
+            _assert_partition(partition, _scipy_blocks(pattern))
+
+    @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
+    def test_bits_of_sample_covariances(self, rule):
+        n = self.N
+        rng = np.random.default_rng(31)
+        U = rng.standard_normal((n, 40))
+        U[: n // 2] += 0.5 * U[n // 2 :]
+        S, d, omega = covariance._sample_cov(U)
+        for C in (0.5, 1.0, 2.0):
+            r = ThresholdRule(kind=rule.kind, constant_C=C)
+            out, partition = _run_kernel(S, d, omega, r, in_place=False)
+            ref = _kernel_reference(S, d, omega, r)
+            assert out.tobytes() == ref.tobytes()
+            _assert_partition(partition, _blocks(ref))
+
+    @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
+    def test_threshold_value_equals_the_formula_before(self, rule):
+        """The public wrapper keeps every bit, the 0-d path's NaN signs among them."""
+        tau0, a = 0.3, rule.scad_a
+        edges = np.array([tau0, 2.0 * tau0, a * tau0, 0.1, 5.0] + SPECIAL)
+        edges = np.concatenate([edges, -edges])
+        for tau in (tau0, 0.0, np.inf):
+            got = threshold_value(edges, tau, rule)
+            assert got.tobytes() == _threshold_value_before(edges, tau, rule).tobytes()
+            for x in edges:
+                got = np.float64(threshold_value(np.float64(x), tau, rule))
+                assert got.tobytes() == np.float64(_threshold_value_before(np.float64(x), tau, rule)).tobytes()
+        s = np.random.default_rng(32).standard_normal((5, 7))
+        taus = np.random.default_rng(33).uniform(0.0, 1.0, (5, 1))  # broadcast against s
+        assert threshold_value(s, taus, rule).tobytes() == _threshold_value_before(s, taus, rule).tobytes()
+
+
+def _pattern_input(pattern, rng):
+    """(S, d, omega): S exactly symmetric, with entries of +-sqrt(d_i d_j) on `pattern` and noise below every threshold elsewhere.
+
+    With omega = 0.1 and C = 2, tau_ij = 0.2 sqrt(d_i d_j): every rule keeps
+    the pattern's entries (|s| > a tau for SCAD) and zeroes the noise.
+    """
+    n = pattern.shape[0]
+    d = rng.uniform(0.5, 2.0, n)
+    scale = np.sqrt(np.outer(d, d))
+    S = np.triu(np.where(pattern | pattern.T, rng.choice([-1.0, 1.0], (n, n)), rng.uniform(-0.15, 0.15, (n, n))), 1)
+    S = (S + S.T) * scale
+    np.fill_diagonal(S, d)
+    return S, d, 0.1
+
+
+def _chain(n, rng):
+    a = np.zeros((n, n), dtype=bool)
+    a[np.arange(n - 1), np.arange(1, n)] = True
+    return a
+
+
+def _first_and_last(n, rng):
+    a = np.zeros((n, n), dtype=bool)
+    a[0, n - 1] = True
+    return a
+
+
+def _late_roots(n, rng):
+    """Components whose members meet in later row blocks than the ones that link them to their smallest member.
+
+    Row blocks hold 93 rows.  Block 0 links 5 to 690 and block 1 links 100
+    to 650, so when block 6 links 650 to 690, the roots it joins (100 and 5)
+    are in the opposite order to the edge's ends.  The others spread such
+    links over every block.
+    """
+    a = np.zeros((n, n), dtype=bool)
+    for lo, hi in [(5, 690), (100, 650), (650, 690), (200, 400), (300, 400), (90, 300), (620, 699), (2, 699)]:
+        a[lo, hi] = True
+    for start in range(10, 90, 8):  # chains that reach forward across several blocks
+        nodes = np.sort(rng.choice(np.arange(start, n), 6, replace=False))[::-1]
+        a[np.minimum(nodes[:-1], nodes[1:]), np.maximum(nodes[:-1], nodes[1:])] = True
+    return a
+
+
+def _random_sparse(density):
+    return lambda n, rng: rng.random((n, n)) < density / n
+
+
+LABEL_PATTERNS = [_chain, _first_and_last, _late_roots, _random_sparse(0.5), _random_sparse(1.0),
+                  _random_sparse(3.0), lambda n, rng: np.zeros((n, n), dtype=bool),
+                  lambda n, rng: np.ones((n, n), dtype=bool)]
+LABEL_IDS = ["chain", "first_and_last", "late_roots", "random_0.5", "random_1", "random_3", "singletons", "dense"]
+
+
+@pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
+@pytest.mark.parametrize("make", LABEL_PATTERNS, ids=LABEL_IDS)
+def test_kernel_labels_across_row_blocks(make, rule):
+    """The kernel's partition is `_blocks` of its output and scipy's partition of the pattern it was given."""
+    n = 700
+    assert max(1, covariance._BLOCK_ENTRIES // n) == 93  # eight row blocks
+    rng = np.random.default_rng(len(LABEL_IDS) * 7 + 3)
+    pattern = make(n, rng)
+    S, d, omega = _pattern_input(pattern, rng)
+    for in_place in (False, True):
+        out, partition = _run_kernel(S, d, omega, rule, in_place)
+        assert np.array_equal(out != 0, pattern | pattern.T | np.eye(n, dtype=bool))
+        _assert_partition(partition, _blocks(out))
+        _assert_partition(partition, _scipy_blocks(pattern))
 
 
 class TestThresholdRule:
@@ -671,6 +900,29 @@ class TestBlocks:
         joined = _assert_join(np.eye(n), _random_order_path(np.random.default_rng(1), n))
         assert len(joined[0]) == 1 and joined[1].size == 0
 
+    def test_components_from_given_labels(self):
+        """Hooking edges into given labels gives the components of all the edges, whichever root is smaller."""
+        n = 3
+        labels = covariance._components(np.arange(n), np.array([1]), np.array([2]))  # 2's root is 1
+        np.testing.assert_array_equal(covariance._components(labels, np.array([0]), np.array([2])), [0, 0, 0])
+        rng = np.random.default_rng(40)
+        for _ in range(200):
+            n = int(rng.integers(2, 60))
+            first, second = (np.triu(rng.random((n, n)) < rng.uniform(0.2, 2.0) / n, 1) for _ in range(2))
+            labels = covariance._components(np.arange(n), *np.nonzero(first))
+            labels = covariance._components(labels, *np.nonzero(second))
+            _assert_partition(covariance._partition(labels), _scipy_blocks(first | second))
+
+    def test_dense_pattern_peak(self, traced_peak):
+        """A dense 1200 x 1200 pattern peaks at 3.25 x 8 N^2: the edge lists' split, before the hooking.
+
+        Keeping the full edge lists alive while the hooking ran on their
+        upper halves peaked at 4.25.
+        """
+        n = 1200
+        a = np.ones((n, n))
+        assert traced_peak(_blocks, a) < 3.3 * 8 * n**2
+
     def test_covariance_study_rows_equal_with_the_reference(self, monkeypatch):
         kwargs = dict(sizes=(40, 60), alphas=(1.0,), rho_Ts=(0.7,), n_reps=2, seed=5,
                       C_values=(1.0, 2.0), extra_factors=(0, 2))
@@ -681,11 +933,12 @@ class TestBlocks:
 
 
 def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
-    """Each estimate makes one `_blocks` call, and its errors equal the norms on their own patterns.
+    """No estimate makes a `_blocks` call, and its errors equal the norms on their own patterns.
 
     A cell partitions twice: the truth's inverse and the truth's joint
-    pattern.  An estimate partitions its S once; its inverse reuses that
-    partition, and both errors share its join with the truth's.
+    pattern.  An estimate's partition comes from its thresholding pass; its
+    inverse uses that partition, and both errors share its join with the
+    truth's.
     """
     kwargs = dict(sizes=(40, 60), alphas=(1.0,), rho_Ts=(0.7,), n_reps=2, seed=5,
                   C_values=(1.0, 2.0), extra_factors=(0, 2))
@@ -699,8 +952,8 @@ def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
         m.setattr(covariance, "_blocks", counting_blocks)
         m.setattr(experiments, "_blocks", counting_blocks)
         rows = experiment_cov(**kwargs)
-    n_cells, n_estimates = 2, 2 * 2 * 4 * 2  # sizes; sizes x reps x methods x C
-    assert len(counted) == 2 * n_cells + n_estimates
+    n_cells = 2  # sizes
+    assert len(counted) == 2 * n_cells
     monkeypatch.setattr(experiments, "_sym_opnorm", lambda e, partition: _sym_opnorm(e))
     assert rows == experiment_cov(**kwargs)
 
@@ -730,46 +983,54 @@ def _whole_matrix_errors(cfg, rep, rule_kind, C_values, extra_factors):
 def test_covariance_study_errors_equal_the_whole_matrix_formulas(rule_kind):
     """Every bit of the study's err_* equals that of the errors of fresh whole matrices.
 
-    The study streams its residual sets and writes S and both error
-    matrices into reused buffers; the oracle makes each set and matrix anew.
+    The study forms each residual set's S once in a reused buffer,
+    thresholds it at every C into a second one and writes both error
+    matrices there; the oracle makes each set and matrix anew.  One, two
+    and three C values each threshold one S.
     Hard thresholding at C = 1 leaves indefinite estimates here, whose
     inverses take an eigenvalue shift.
     """
-    sizes, alphas, n_reps, C_values, extra = (40, 60), (0.5, 1.0), 2, (1.0, 2.0), (0, 2)
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        rows = experiment_cov(sizes=sizes, alphas=alphas, rho_Ts=(0.7,), n_reps=n_reps, seed=5,
-                              C_values=C_values, rule_kind=rule_kind, extra_factors=extra)
-    shifted = {w.filename for w in record if issubclass(w.category, NumericalWarning)}
-    assert shifted == ({experiments.__file__} if rule_kind == "hard" else set())  # the warnings name the study
-    expected = []
-    for alpha in alphas:
-        for size in sizes:
-            cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=1, alpha_strength=alpha, rho_T=0.7, seed=5)
-            per_rep = [_whole_matrix_errors(cfg, rep, rule_kind, C_values, extra) for rep in range(n_reps)]
-            for method, C in per_rep[0]:
-                err_mean, err_se = experiments._mean_se([res[method, C][0] for res in per_rep])
-                inv_mean, inv_se = experiments._mean_se([res[method, C][1] for res in per_rep])
-                expected.append({"alpha": alpha, "rho_T": 0.7, "N": size, "method": method, "C": C,
-                                 "err_cov_mean": err_mean, "err_cov_se": err_se,
-                                 "err_inv_mean": inv_mean, "err_inv_se": inv_se})
-    assert len(rows) == 2 * 2 * 4 * 2  # alphas x sizes x methods x C
-    assert rows == expected
+    sizes, alphas, n_reps, extra = (40, 60), (0.5, 1.0), 2, (0, 2)
+    for C_values in ((1.0, 2.0), (1.0,), (1.0, 1.5, 2.0)):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            rows = experiment_cov(sizes=sizes, alphas=alphas, rho_Ts=(0.7,), n_reps=n_reps, seed=5,
+                                  C_values=C_values, rule_kind=rule_kind, extra_factors=extra)
+        shifted = {w.filename for w in record if issubclass(w.category, NumericalWarning)}
+        assert shifted == ({experiments.__file__} if rule_kind == "hard" else set())  # the warnings name the study
+        expected = []
+        for alpha in alphas:
+            for size in sizes:
+                cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=1, alpha_strength=alpha, rho_T=0.7,
+                                seed=5)
+                per_rep = [_whole_matrix_errors(cfg, rep, rule_kind, C_values, extra) for rep in range(n_reps)]
+                for method, C in per_rep[0]:
+                    err_mean, err_se = experiments._mean_se([res[method, C][0] for res in per_rep])
+                    inv_mean, inv_se = experiments._mean_se([res[method, C][1] for res in per_rep])
+                    expected.append({"alpha": alpha, "rho_T": 0.7, "N": size, "method": method, "C": C,
+                                     "err_cov_mean": err_mean, "err_cov_se": err_se,
+                                     "err_inv_mean": inv_mean, "err_inv_se": inv_se})
+        assert len(rows) == 2 * 2 * 4 * len(C_values)  # alphas x sizes x methods x C
+        assert rows == expected
 
 
 def test_covariance_replication_holds_one_residual_set_and_two_buffers(traced_peak):
-    """One replication of the benchmark's shape at N = T = 300 peaks below 8 x 8 N^2 bytes.
+    """One replication of the benchmark's shape at N = T = 300 peaks below 8 x 8 N^2 bytes, and below 6.5 x 8 N^2.
 
     tracemalloc peaks: 12.4 x 8 N^2 with all six residual sets alive and
     fresh N x N arrays for each estimate's S, inverse and two errors, 6.4 x
-    8 N^2 with one set at a time and two reused buffers.
+    8 N^2 with one set at a time and two reused buffers, 5.1 x 8 N^2 with
+    S formed once per set and thresholded into those two buffers.  A third
+    buffer would add one 8 N^2.
     """
     n = 300
     cell = experiments._cov_cell(SimConfig(n_series=n, n_periods=n, n_factors_true=1, rho_T=0.7, seed=3))
     rep = partial(experiments._cov_rep, C_values=(1.0, 2.0), rule_kind="scad", extra_factors=(0, 1, 2, 3),
                   include_pc=True, include_known=True)
     rep(cell, 0)  # numpy's one-time allocations
-    assert traced_peak(rep, cell, 1) < 8 * 8 * n**2
+    peak = traced_peak(rep, cell, 1)
+    assert peak < 8 * 8 * n**2
+    assert peak < 6.5 * 8 * n**2
 
 
 def _imports(node, package: str) -> bool:

@@ -16,7 +16,8 @@ import pytest
 
 from divproj.cli import SIMULATIONS, _build_parser, run
 from divproj import cli as cli_module
-from divproj.covariance import SparseCovariance, ThresholdRule, _blocks, invert_sparse_cov
+from divproj import covariance
+from divproj.covariance import SparseCovariance, ThresholdRule, _blocks, _inverse_rows, invert_sparse_cov
 from divproj import io as io_module
 from divproj.exceptions import DegenerateDataError, NumericalWarning
 from divproj.experiments import experiment_spectest
@@ -632,8 +633,8 @@ def test_cov_inverse_file_is_the_dense_inverse(tmp_path, monkeypatch, case):
     """sigma_u_inv.csv, written row by row from the blocks, has the bytes of write_matrix(invert_sparse_cov(.))."""
     rng = np.random.default_rng(21)
     sigma = _covariance_case(case, rng)
-    monkeypatch.setattr(cli_module, "sparse_idio_cov",
-                        lambda residuals, rule: SparseCovariance(sigma.copy(), omega=0.1, nonzero_offdiag=0))
+    monkeypatch.setattr(cli_module, "_threshold_cov", lambda residuals, rule: (
+        SparseCovariance(sigma.copy(), omega=0.1, nonzero_offdiag=0), _blocks(sigma)))
     write_panel(tmp_path / "x.csv", PanelData(rng.standard_normal((30, 40))))
     ids = [f"s{i + 1}" for i in range(30)]
     out = tmp_path / "out"
@@ -681,6 +682,33 @@ def test_wide_commands_hold_one_n_by_n_array(wide_panel, tmp_path, command):
         tracemalloc.stop()
     assert code == 0
     assert peak < 2 * 8 * 1200**2
+
+
+def test_cov_inverse_uses_the_thresholding_pass_partition(wide_panel, tmp_path, monkeypatch):
+    """At N = 1200 the cov command never scans its estimate into a pattern; its files are those of a fresh partition.
+
+    The thresholding pass labels the estimate's components, and the
+    inverse is written from those blocks, so `_blocks` is never called.
+    A run that partitions the estimate with `_blocks` writes the same bytes.
+    """
+    argv = ["cov", "--panel", str(wide_panel / "panel.csv"), "--scheme", "sieve", "--R", "2",
+            "--chars", str(wide_panel / "chars.csv"), "--rule", "soft", "--C", "0.5"]
+    counted = []
+
+    def counting_blocks(a):
+        counted.append(a.shape)
+        return _blocks(a)
+
+    with monkeypatch.context() as m:
+        m.setattr(covariance, "_blocks", counting_blocks)
+        assert run([*argv, "--out", str(tmp_path / "pass")]) == 0
+    assert counted == []
+    monkeypatch.setattr(cli_module, "_inverse_rows", lambda sigma, partition: _inverse_rows(sigma))
+    assert run([*argv, "--out", str(tmp_path / "fresh")]) == 0
+    summary = json.loads((tmp_path / "pass" / "summary.json").read_text())
+    assert summary["nonzero_offdiag"] > 1000  # blocks of more than one member to invert
+    for name in ("sigma_u.csv", "sigma_u_inv.csv", "summary.json"):
+        assert (tmp_path / "pass" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
 def _library_default(func, name):
