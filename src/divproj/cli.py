@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import KINDS, ThresholdRule, _inverse_rows, _threshold_cov
+from .covariance import KINDS, ThresholdRule, _inverse_rows, sparse_idio_cov
 from .exceptions import DivprojError
 from .experiments import (
     _ONE_BLAS_THREAD,
@@ -328,7 +328,7 @@ def _cmd_cov(args) -> int:
     panel, W = _panel_and_weights(args, panel)
     fit_res = projection_fit(panel, W)
     rule = ThresholdRule(kind=args.rule, constant_C=args.C, scad_a=args.scad_a)
-    cov, partition = _threshold_cov(fit_res.residuals, rule)
+    cov = sparse_idio_cov(fit_res.residuals, rule)
     outdir = ensure_outdir(args.out)
     s_ids = panel.series_ids
     if args.sparse:
@@ -337,7 +337,7 @@ def _cmd_cov(args) -> int:
         write_matrix(outdir / "sigma_u.csv", cov.sigma_u, s_ids, s_ids, corner="series")
     # the inverse is written row by row from its blocks, never held as an N x N array;
     # the blocks are those the thresholding pass found
-    _write_labelled(outdir / "sigma_u_inv.csv", ["series", *s_ids], s_ids, _inverse_rows(cov.sigma_u, partition))
+    _write_labelled(outdir / "sigma_u_inv.csv", ["series", *s_ids], s_ids, _inverse_rows(cov.sigma_u, cov.partition))
     write_json(
         outdir / "summary.json",
         {

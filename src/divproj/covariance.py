@@ -18,26 +18,25 @@ and mirrored, so S is exactly symmetric.  tau_ij = tau_ji bit for bit, so
 the thresholded matrix is exactly symmetric too, and the average would
 return it unchanged, signed zeros included.
 
-The thresholded matrix is sparse, and after a permutation it is
-block-diagonal over the connected components of its nonzero pattern,
-which the thresholding pass labels as it goes (`_threshold_rows`).  Its
-eigenvalues and its inverse are computed one block at a time, which is
-exact (Mazumder & Hastie 2012); a dense, connected matrix is one block.
-The inverse computes eigenvalues only when a Cholesky test finds that some
-block's smallest one may be at or below its eigenvalue floor.  The blocks'
-inverses are kept apart (`_inverse_blocks`), so a caller that writes the
-inverse row by row never holds it as a dense N x N array.  An operator
-norm may be taken over a coarser partition, one whose blocks hold whole
-components, such as the join of two patterns' partitions (`_join`), so one
-partition can serve several matrices, and a caller may pass on a partition
-it has.  A block of consecutive indices is read and written as a slice
-view, not gathered (`_block_index`), with the same bits.
+The thresholded matrix is sparse, and after a permutation it and its
+inverse are block-diagonal over the connected components of its nonzero
+pattern.  Its eigenvalues and inverse are computed one block at a time,
+which is exact (Mazumder & Hastie 2012); a dense, connected matrix is one
+block.  Each matrix's partition is found once, by whoever made it: the
+thresholding pass labels the estimate's (`SparseCovariance.partition`),
+the block helpers require one, and `_blocks` scans only a matrix that
+comes without it.  The inverse computes eigenvalues only when a Cholesky
+test finds that some block's smallest one may be at or below its
+eigenvalue floor.  The blocks' inverses are kept apart (`_inverse_blocks`),
+so a caller that writes the inverse row by row never holds it as a dense
+N x N array.  A block of consecutive indices is read and written as a
+slice view, not gathered (`_block_index`), with the same bits.
 
 `sparse_idio_cov` and `invert_sparse_cov` return new arrays.  Their private
 forms (`_sample_cov`, `_threshold_rows`, `_invert_into`) write into N x N
 arrays that the caller gives, with the same bits, so a caller that makes
-many estimates (the covariance study) can form S once, threshold it at
-each C into one reused buffer and keep each estimate's partition.
+many estimates (the covariance study) can form S once and threshold it at
+each C into one reused buffer.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateDataError, NumericalWarning
+from .exceptions import DegenerateDataError, DimensionError, NumericalWarning
 
 KINDS = ("hard", "soft", "scad")
 _BLOCK_ENTRIES = 1 << 16  # entries per row block of the thresholding loop
@@ -82,17 +81,16 @@ class SparseCovariance:
     sigma_u: np.ndarray        # N x N symmetric
     omega: float               # omega_NT used in the thresholds
     nonzero_offdiag: int
-
-    @property
-    def n_series(self) -> int:
-        return self.sigma_u.shape[0]
+    partition: tuple | None = None  # `_blocks(sigma_u)`, from the thresholding pass
 
     def sparsity_m(self, q: float) -> float:
-        """Row-wise sparsity diagnostic max_i sum_j |sigma_ij|^q (0^0 := 0).
+        """Row-wise sparsity diagnostic max_i sum_j |sigma_ij|^q (0^0 := 0); q >= 0 (NaN raises ValueError).
 
         Taken over row blocks, so the temporaries are row blocks; a row's
         sum does not depend on the block that holds it.
         """
+        if not q >= 0:  # NaN fails too
+            raise ValueError(f"sparsity exponent q must be non-negative, got {q}")
         sigma = self.sigma_u
         per_row = np.empty(sigma.shape[0])
         step = max(1, _BLOCK_ENTRIES // sigma.shape[1])
@@ -158,15 +156,9 @@ def sparse_idio_cov(residuals_hat: np.ndarray, rule: ThresholdRule) -> SparseCov
     exactly symmetric.  Its S may then differ from the view's product in
     the last bits.
     """
-    return _threshold_cov(residuals_hat, rule)[0]
-
-
-def _threshold_cov(residuals_hat: np.ndarray, rule: ThresholdRule):
-    """(`sparse_idio_cov`, the `_blocks` partition of its sigma_u), from one S thresholded in place."""
     S, d, omega = _sample_cov(residuals_hat)
     partition = _threshold_rows(S, d, omega, rule, S)
-    nonzero = int(np.count_nonzero(S)) - S.shape[0]
-    return SparseCovariance(sigma_u=S, omega=omega, nonzero_offdiag=nonzero), partition
+    return SparseCovariance(S, omega, int(np.count_nonzero(S)) - S.shape[0], partition)
 
 
 def _sample_cov(residuals_hat: np.ndarray, out: np.ndarray | None = None):
@@ -283,14 +275,13 @@ def _block_index(b: np.ndarray):
     return (slice(b[0], b[-1] + 1),) * 2 if b[-1] - b[0] + 1 == b.size else np.ix_(b, b)
 
 
-def _sym_opnorm(e: np.ndarray, partition=None) -> float:
-    """Spectral norm of a symmetric matrix: its largest |eigenvalue|, block by block.
+def _sym_opnorm(e: np.ndarray, partition) -> float:
+    """Spectral norm of a symmetric matrix: its largest |eigenvalue|, block by block over `partition`.
 
-    `partition` is a `_blocks` result to use in place of `_blocks(e)`.  It
-    is exact for any partition whose blocks each hold whole components of
-    e's pattern, such as that of a pattern containing e's.
+    Exact for `_blocks(e)` and for any partition whose blocks each hold
+    whole components of e's pattern, such as that of a pattern containing e's.
     """
-    blocks, singles = _blocks(e) if partition is None else partition
+    blocks, singles = partition
     norm = np.abs(np.diagonal(e)[singles]).max(initial=0.0)
     for b in blocks:
         w = np.linalg.eigvalsh(e[_block_index(b)])
@@ -316,15 +307,15 @@ def _above_floor(sigma: np.ndarray, singles: np.ndarray, blocks: list[np.ndarray
     return True
 
 
-def _inverse_blocks(sigma: np.ndarray, partition=None):
-    """The inverse of a symmetric `sigma` by connected blocks, repaired as in `invert_sparse_cov`.
+def _inverse_blocks(sigma: np.ndarray, partition):
+    """The inverse of a symmetric `sigma` over its partition `_blocks(sigma)`, repaired as in `invert_sparse_cov`.
 
-    Returns (blocks, inverses, singles, inverse_singles): the `_blocks`
-    partition, the inverse of each block (in the order of its members),
-    and the inverse's diagonal at the singletons.  The inverse is zero
-    everywhere else.  `partition`, if given, is `_blocks(sigma)`.  Each
-    block is read (`_block_index`), copied if shifted, and inverted one at
-    a time.  The shift's warning names the caller of this helper's caller.
+    Returns (blocks, inverses, singles, inverse_singles): the partition,
+    the inverse of each block (in the order of its members), and the
+    inverse's diagonal at the singletons.  The inverse is zero everywhere
+    else.  Each block is read (`_block_index`), copied if shifted, and
+    inverted one at a time.  The shift's warning names the caller of this
+    helper's caller.
     """
     d = np.diagonal(sigma)
     mean_diag = float(np.mean(d))
@@ -333,7 +324,7 @@ def _inverse_blocks(sigma: np.ndarray, partition=None):
         raise DegenerateDataError(
             f"covariance mean diagonal {mean_diag:.3g} <= 0: no diagonal shift makes it positive definite"
         )
-    blocks, singles = _blocks(sigma) if partition is None else partition
+    blocks, singles = partition
     shift = 0.0
     if not _above_floor(sigma, singles, blocks, eig_floor):
         lam_min = float(min([d[singles].min(initial=np.inf)]
@@ -356,14 +347,13 @@ def _inverse_blocks(sigma: np.ndarray, partition=None):
     return blocks, inverses, singles, 1.0 / (d[singles] + shift)
 
 
-def _inverse_rows(sigma: np.ndarray, partition=None):
-    """The rows of `invert_sparse_cov(sigma)`, one at a time, built from `_inverse_blocks`.
+def _inverse_rows(sigma: np.ndarray, partition):
+    """The rows of `invert_sparse_cov(sigma)`, one at a time, from `_inverse_blocks(sigma, partition)`.
 
-    `partition`, if given, is `_blocks(sigma)`.  The blocks are inverted,
-    and any shift warned about, before this returns.
+    The blocks are inverted, and any shift warned about, before this returns.
     """
     n = sigma.shape[0]
-    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma, partition=partition)
+    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma, partition)
     parts = [None] * n  # row i: (its columns, their values)
     for b, inverse in zip(blocks, inverses):
         for i, values in zip(b.tolist(), inverse):
@@ -387,9 +377,10 @@ def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
     eigenvalue is at or below a floor of 1e-6 times the mean diagonal, the
     diagonal is shifted up by (floor - lambda_min) before inverting, with a
     warning.  A mean diagonal at or below zero leaves no positive floor and
-    raises DegenerateDataError.  The reported covariance itself is never
-    modified.  The inverse is computed on the connected blocks of the
-    nonzero pattern, so entries outside the blocks are exact zeros.
+    raises DegenerateDataError; a non-square matrix raises DimensionError.
+    The reported covariance itself is never modified.  The inverse is
+    computed on the connected blocks of the nonzero pattern (an estimate's
+    own partition), so entries outside the blocks are exact zeros.
 
     The eigenvalues are computed only when the matrix fails a Cholesky
     gate: every singleton above the floor, and a Cholesky factor of every
@@ -401,8 +392,14 @@ def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
     where the computed lambda_min would have asked for a shift no larger
     than that rounding.
     """
-    sigma = cov.sigma_u if isinstance(cov, SparseCovariance) else np.asarray(cov, dtype=float)
-    return _invert_into(_inverse_blocks(sigma), np.empty_like(sigma))
+    if isinstance(cov, SparseCovariance):
+        sigma, partition = cov.sigma_u, cov.partition
+    else:
+        sigma, partition = np.asarray(cov, dtype=float), None
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
+        raise DimensionError(f"covariance must be a square matrix, got shape {sigma.shape}")
+    partition = _blocks(sigma) if partition is None else partition
+    return _invert_into(_inverse_blocks(sigma, partition), np.empty_like(sigma))
 
 
 def _invert_into(inverse, out: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from .covariance import (ThresholdRule, _blocks, _inverse_blocks, _invert_into, _join, _sample_cov,
-                         _sym_opnorm, _threshold_rows, invert_sparse_cov)
+                         _sym_opnorm, _threshold_rows)
 from .forecast import FixedWeightScheme, PCScheme, RollingWeightScheme, rolling_forecast
 from .inference import confidence_interval, double_selection
 from .projection import estimate_loadings, fit as projection_fit, pc_factors
@@ -112,10 +112,10 @@ def _cov_residuals(X, z, F, r, extra_factors, include_pc, include_known):
 
 
 def _cov_cell(cfg: SimConfig):
-    """(cfg, Sigma, Sigma^{-1}, the `_blocks` partition of their joint pattern): one cell of the covariance study."""
+    """(cfg, Sigma, Sigma^{-1}, Sigma's `_blocks` partition, which is also Sigma^{-1}'s): one covariance study cell."""
     sigma_true = true_idio_cov(cfg)
-    sigma_true_inv = invert_sparse_cov(sigma_true)
-    return cfg, sigma_true, sigma_true_inv, _blocks((sigma_true != 0) | (sigma_true_inv != 0))
+    partition = _blocks(sigma_true)
+    return cfg, sigma_true, _invert_into(_inverse_blocks(sigma_true, partition), np.empty_like(sigma_true)), partition
 
 
 def _cov_errors(est, own, cell):
@@ -130,7 +130,7 @@ def _cov_errors(est, own, cell):
     # Both errors vanish outside the blocks of the estimate's and the truth's
     # joint pattern: the inverses are block-diagonal over their own matrices' blocks.
     partition = _join(own, truth_partition, est.shape[0])
-    inverse = _inverse_blocks(est, partition=own)  # a shift's warning names _cov_rep
+    inverse = _inverse_blocks(est, own)  # a shift's warning names _cov_rep
     est -= sigma_true
     err = _sym_opnorm(est, partition)
     _invert_into(inverse, est)

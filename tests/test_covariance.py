@@ -1,5 +1,7 @@
 import ast
+import inspect
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -29,7 +31,7 @@ from divproj.covariance import (
     sparse_idio_cov,
     threshold_value,
 )
-from divproj.exceptions import DegenerateDataError, NumericalWarning
+from divproj.exceptions import DegenerateDataError, DimensionError, NumericalWarning
 from divproj.experiments import experiment_cov
 from divproj.projection import estimate_loadings, fit, pc_factors
 from divproj.simulation import SimConfig, cross_section_cov, generate_panel, true_idio_cov
@@ -535,6 +537,14 @@ class TestSparseIdioCov:
         assert cov.sparsity_m(0) == 2.0
         assert cov.sparsity_m(1) == 2.5
 
+    @pytest.mark.parametrize("q", [-1.0, -np.inf, np.nan])
+    def test_sparsity_m_rejects_a_negative_or_nan_exponent(self, q):
+        cov = SparseCovariance(sigma_u=np.array([[1.0, 0.5], [0.5, 2.0]]), omega=0.1, nonzero_offdiag=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero warning on the way
+            with pytest.raises(ValueError, match="non-negative"):
+                cov.sparsity_m(q)
+
 
 class TestInvertSparseCov:
     def test_identity(self):
@@ -556,6 +566,11 @@ class TestInvertSparseCov:
         assert record[0].filename == __file__  # the warning names the caller
         # the diagonal is shifted by 1e-6 - (-1) before inversion
         np.testing.assert_allclose(inv, np.diag(1.0 / np.array([3.0 + 1e-6, 3.0 + 1e-6, 1e-6])), rtol=1e-9)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4,), (), (2, 2, 2)])
+    def test_non_square_input_rejected(self, shape):
+        with pytest.raises(DimensionError, match=re.escape(f"shape {shape}")):
+            invert_sparse_cov(np.ones(shape))
 
     def test_nonpositive_mean_diagonal_rejected(self):
         # no eigenvalue floor exists, so no diagonal shift gives a positive definite matrix
@@ -661,7 +676,7 @@ class TestBlockViews:
             if case == "permuted_shifted":
                 sigma[np.ix_(blocks[1], blocks[1])] *= -1.0
         blocks, inverses = _gathered_inverses(sigma)
-        got_blocks, got, _, _ = _inverse_blocks(sigma)
+        got_blocks, got, _, _ = _inverse_blocks(sigma, _blocks(sigma))
         assert [b.tolist() for b in got_blocks] == [b.tolist() for b in blocks]
         assert [x.tobytes() for x in got] == [x.tobytes() for x in inverses]
         dense = invert_sparse_cov(sigma)
@@ -675,7 +690,7 @@ class TestBlockViews:
             inverse = invert_sparse_cov(sigma)
         assert sigma.tobytes() == before
         with pytest.warns(NumericalWarning, match="shifting diagonal"):
-            rows = np.array(list(_inverse_rows(sigma)))
+            rows = np.array(list(_inverse_rows(sigma, _blocks(sigma))))
         assert sigma.tobytes() == before
         assert rows.tobytes() == inverse.tobytes()
         blocks, singles = _blocks(sigma)
@@ -692,7 +707,7 @@ class TestBlockViews:
     def test_opnorm_of_a_run_equals_the_gathered_one(self):
         e = _indefinite_run_block()
         w = np.linalg.eigvalsh(e[np.ix_(np.arange(40), np.arange(40))])
-        assert _sym_opnorm(e) == max(-w[0], w[-1])
+        assert _sym_opnorm(e, _blocks(e)) == max(-w[0], w[-1])
 
 
 class TestOneNByNArray:
@@ -718,6 +733,47 @@ class TestOneNByNArray:
         cov = sparse_idio_cov(residuals, SCAD)
         for q in (0.0, 1.0):
             assert traced_peak(cov.sparsity_m, q) < 0.25 * 8 * self.N**2
+
+
+class TestInverseOfAnEstimate:
+    """`invert_sparse_cov` of an estimate inverts over the thresholding pass's partition, with no second scan.
+
+    N = 1200, T = 240: the many-block residuals give 20 blocks of two and
+    1160 singletons; a strong common component makes every estimate one
+    dense block (hard's is singular and takes a shift).
+    """
+
+    N, T = 1200, 240
+
+    @pytest.fixture(scope="class")
+    def residuals(self):
+        rng = np.random.default_rng(15)
+        many = rng.standard_normal((self.N, self.T))
+        many[: self.N // 2] += 0.3 * many[self.N // 2 :]
+        one = rng.standard_normal((self.N, self.T)) + 2.0 * rng.standard_normal(self.T)
+        return {"many_blocks": many, "one_block": one}
+
+    @pytest.mark.filterwarnings("ignore::divproj.exceptions.NumericalWarning")
+    @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD], ids=KINDS)
+    @pytest.mark.parametrize("design", ["many_blocks", "one_block"])
+    def test_no_second_scan_and_the_bits_of_a_fresh_partition(self, residuals, design, rule, monkeypatch):
+        cov = sparse_idio_cov(residuals[design], rule)
+        blocks, singles = cov.partition
+        assert [b.size for b in blocks] == ([self.N] if design == "one_block" else [2] * 20)
+        _assert_partition(cov.partition, _blocks(cov.sigma_u))
+        counted = []
+        with monkeypatch.context() as m:
+            m.setattr(covariance, "_blocks", lambda a: counted.append(a.shape) or _blocks(a))
+            inverse = invert_sparse_cov(cov)
+        assert counted == []
+        assert inverse.tobytes() == invert_sparse_cov(cov.sigma_u).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::divproj.exceptions.NumericalWarning")
+    @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD], ids=KINDS)
+    def test_one_block_peak(self, residuals, rule, traced_peak):
+        """2.00 x 8 N^2: the block's inverse and the result.  Scanning the estimate for its pattern peaked at 3.25."""
+        cov = sparse_idio_cov(residuals["one_block"], rule)
+        assert traced_peak(invert_sparse_cov, cov) < 2.2 * 8 * self.N**2
 
 
 def _permuted_blocks(rng, spd: bool):
@@ -750,7 +806,7 @@ class TestSymOpnorm:
     def test_equals_dense_spectral_norm(self, make):
         e = make(np.random.default_rng(8))
         expected = np.linalg.norm(e, 2)
-        assert _sym_opnorm(e) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert _sym_opnorm(e, _blocks(e)) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_coarser_partition(self):
         e, blocks = _permuted_blocks(np.random.default_rng(9), spd=False)
@@ -935,10 +991,10 @@ class TestBlocks:
 def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
     """No estimate makes a `_blocks` call, and its errors equal the norms on their own patterns.
 
-    A cell partitions twice: the truth's inverse and the truth's joint
-    pattern.  An estimate's partition comes from its thresholding pass; its
-    inverse uses that partition, and both errors share its join with the
-    truth's.
+    A cell partitions once: the truth, whose inverse is block-diagonal over
+    the same blocks.  An estimate's partition comes from its thresholding
+    pass; its inverse uses that partition, and both errors share its join
+    with the truth's.
     """
     kwargs = dict(sizes=(40, 60), alphas=(1.0,), rho_Ts=(0.7,), n_reps=2, seed=5,
                   C_values=(1.0, 2.0), extra_factors=(0, 2))
@@ -953,9 +1009,27 @@ def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
         m.setattr(experiments, "_blocks", counting_blocks)
         rows = experiment_cov(**kwargs)
     n_cells = 2  # sizes
-    assert len(counted) == 2 * n_cells
-    monkeypatch.setattr(experiments, "_sym_opnorm", lambda e, partition: _sym_opnorm(e))
+    assert len(counted) == n_cells
+    monkeypatch.setattr(experiments, "_sym_opnorm", lambda e, partition: _sym_opnorm(e, _blocks(e)))
     assert rows == experiment_cov(**kwargs)
+
+
+def test_covariance_cell_partition_is_that_of_the_joint_pattern():
+    """On `experiment_cov`'s default grid the truth's partition is that of (Sigma != 0) | (Sigma^{-1} != 0).
+
+    Sigma^{-1} is block-diagonal over Sigma's blocks, so a cell partitions
+    Sigma alone; its inverse has the bits of `invert_sparse_cov(Sigma)`.
+    """
+    defaults = {k: v.default for k, v in inspect.signature(experiment_cov).parameters.items()}
+    for alpha in defaults["alphas"]:
+        for rho in defaults["rho_Ts"]:
+            for size in defaults["sizes"]:
+                cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=defaults["n_factors_true"],
+                                alpha_strength=alpha, rho_T=rho, seed=defaults["seed"])
+                _, sigma, sigma_inv, partition = experiments._cov_cell(cfg)
+                assert partition[0]  # blocks to join
+                _assert_partition(partition, _blocks((sigma != 0) | (sigma_inv != 0)))
+                assert sigma_inv.tobytes() == invert_sparse_cov(sigma).tobytes()
 
 
 def _whole_matrix_errors(cfg, rep, rule_kind, C_values, extra_factors):

@@ -633,8 +633,8 @@ def test_cov_inverse_file_is_the_dense_inverse(tmp_path, monkeypatch, case):
     """sigma_u_inv.csv, written row by row from the blocks, has the bytes of write_matrix(invert_sparse_cov(.))."""
     rng = np.random.default_rng(21)
     sigma = _covariance_case(case, rng)
-    monkeypatch.setattr(cli_module, "_threshold_cov", lambda residuals, rule: (
-        SparseCovariance(sigma.copy(), omega=0.1, nonzero_offdiag=0), _blocks(sigma)))
+    monkeypatch.setattr(cli_module, "sparse_idio_cov", lambda residuals, rule: (
+        SparseCovariance(sigma.copy(), omega=0.1, nonzero_offdiag=0, partition=_blocks(sigma))))
     write_panel(tmp_path / "x.csv", PanelData(rng.standard_normal((30, 40))))
     ids = [f"s{i + 1}" for i in range(30)]
     out = tmp_path / "out"
@@ -703,7 +703,7 @@ def test_cov_inverse_uses_the_thresholding_pass_partition(wide_panel, tmp_path, 
         m.setattr(covariance, "_blocks", counting_blocks)
         assert run([*argv, "--out", str(tmp_path / "pass")]) == 0
     assert counted == []
-    monkeypatch.setattr(cli_module, "_inverse_rows", lambda sigma, partition: _inverse_rows(sigma))
+    monkeypatch.setattr(cli_module, "_inverse_rows", lambda sigma, partition: _inverse_rows(sigma, _blocks(sigma)))
     assert run([*argv, "--out", str(tmp_path / "fresh")]) == 0
     summary = json.loads((tmp_path / "pass" / "summary.json").read_text())
     assert summary["nonzero_offdiag"] > 1000  # blocks of more than one member to invert
