@@ -74,7 +74,7 @@ class ThresholdRule:
             raise ValueError(f"scad_a must be finite and exceed 2, got {self.scad_a}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
 class SparseCovariance:
     """Thresholded residual covariance with its construction metadata."""
 

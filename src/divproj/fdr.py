@@ -18,7 +18,7 @@ from .projection import _solve_gram, as_matrix, estimate_factors
 from .weights import WeightMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
 class FarmTestResult:
     alpha_hat: np.ndarray
     z_stats: np.ndarray

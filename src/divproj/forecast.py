@@ -6,8 +6,11 @@ factors inside every moving window, so competing factor estimators are
 compared on identical data.  It works a block of windows at a time: each
 scheme returns the block's factors as one (windows, T, R) stack, and the
 block's designs, grams, coefficient solves and forecasts are stacked the
-same way.  Only the principal-components eigendecompositions still run one
-window at a time.
+same way.  Fixed-weight factors are cross-sectional, so a block's come
+from one product over the columns its windows span.  The
+principal-components schemes take each window's gram as a principal
+submatrix of one band product over up to `window` windows.  Only the
+principal-components eigendecompositions still run one window at a time.
 """
 
 from __future__ import annotations
@@ -18,17 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import projection
 from .exceptions import DimensionError, InsufficientDataError
-from .projection import _check_pc_rank, _pc_from_vt, _pc_scores, _solve_gram, estimate_factors
+from .projection import _check_pc_rank, _pc_from_vt, _pc_scores, _solve_gram, _window_vts, estimate_factors
 from .weights import WeightMatrix, _rolling_history, _trimmed_weights
 
 # The rolling evaluator takes as many windows per block as keep the block's
-# stacked factors, loadings and designs near _BLOCK_ENTRIES floats.
+# stacked designs near _BLOCK_ENTRIES floats, and the rolling-weight scheme
+# stacks about that many floats of loadings, weights and factors at a time.
 _BLOCK_ENTRIES = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
 class AugmentedRegression:
     """OLS fit of y_{t+h} on z_t = (factors_t, observables_t)."""
 
@@ -38,7 +41,7 @@ class AugmentedRegression:
     n_factors: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
 class RollingForecastReport:
     """Out-of-sample forecasts over a moving window."""
 
@@ -105,7 +108,12 @@ def _windows(X: np.ndarray, start: int, window: int, count: int) -> np.ndarray:
 
 
 class FixedWeightScheme:
-    """Window factor estimates from one fixed weight matrix: one `estimate_factors` call per block of windows."""
+    """Window factor estimates from one fixed weight matrix.
+
+    f_hat_t = W'x_t / N does not depend on the window holding period t, so
+    a block's factors are one (window + count - 1) x R product X'W/N over
+    the columns its windows span, returned as sliding row views.
+    """
 
     def __init__(self, weights: WeightMatrix):
         self.weights = weights
@@ -115,20 +123,23 @@ class FixedWeightScheme:
         return self.weights.n_working_factors
 
     def window_factors(self, X, start: int, window: int, count: int) -> np.ndarray:
-        return estimate_factors(_windows(X, start, window, count), self.weights)
+        F = estimate_factors(X[:, start : start + window + count - 1], self.weights)
+        return sliding_window_view(F, window, axis=0).transpose(0, 2, 1)
 
 
 class PCScheme:
-    """Window factor estimates from principal components (benchmark)."""
+    """Window factor estimates from principal components (benchmark).
+
+    The windows' leading eigenvectors come from `projection._window_vts`,
+    which takes a block's window grams from shared band products.
+    """
 
     def __init__(self, n_factors: int):
         self.n_factors = n_factors
 
     def window_factors(self, X, start: int, window: int, count: int) -> np.ndarray:
-        wins = _windows(X, start, window, count)
-        _check_pc_rank(wins[0], self.n_factors)
-        # looked up on the module so that the window kernels can be counted from outside
-        return _pc_scores(np.stack([projection._leading_vt(win, self.n_factors) for win in wins]))
+        _check_pc_rank(X[:, start : start + window], self.n_factors)
+        return _pc_scores(_window_vts(X, window, self.n_factors, range(start, start + count)))
 
 
 class RollingWeightScheme:
@@ -142,13 +153,16 @@ class RollingWeightScheme:
 
     The scheme keeps the leading `n_factors` principal-component vectors of
     each history window it has seen (n_factors x window floats per window
-    start).  They come from one eigendecomposition of the window's gram
-    (one SVD if the window is longer than the panel has series), and
-    :meth:`with_factors` siblings with fewer factors reuse it instead of
-    repeating it.  An entry is recomputed when the scheme is called with a
-    different panel object; a panel changed in place between calls is not
-    detected.  A block of windows copies its history columns once; the
-    loadings, trimming and collinearity checks of its windows are stacked.
+    start).  They come from `projection._window_vts`: one eigendecomposition
+    per window, of a principal submatrix of a band product shared by up to
+    `window` windows (one SVD per window if the window is longer than the
+    panel has series).  :meth:`with_factors` siblings with fewer factors
+    reuse them instead of repeating them.  An entry is recomputed when the
+    scheme is called with a different panel object; a panel changed in
+    place between calls is not detected.  A block of windows copies its
+    history columns once; the loadings, trimming and collinearity checks of
+    its windows are stacked, as many windows at a time as hold about
+    `_BLOCK_ENTRIES` floats of loadings, weights and factors.
     """
 
     def __init__(self, history: np.ndarray, n_factors: int, epsilon: float = 1.0):
@@ -184,18 +198,26 @@ class RollingWeightScheme:
         hist = np.hstack([self.history[:, lo : t_pre + end], X[:, max(lo - t_pre, 0) : end]])
         hist_wins = _windows(hist, 0, window, count)
         _check_pc_rank(_rolling_history(hist_wins[0], self.n_factors, self.epsilon), self.n_factors)
-        vts = np.stack([self._window_vt(X, start + j, hist_wins[j]) for j in range(count)])
-        _, loadings = _pc_from_vt(hist_wins, vts[:, : self.n_factors])
-        return estimate_factors(_windows(X, start, window, count), _trimmed_weights(loadings, self.epsilon))
+        vts = self._history_vts(X, start, hist, window, count)
+        wins = _windows(X, start, window, count)
+        F = np.empty((count, window, self.n_factors))
+        # the loadings and weights (N x R each) and factors (window x R) of `step` windows: _BLOCK_ENTRIES floats
+        step = max(1, _BLOCK_ENTRIES // ((2 * X.shape[0] + window) * self.n_factors))
+        for b in range(0, count, step):
+            _, loadings = _pc_from_vt(hist_wins[b : b + step], np.stack(vts[b : b + step])[:, : self.n_factors])
+            F[b : b + step] = estimate_factors(wins[b : b + step], _trimmed_weights(loadings, self.epsilon))
+        return F
 
-    def _window_vt(self, X, start: int, hist_win: np.ndarray) -> np.ndarray:
-        """The memoised leading rows of V' of the history window before column `start` of X."""
-        key = (start, hist_win.shape[1])
-        entry = self._vt_memo.get(key)
-        if entry is None or entry[0] is not X:
-            # looked up on the module so that the window kernels can be counted from outside
-            entry = self._vt_memo[key] = (X, projection._leading_vt(hist_win, self._pc_rows))
-        return entry[1]
+    def _history_vts(self, X, start: int, hist: np.ndarray, window: int, count: int) -> list[np.ndarray]:
+        """The memoised leading rows of V' of the history windows before columns start..start+count-1 of X.
+
+        Column j of `hist` starts the history window of column start + j.
+        """
+        keys = [(start + j, window) for j in range(count)]
+        missing = [j for j, key in enumerate(keys) if self._vt_memo.get(key, (None,))[0] is not X]
+        for j, vt in zip(missing, _window_vts(hist, window, self._pc_rows, missing)):
+            self._vt_memo[keys[j]] = (X, vt)
+        return [self._vt_memo[key][1] for key in keys]
 
 
 def rolling_forecast(y, X, window: int, steps: int, scheme, h: int = 1) -> RollingForecastReport:
@@ -211,9 +233,13 @@ def rolling_forecast(y, X, window: int, steps: int, scheme, h: int = 1) -> Rolli
     factors of the `count` windows starting at columns start..start+count-1
     as a (count, window, n_factors) array: :class:`FixedWeightScheme`,
     :class:`PCScheme` or :class:`RollingWeightScheme`.  The windows are
-    evaluated in blocks whose stacks hold about `_BLOCK_ENTRIES` floats,
-    so memory does not grow with `steps`.  The window length is checked
-    against the design's R + 2 columns before any factor is estimated.
+    evaluated in blocks whose stacked designs hold about `_BLOCK_ENTRIES`
+    floats.  With window <= N a scheme is asked for the factors of runs of
+    at least `window` windows (of whole blocks when those are longer),
+    which share one band gram in the principal-components schemes and
+    whose factors hold O(window^2) floats.  So memory does not grow with
+    `steps`.  The window length is checked against the design's R + 2
+    columns before any factor is estimated.
     """
     y = np.asarray(y, dtype=float).ravel()
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -232,16 +258,23 @@ def rolling_forecast(y, X, window: int, steps: int, scheme, h: int = 1) -> Rolli
 
     y_wins = sliding_window_view(y, window)
     forecasts = np.empty(steps)
-    block = max(1, _BLOCK_ENTRIES // ((X.shape[0] + window) * k))
-    for start in range(0, steps, block):
-        count = min(block, steps - start)
-        Z = np.empty((count, window, k))
-        Z[..., :-2] = scheme.window_factors(X, start, window, count)
-        Z[..., -2] = 1.0
-        Z[..., -1] = y_wins[start : start + count]
-        # y_{s+h} for s = t..t+window-1-h is the start of the window h columns on
-        gram, rhs = _normal_equations(Z[:, : window - h], y_wins[start + h : start + h + count, : window - h])
-        forecasts[start : start + count] = (Z[:, -1:] @ _solve_gram(gram, rhs))[:, 0, 0]
+    n = X.shape[0]
+    block = max(1, _BLOCK_ENTRIES // ((n + window) * k))
+    # with window <= N the factors of at least `window` windows are asked for at once,
+    # so that one band gram serves them all
+    run = max(block, window) if window <= n else block
+    for first in range(0, steps, run):
+        F = scheme.window_factors(X, first, window, min(run, steps - first))
+        for start in range(first, first + len(F), block):
+            count = min(block, first + len(F) - start)
+            Z = np.empty((count, window, k))
+            Z[..., :-2] = F[start - first : start - first + count]
+            Z[..., -2] = 1.0
+            Z[..., -1] = y_wins[start : start + count]
+            # y_{s+h} for s = t..t+window-1-h is the start of the window h columns on
+            gram, rhs = _normal_equations(Z[:, : window - h], y_wins[start + h : start + h + count, : window - h])
+            forecasts[start : start + count] = (Z[:, -1:] @ _solve_gram(gram, rhs))[:, 0, 0]
+        del F, Z  # the next run's factors are estimated without this run's stacks
     realized = y[window - 1 + h : window - 1 + h + steps].copy()
     err = forecasts - realized
     return RollingForecastReport(forecasts=forecasts, realized=realized, mse=float(np.mean(err**2)))

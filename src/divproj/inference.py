@@ -46,7 +46,7 @@ _SUPPORT_TOL = 1e-10
 _KKT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
 class DoubleSelectionResult:
     """Output of the double-selection pipeline."""
 
@@ -425,8 +425,9 @@ def double_selection(
         if t <= R + 2:
             raise InsufficientDataError(f"need T > R + 2, got T={t}, R={R}")
         # One least-squares solve on the factors gives the loadings of the
-        # controls and the factor coefficients of y and g.
-        coef = _solve_gram(F.T @ F, F.T @ np.column_stack([X.T, y, g]))
+        # controls and the factor coefficients of y and g.  F'X' is formed
+        # apart from F'(y, g), so the controls are not copied.
+        coef = _solve_gram(F.T @ F, np.hstack([F.T @ X.T, F.T @ np.column_stack([y, g])]))
         U = coef[:, :-2].T @ F.T
         np.subtract(X, U, out=U)
         alpha_y, alpha_g = coef[:, -2], coef[:, -1]

@@ -10,7 +10,10 @@ what the csv module writes; the csv module still writes headers, the
 label cell of each row, and the mixed-type dict rows, cell by cell
 through :func:`format_value`, which writes bools as 1/0.  The labelled
 writer takes its float rows from any iterable, one row at a time, so a
-matrix can be written from rows that are never held together.
+matrix can be written from rows that are never held together.  Only the
+nonzero cells go through `repr`; a row with few nonzero or negative cells,
+such as a row of a sparse covariance or its inverse, is their reprs
+spliced into a cached line of zeros.
 
 The body of a table is parsed in one pass by ``np.loadtxt``.  A file that
 pass cannot vouch for (a quote, a blank line, a bad or non-finite cell, a
@@ -88,7 +91,7 @@ def _bodies(lines, labels):
     limit = csv.field_size_limit()
     for line in lines:
         label, comma, rest = line.partition(",")
-        if not comma or not rest.strip() or '"' in line or len(line) > limit:
+        if not comma or not rest or rest.isspace() or '"' in line or len(line) > limit:
             raise _Unvouched
         labels.append(label.strip())
         yield rest
@@ -162,25 +165,48 @@ def _write_csv(path, header, rows) -> None:
 
 
 _ZEROS = np.array(["0.0", "-0.0"], dtype=object)
+# A row with fewer than one nonzero or negative cell in _SPARSE is spliced into a line of zeros.
+_SPARSE = 8
 
 
 def _labelled(labels, rows):
     """Lines as csv.writer writes the rows [label, *row], one row at a time.
 
     Zeros are looked up by their sign bit and only the nonzero floats (nan
-    and inf included) go through `repr`, so a sparse row costs little.  The
-    label cell is written by csv.writer, which quotes it when it needs to.
+    and inf included) go through `repr`.  A row whose nonzero and negative
+    cells are few is their `repr`s spliced into a cached line of ``0.0``
+    cells, so it costs about its nonzeros.  The label cell is written by
+    csv.writer, which quotes it when it needs to.
     """
     buf = StringIO()
     writer = csv.writer(buf)
+    zeros = ""
     for label, row in zip(labels, rows):
-        cells = _ZEROS[np.signbit(row).view(np.int8)]
+        negative = np.signbit(row)
         (j,) = np.nonzero(row)
-        cells[j] = list(map(repr, row[j].tolist()))
+        if _SPARSE * (j.size + np.count_nonzero(negative)) < row.size:
+            if len(zeros) != 4 * row.size - 1:
+                zeros = ",".join(["0.0"] * row.size)
+            (j,) = np.nonzero(negative | (row != 0))  # every cell that is not 0.0
+            body = _spliced(zeros, j.tolist(), map(repr, row[j].tolist()))
+        else:
+            cells = _ZEROS[negative.view(np.int8)]
+            cells[j] = list(map(repr, row[j].tolist()))
+            body = ",".join(cells.tolist())
         buf.seek(0)
         buf.truncate()
         writer.writerow((label, None))  # "label,\r\n"
-        yield buf.getvalue()[:-2] + ",".join(cells.tolist()) + "\r\n"
+        yield buf.getvalue()[:-2] + body + "\r\n"
+
+
+def _spliced(zeros: str, j, cells) -> str:
+    """`zeros`, a line of ``0.0`` cells, with the cells at the ascending indices `j` replaced by `cells`."""
+    pieces, prev = [], 0
+    for i, cell in zip(j, cells):
+        pieces += (zeros[prev : 4 * i], cell)  # cell i starts at 4 i
+        prev = 4 * i + 3
+    pieces.append(zeros[prev:])
+    return "".join(pieces)
 
 
 def _write_labelled(path, header, labels, rows) -> None:

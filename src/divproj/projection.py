@@ -17,7 +17,7 @@ from .exceptions import DimensionError, NumericalWarning, SingularGramError
 from .weights import _RANK_TOL, WeightMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
 class PanelData:
     """Observed N x T panel: rows are series, columns are time points."""
 
@@ -49,7 +49,7 @@ def as_matrix(panel) -> np.ndarray:
     return np.atleast_2d(np.asarray(panel, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
 class FactorFit:
     """Estimated factors, loadings and residuals of one projection fit."""
 
@@ -207,9 +207,10 @@ def _check_pc_rank(X: np.ndarray, n_factors: int) -> None:
 def _leading_vt(X: np.ndarray, n_rows: int) -> np.ndarray:
     """The leading n_rows rows of V' in the thin SVD X = U S V', as a contiguous copy.
 
-    Every principal-components factor in the package goes through here.
-    With no more columns than rows (T <= N, every forecast, rolling-weight
-    and covariance-study window) the rows are the eigenvectors of the T x T
+    Every principal-components factor in the package goes through here,
+    or through `_window_vts` for a run of rolling windows.  With no more
+    columns than rows (T <= N, every forecast, rolling-weight and
+    covariance-study window) the rows are the eigenvectors of the T x T
     gram X'X for its n_rows largest eigenvalues, largest first: a symmetric
     eigendecomposition of X'X costs a fraction of a full SVD of X.  With
     T > N the thin SVD stays: recovering V from the N x N gram XX' divides
@@ -218,10 +219,45 @@ def _leading_vt(X: np.ndarray, n_rows: int) -> np.ndarray:
     """
     n, t = X.shape
     if t <= n:
-        _, vecs = np.linalg.eigh(X.T @ X)
-        return vecs[:, ::-1][:, :n_rows].T.copy()
+        return _gram_vt(X.T @ X, n_rows).copy()
     _, _, vt = np.linalg.svd(X, full_matrices=False)
     return vt[:n_rows].copy()
+
+
+def _gram_vt(gram: np.ndarray, n_rows: int) -> np.ndarray:
+    """Eigenvectors of a symmetric gram for its n_rows largest eigenvalues, as rows, largest first."""
+    _, vecs = np.linalg.eigh(gram)
+    return vecs[:, ::-1][:, :n_rows].T
+
+
+def _window_vts(X: np.ndarray, window: int, n_rows: int, starts) -> np.ndarray:
+    """`_leading_vt` of the windows X[:, j : j + window] for j in the ascending `starts`, as a stack.
+
+    Returns (len(starts), n_rows, window).  With no more window columns
+    than rows, the window grams are principal submatrices of band products
+    X_c'X_c, each over the columns of the windows starting within `window`
+    columns of its first: one product of at most (2 window - 1)^2 entries
+    replaces an N x window x window gram per window, and only the
+    eigendecompositions run one window at a time.  A band entry equals the
+    window gram's up to its last bits (the product is blocked differently),
+    so the rows equal `_leading_vt`'s to rounding, not bit for bit.  Longer
+    windows take the thin SVD of each window.
+    """
+    starts = list(starts)
+    vts = np.empty((len(starts), n_rows, window))
+    if window > X.shape[0]:
+        for i, j in enumerate(starts):
+            vts[i] = _leading_vt(X[:, j : j + window], n_rows)
+        return vts
+    lo = -window
+    for i, j in enumerate(starts):
+        if j >= lo + window:  # window j opens a band; its last window starts before j + window
+            lo = j
+            cols = X[:, lo : min(lo + window - 1, starts[-1]) + window]
+            band = cols.T @ cols
+        o = j - lo
+        vts[i] = _gram_vt(band[o : o + window, o : o + window], n_rows)
+    return vts
 
 
 def _pc_scores(vt_rows: np.ndarray) -> np.ndarray:

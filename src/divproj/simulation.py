@@ -53,7 +53,7 @@ class SimConfig:
             raise ValueError("the factor count must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
 class SimOutput:
     """One simulated panel plus the true quantities used in diagnostics."""
 

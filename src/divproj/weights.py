@@ -36,7 +36,7 @@ SCHEMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
 class WeightMatrix:
     """N x R diversified weight matrix together with its provenance.
 

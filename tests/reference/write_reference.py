@@ -2,7 +2,8 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/reference/write_reference.py
+    PYTHONPATH=src python tests/reference/write_reference.py          # rewrite values.json
+    PYTHONPATH=src python tests/reference/write_reference.py --diff   # list the moved values, write nothing
 
 The values are the result rows of four small study calls (with the
 post-selection study's z-samples) and every number that the six data
@@ -11,7 +12,8 @@ subprocess whose BLAS runs one thread (`experiments._ONE_BLAS_THREAD`), so
 that they do not move with the host's thread count, and written with the
 environment they were computed in to `values.json` beside this script.
 A change that moves them reruns this script and names the moved values,
-and why, in CHANGES.md.
+and why, in CHANGES.md; `--diff` lists every value whose bits moved, with
+its relative change, and leaves `values.json` as it is.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import platform
 import statistics
@@ -221,9 +224,42 @@ def pinned_values() -> dict:
     return json.loads(run.stdout)
 
 
+def moved(ref, got, path=""):
+    """(path, reference, recomputed) of every value of `got` whose bits differ from `ref`'s.
+
+    Floats are compared by their bits (so -0.0 differs from 0.0 and nan
+    equals nan); a dict with other keys or a list of another length is one
+    moved value at its path.
+    """
+    if isinstance(ref, dict) and isinstance(got, dict) and ref.keys() == got.keys():
+        return [m for k in ref for m in moved(ref[k], got[k], f"{path}/{k}")]
+    if isinstance(ref, list) and isinstance(got, list) and len(ref) == len(got):
+        return [m for i, (r, g) in enumerate(zip(ref, got)) for m in moved(r, g, f"{path}[{i}]")]
+    if type(ref) is type(got) and (ref.hex() == got.hex() if isinstance(ref, float) else ref == got):
+        return []
+    return [(path, ref, got)]
+
+
+def relative_change(ref, got) -> float | None:
+    """|got - ref| / |ref| for two finite numbers with ref nonzero, else None."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in (ref, got))
+    return abs(got - ref) / abs(ref) if numbers and ref != 0 else None
+
+
+def print_diff() -> None:
+    """Print each value of `values.json` that `pinned_values()` moves, with its relative change."""
+    rows = moved(json.loads(REFERENCE_FILE.read_text())["values"], pinned_values()["values"])
+    for path, ref, got in rows:
+        change = relative_change(ref, got)
+        print(f"{path}: {ref!r} -> {got!r}" + ("" if change is None else f" (relative change {change:.3g})"))
+    print(f"{len(rows)} values moved")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--print"]:
         json.dump(compute(), sys.stdout)
+    elif sys.argv[1:] == ["--diff"]:
+        print_diff()
     else:
         REFERENCE_FILE.write_text(json.dumps(pinned_values(), indent=1, sort_keys=True) + "\n")
         print(f"wrote {REFERENCE_FILE}")

@@ -185,14 +185,14 @@ class TestRollingForecast:
 
     @pytest.mark.parametrize("window", [8, 15])
     def test_pc_scheme_equals_pc_factors(self, window):
-        """Windows with T <= N and with T > N give pc_factors' factors bit for bit."""
+        """Windows with T > N give pc_factors' factors bit for bit; with T <= N to FACTOR_RTOL (band grams)."""
         X = np.random.default_rng(10).standard_normal((10, 30))
         count = X.shape[1] - window + 1
         got = PCScheme(3).window_factors(X, 0, window, count)
         assert got.shape == (count, window, 3)
         for start in range(count):
             expected = pc_factors(X[:, start : start + window], 3).factors
-            assert np.array_equal(got[start], expected), start
+            assert_factors_equal(got[start], expected, exact=window > X.shape[0])
 
     def test_pc_scheme_checks_the_rank(self):
         with pytest.raises(DimensionError):
@@ -258,6 +258,32 @@ class TestSharedWindowSVD:
         # PC on each forecast window, plus one shared SVD per history window
         assert shapes == [(n_series, window)] * (2 * n_steps)
 
+    def test_forecast_study_runs_one_eigendecomposition_per_window_and_scheme(self, monkeypatch):
+        """With window <= N the window kernels are eigendecompositions of band submatrices."""
+        n_series, window, n_steps = 40, 30, 8
+        shapes = []
+        gram_vt = projection._gram_vt
+        monkeypatch.setattr(projection, "_gram_vt", lambda g, k: shapes.append(g.shape) or gram_vt(g, k))
+        monkeypatch.setattr(projection, "_leading_vt", None)  # no window takes the per-window path
+        experiment_forecast(window_sizes=(window,), rho_Ts=(0.0,), alphas=(1.0,), n_series=n_series,
+                            n_steps=n_steps, n_reps=1, extra_factors=(0, 1, 3))
+        assert shapes == [(window, window)] * (2 * n_steps)
+
+
+# Window grams taken from a band product differ from the per-window grams in
+# their last bits, so principal-components factors of windows with T <= N are
+# compared at this tolerance, relative to the largest factor entry.
+FACTOR_RTOL = 1e-12
+
+
+def assert_factors_equal(got, expected, exact):
+    """Factors equal bit for bit, or (exact=False) to FACTOR_RTOL times the largest |entry|."""
+    if exact:
+        assert np.array_equal(got, expected)
+    else:
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= FACTOR_RTOL * np.max(np.abs(expected))
+
 
 def per_window_reference(y, X, window, steps, factors_of, h=1):
     """Factors and forecasts of rolling_forecast, one window and one fit at a time."""
@@ -299,8 +325,13 @@ class Recorder:
 
 
 def block_windows(monkeypatch, block, n, window, r):
-    """Make rolling_forecast's blocks `block` windows long for an N-series panel and R factors."""
+    """Make rolling_forecast's blocks `block` windows long for an N-series panel and R factors.
+
+    With window <= N a scheme is still asked for the factors of at least
+    `window` windows at once; the length of those runs is returned.
+    """
     monkeypatch.setattr(forecast, "_BLOCK_ENTRIES", block * (n + window) * (r + 2))
+    return max(block, window) if window <= n else block
 
 
 class TestBlockEquivalence:
@@ -315,23 +346,27 @@ class TestBlockEquivalence:
         return rng.standard_normal(t_total), rng.standard_normal((n, t_total)), rng.standard_normal((n, window + 2))
 
     def _check(self, y, X, window, steps, scheme, factors_of, h, blocks=None):
+        """The per-window fits' factors: bit for bit for fixed weights (on these C-ordered panels) and for
+        windows longer than N, to FACTOR_RTOL otherwise; their forecasts to 1e-12."""
         rec = Recorder(scheme)
         report = rolling_forecast(y, X, window, steps, rec, h=h)
         F_ref, f_ref = per_window_reference(y, X, window, steps, factors_of, h)
-        assert np.array_equal(np.concatenate(rec.stacks), F_ref)
+        exact = isinstance(scheme, FixedWeightScheme) or window > X.shape[0]
+        assert_factors_equal(np.concatenate(rec.stacks), F_ref, exact)
         np.testing.assert_allclose(report.forecasts, f_ref, rtol=1e-12, atol=0)
         np.testing.assert_array_equal(report.realized, y[window - 1 + h : window - 1 + h + steps])
         if blocks is not None:
             assert rec.blocks == blocks
 
-    @pytest.mark.parametrize("n, window", [(12, 9), (6, 14)])  # T <= N, and T > N (thin SVD)
+    @pytest.mark.parametrize("n, window", [(12, 9), (6, 14)])  # T <= N (band grams), and T > N (thin SVD)
     @pytest.mark.parametrize("h", [1, 2])
-    @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    # a run of windows is max(BLOCK, window) = 9 windows long with T <= N, and BLOCK with T > N
+    @pytest.mark.parametrize("steps", [1, BLOCK - 1, BLOCK, BLOCK + 1, 19])
     @pytest.mark.parametrize("kind", ["pc", "fixed", "rolling"])
     def test_scheme_matches_per_window_fits(self, monkeypatch, n, window, h, steps, kind):
         r = 2
         y, X, history = self._data(n, window, steps)
-        block_windows(monkeypatch, self.BLOCK, n, window, r)
+        run = block_windows(monkeypatch, self.BLOCK, n, window, r)
         if kind == "pc":
             scheme, factors_of = PCScheme(r), lambda t, win: pc_factors(win, r).factors
         elif kind == "fixed":
@@ -339,7 +374,7 @@ class TestBlockEquivalence:
             scheme, factors_of = FixedWeightScheme(W), lambda t, win: estimate_factors(win, W)
         else:
             scheme, factors_of = RollingWeightScheme(history, r, 0.8), rolling_reference(history, X, r, 0.8)
-        blocks = [(s, min(self.BLOCK, steps - s)) for s in range(0, steps, self.BLOCK)]
+        blocks = [(s, min(run, steps - s)) for s in range(0, steps, run)]
         self._check(y, X, window, steps, scheme, factors_of, h, blocks)
 
     @pytest.mark.parametrize("order", [(4, 2, 1), (1, 2, 4)])
@@ -427,8 +462,9 @@ class TestBlockFallbacks:
     @pytest.mark.parametrize("make", [lambda h: PCScheme(3), lambda h: RollingWeightScheme(h, 3)])
     def test_short_window_fails_before_any_eigendecomposition(self, monkeypatch, make):
         calls = []
-        leading_vt = projection._leading_vt
+        leading_vt, gram_vt = projection._leading_vt, projection._gram_vt
         monkeypatch.setattr(projection, "_leading_vt", lambda X, k: calls.append(X.shape) or leading_vt(X, k))
+        monkeypatch.setattr(projection, "_gram_vt", lambda g, k: calls.append(g.shape) or gram_vt(g, k))
         rng = np.random.default_rng(26)
         # window - h = 5 < R + p + 1 = 6
         with pytest.raises(InsufficientDataError, match="T - h >= R"):
@@ -450,8 +486,10 @@ def test_blocks_bound_the_memory_of_a_study_sized_forecast(traced_peak):
     """One rolling forecast at the study's size stays below a stack of every window.
 
     N = 100, window 100, 50 steps, rolling weights with R = 5.  tracemalloc
-    peaks: about 0.45 MB one window at a time, 0.6 MB in blocks, 1.6 MB with
-    all 50 windows in one block; the bound is 1 MB.
+    peaks: about 0.45 MB one window at a time, 0.6 MB in blocks of 11
+    windows, 0.8 MB with the factors of all 50 windows asked for at once
+    (one band gram serves them) and their loadings stacked 10 windows at a
+    time, 1.6 MB with all 50 windows in one block; the bound is 1 MB.
     """
     rng = np.random.default_rng(28)
     n, window, steps = 100, 100, 50
@@ -460,3 +498,45 @@ def test_blocks_bound_the_memory_of_a_study_sized_forecast(traced_peak):
     y = rng.standard_normal(window + steps + 1)
     rolling_forecast(y, X, window, steps, RollingWeightScheme(history, 5))  # numpy's one-time allocations
     assert traced_peak(lambda: rolling_forecast(y, X, window, steps, RollingWeightScheme(history, 5))) < 1 << 20
+
+
+class TestBandGrams:
+    """`projection._window_vts` takes each window gram from a band product over up to `window` windows."""
+
+    @pytest.mark.parametrize("n, window", [(40, 9), (12, 12), (6, 14)])  # N > W, N = W, N < W (thin SVD)
+    @pytest.mark.parametrize(
+        "starts, n_bands",  # n_bands: {window: bands}; start > 0, windows across bands' boundaries, gaps
+        [(range(0, 1), {9: 1, 12: 1}), (range(3, 25), {9: 3, 12: 2}), ([2, 3, 7, 19, 20, 29, 30], {9: 3, 12: 2})],
+    )
+    def test_window_grams_are_band_submatrices(self, monkeypatch, n, window, starts, n_bands):
+        X = np.random.default_rng(30).standard_normal((n, window + 40))
+        grams = []
+        gram_vt = projection._gram_vt
+        monkeypatch.setattr(projection, "_gram_vt", lambda g, k: grams.append(g) or gram_vt(g, k))
+        vts = projection._window_vts(X, window, 3, starts)
+        assert vts.shape == (len(starts), 3, window)
+        expected = [projection._leading_vt(X[:, j : j + window], 3) for j in starts]
+        if window > n:  # the thin SVD of each window, bit for bit
+            assert len(grams) == 0
+            assert np.array_equal(vts, np.stack(expected))
+            return
+        assert len(grams) == 2 * len(starts)  # the band's windows, then the expected per-window grams
+        for g, j in zip(grams, starts):
+            win = X[:, j : j + window]
+            ref = win.T @ win
+            assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref)), j
+            assert g.base.shape[0] <= 2 * window - 1  # a principal submatrix of a band of at most 2 W - 1 columns
+        assert len({id(g.base) for g in grams[: len(starts)]}) == n_bands[window]
+        assert_factors_equal(projection._pc_scores(vts), projection._pc_scores(np.stack(expected)), exact=False)
+
+    def test_pc_forecast_memory_does_not_grow_with_steps(self, traced_peak):
+        rng = np.random.default_rng(31)
+        n, window = 100, 60
+        X = rng.standard_normal((n, 5 * window))
+        y = rng.standard_normal(5 * window + 1)
+
+        def run(steps):
+            rolling_forecast(y, X, window, steps, PCScheme(3))
+
+        run(window)  # numpy's one-time allocations
+        assert traced_peak(run, 4 * window) <= 1.1 * traced_peak(run, window)

@@ -171,6 +171,14 @@ READER_CASES = [
     pytest.param("time,a\n1," + "0" * 200_000 + "\n", _PANEL, id="oversized-cell"),
     pytest.param("time," + ",".join("s" * 40_000) + "\n1," + ",".join(["1.0"] * 40_000) + "\n", _PANEL,
                  id="oversized-line"),
+    ("time,y\n1, \t\n", _SERIES),  # whitespace-only rows after their labels
+    ("time,y\n1,1.0\n2, \t\n", _SERIES),
+    ("time,a,b\n1,1.0,2.0\n2,\u2003\n", _PANEL),
+    ("time,y\n1,\r\n", _SERIES),  # a \r row after its label
+    ("time,y\n1,1.0\n2,\r\n3,4.0\n", _SERIES),
+    ("time,a,b\n1,1.0,2.0\n2,\r3,4.0,5.0\n", _PANEL),
+    ("time,y\n1,1.0\n\r\n2,3.0\n", _SERIES),  # a row that is one \r
+    ("time,a,b\r1,1.0,2.0\r\r2,3.0,4.0\r", _PANEL),
 ]
 
 
@@ -247,6 +255,25 @@ def test_writers_match_the_csv_module(tmp_path):
     assert (tmp_path / "s.csv").read_bytes() == _csv_rendering(["time", "v,w"], series_labels, column[:, None])
     write_matrix(tmp_path / "e.csv", np.zeros((3, 0)), ["", "x", "a,b"], [])
     assert (tmp_path / "e.csv").read_bytes() == _csv_rendering(["row"], ["", "x", "a,b"], np.zeros((3, 0)))
+
+
+@pytest.mark.parametrize("sparse", [0, 1 << 30], ids=["every-row-spliced", "rows-of-zeros-spliced"])
+def test_spliced_rows_have_the_bytes_of_dense_rows(monkeypatch, sparse):
+    """Rows of widths 1-17 with +-0.0, nan, +-inf and subnormals, spliced into a line of zeros or not."""
+    rng = np.random.default_rng(29)
+    pool = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 1.5, -2.0, 1e300])
+    rows = []
+    for width in [*range(1, 18), *range(17, 0, -1)]:  # the cached line of zeros changes width both ways
+        for _ in range(12):
+            row = np.zeros(width)
+            at = rng.choice(width, size=rng.integers(0, width + 1), replace=False)
+            row[at] = rng.choice(pool, size=at.size)
+            rows.append(row)
+    labels = [f"r{i}" for i in range(len(rows))]
+    expected = StringIO()
+    csv.writer(expected).writerows([label, *row.tolist()] for label, row in zip(labels, rows))
+    monkeypatch.setattr(io_module, "_SPARSE", sparse)
+    assert "".join(io_module._labelled(labels, rows)) == expected.getvalue()
 
 
 def test_floats_are_written_as_their_repr(tmp_path):

@@ -1,14 +1,17 @@
 import warnings
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
+from divproj.covariance import SparseCovariance
 from divproj.exceptions import DimensionError, NumericalWarning, SingularGramError
-from divproj.fdr import farm_stats
+from divproj.fdr import FarmTestResult, farm_stats
 from divproj import projection
-from divproj.forecast import PCScheme, fit_augmented, rolling_forecast
-from divproj.inference import double_selection
+from divproj.forecast import AugmentedRegression, PCScheme, RollingForecastReport, fit_augmented, rolling_forecast
+from divproj.inference import DoubleSelectionResult, double_selection
 from divproj.projection import (
+    FactorFit,
     PanelData,
     common_component,
     estimate_factors,
@@ -20,9 +23,9 @@ from divproj.projection import (
     space_distance,
     transform_matrix,
 )
-from divproj.simulation import SimConfig, generate_panel
+from divproj.simulation import SimConfig, SimOutput, generate_panel
 from divproj.spectest import mean_hat
-from divproj.weights import sieve_weights, walsh_hadamard_weights
+from divproj.weights import WeightMatrix, sieve_weights, walsh_hadamard_weights
 
 
 def noiseless_panel(seed=0, n=20, t=15, r=2):
@@ -432,3 +435,20 @@ class TestPanelData:
             PanelData(np.array([[1.0, np.nan]]))
         p = PanelData(np.ones((2, 3)), series_ids=["a", "b"])
         assert p.n_series == 2 and p.n_periods == 3
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [SparseCovariance, FactorFit, PanelData, WeightMatrix, SimOutput, AugmentedRegression, RollingForecastReport,
+     DoubleSelectionResult, FarmTestResult],
+    ids=lambda cls: cls.__name__,
+)
+def test_array_holding_results_compare_by_identity(cls):
+    """== on two results holding arrays is identity, not numpy's ambiguous truth value, and hash() works."""
+
+    def make():
+        return cls(**{f.name: np.ones((2, 2)) for f in fields(cls) if f.default is MISSING})
+
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2

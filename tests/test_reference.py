@@ -10,7 +10,7 @@ not bytes: bytes also depend on the BLAS build and the CPU.
 import json
 import math
 
-from reference.write_reference import REFERENCE_FILE, pinned_values
+from reference.write_reference import REFERENCE_FILE, moved, pinned_values, relative_change
 
 RTOL = 1e-12
 # Float fields that count discrete outcomes: rates over replications and their standard errors.
@@ -79,3 +79,14 @@ def test_comparison_catches_moves_beyond_the_tolerance():
     assert [m[:2] for m in _mismatches(ref, {**ref, "coverage": 0.5 + 1e-16})] == [("/coverage", "exact")]
     assert [m[:2] for m in _mismatches(ref, {**ref, "k": [1, 3]})] == [("/k[1]", "exact")]
     assert [m[:2] for m in _mismatches(ref, {**ref, "x": 2.0 * (1 + 2e-12)})] == [("/x", "relative")]
+
+
+def test_diff_names_every_value_whose_bits_moved():
+    ref = {"a": [1.0, 0.0, float("nan"), 3], "b": {"c": "x", "d": [1.0, 2.0]}, "e": 2.0}
+    assert moved(ref, json.loads(json.dumps(ref))) == []
+    got = {"a": [1.0 + 2.0**-52, -0.0, float("nan"), 3], "b": {"c": "y", "d": [1.0]}, "e": 2}
+    assert [m[0] for m in moved(ref, got)] == ["/a[0]", "/a[1]", "/b/c", "/b/d", "/e"]
+    assert moved({"a": 1.0}, {"b": 1.0}) == [("", {"a": 1.0}, {"b": 1.0})]
+    assert relative_change(2.0, 2.5) == 0.25
+    assert relative_change(0.0, 1e-300) is None and relative_change("x", "y") is None
+    assert relative_change(1.0, float("inf")) is None
