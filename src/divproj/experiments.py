@@ -248,22 +248,42 @@ def _forecast_path(cfg: SimConfig, rep: int, n_steps: int, coef_factors, beta0: 
     return y_main, X_main, X_pre, sim.z_chars
 
 
+class _LeadingColumns:
+    """A forecast scheme serving the leading `n_factors` columns of precomputed window factors."""
+
+    def __init__(self, factors: np.ndarray, n_factors: int):
+        self.factors, self.n_factors = factors, n_factors
+
+    def window_factors(self, X, start: int, window: int, count: int) -> np.ndarray:
+        return self.factors[start : start + count, :, : self.n_factors]
+
+
 def _forecast_rep(cfg, rep, *, n_steps, schemes, extra_factors, epsilon):
-    """{method: rolling forecast MSE} of one replication, PC with the true r as "pc"."""
+    """{method: rolling forecast MSE} of one replication, PC with the true r as "pc".
+
+    Both weight schemes are nested in the working count: sieve weights are
+    the powers z^1..z^R, and rolling weights are PC loadings trimmed column
+    by column.  So each scheme estimates the factors of every window once,
+    at the largest count, and each count is evaluated on their leading
+    columns.
+    """
     coef_factors = np.ones(cfg.n_factors_true)
     y, X, X_pre, z = _forecast_path(cfg, rep, n_steps, coef_factors, 1.5, 0.5)
     window = cfg.n_periods
     out = {"pc": rolling_forecast(y, X, window, n_steps, PCScheme(cfg.n_factors_true)).mse}
-    # one scheme at the largest count; its siblings share each window's SVD
-    r_max = cfg.n_factors_true + max(extra_factors, default=0)
-    rolling = RollingWeightScheme(X_pre, r_max, epsilon)
-    for extra in extra_factors:
-        r_work = cfg.n_factors_true + extra
-        if "characteristic" in schemes:
-            sch = FixedWeightScheme(sieve_weights(z, r_work))
-            out[f"characteristic_R{r_work}"] = rolling_forecast(y, X, window, n_steps, sch).mse
-        if "rolling" in schemes:
-            out[f"rolling_R{r_work}"] = rolling_forecast(y, X, window, n_steps, rolling.with_factors(r_work)).mse
+    counts = [cfg.n_factors_true + extra for extra in extra_factors]
+    mses = {}
+    for name in ("characteristic", "rolling"):
+        if name in schemes and counts:
+            r_max = max(counts)
+            scheme = (FixedWeightScheme(sieve_weights(z, r_max)) if name == "characteristic"
+                      else RollingWeightScheme(X_pre, r_max, epsilon))
+            F = scheme.window_factors(X, 0, window, n_steps)
+            mses[name] = [rolling_forecast(y, X, window, n_steps, _LeadingColumns(F, r)).mse for r in counts]
+            del F  # one scheme's factors at a time
+    for i, r in enumerate(counts):
+        for name, mse in mses.items():
+            out[f"{name}_R{r}"] = mse[i]
     return out
 
 

@@ -15,7 +15,6 @@ principal-components eigendecompositions still run one window at a time.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,39 +150,20 @@ class RollingWeightScheme:
     the combined (history, panel) series.  The weights equal
     ``rolling_window_weights(history_window, n_factors, epsilon)``.
 
-    The scheme keeps the leading `n_factors` principal-component vectors of
-    each history window it has seen (n_factors x window floats per window
-    start).  They come from `projection._window_vts`: one eigendecomposition
-    per window, of a principal submatrix of a band product shared by up to
-    `window` windows (one SVD per window if the window is longer than the
-    panel has series).  :meth:`with_factors` siblings with fewer factors
-    reuse them instead of repeating them.  An entry is recomputed when the
-    scheme is called with a different panel object; a panel changed in
-    place between calls is not detected.  A block of windows copies its
-    history columns once; the loadings, trimming and collinearity checks of
-    its windows are stacked, as many windows at a time as hold about
-    `_BLOCK_ENTRIES` floats of loadings, weights and factors.
+    A block of windows copies its history columns once.  The leading
+    principal-component vectors of its history windows come from one
+    `projection._window_vts` call: one eigendecomposition per window, of a
+    principal submatrix of a band product shared by up to `window` windows
+    (one SVD per window if the window is longer than the panel has series).
+    The loadings, trimming and collinearity checks of its windows are
+    stacked, as many windows at a time as hold about `_BLOCK_ENTRIES`
+    floats of loadings, weights and factors.
     """
 
     def __init__(self, history: np.ndarray, n_factors: int, epsilon: float = 1.0):
         self.history = np.atleast_2d(np.asarray(history, dtype=float))
         self.n_factors = n_factors
         self.epsilon = epsilon
-        self._pc_rows = n_factors
-        self._vt_memo = {}  # (start, window) -> (panel, leading rows of V')
-
-    def with_factors(self, n_factors: int) -> "RollingWeightScheme":
-        """A scheme for fewer working factors that reuses this one's window eigenvectors.
-
-        `n_factors` may be at most the count the first scheme was built with.
-        """
-        if not 1 <= n_factors <= self._pc_rows:
-            raise ValueError(
-                f"a sibling scheme needs 1 <= R <= {self._pc_rows}, got R={n_factors}"
-            )
-        sibling = copy.copy(self)
-        sibling.n_factors = n_factors
-        return sibling
 
     def window_factors(self, X, start: int, window: int, count: int) -> np.ndarray:
         t_pre = self.history.shape[1]
@@ -198,26 +178,15 @@ class RollingWeightScheme:
         hist = np.hstack([self.history[:, lo : t_pre + end], X[:, max(lo - t_pre, 0) : end]])
         hist_wins = _windows(hist, 0, window, count)
         _check_pc_rank(_rolling_history(hist_wins[0], self.n_factors, self.epsilon), self.n_factors)
-        vts = self._history_vts(X, start, hist, window, count)
+        vts = _window_vts(hist, window, self.n_factors, range(count))
         wins = _windows(X, start, window, count)
         F = np.empty((count, window, self.n_factors))
         # the loadings and weights (N x R each) and factors (window x R) of `step` windows: _BLOCK_ENTRIES floats
         step = max(1, _BLOCK_ENTRIES // ((2 * X.shape[0] + window) * self.n_factors))
         for b in range(0, count, step):
-            _, loadings = _pc_from_vt(hist_wins[b : b + step], np.stack(vts[b : b + step])[:, : self.n_factors])
+            _, loadings = _pc_from_vt(hist_wins[b : b + step], vts[b : b + step])
             F[b : b + step] = estimate_factors(wins[b : b + step], _trimmed_weights(loadings, self.epsilon))
         return F
-
-    def _history_vts(self, X, start: int, hist: np.ndarray, window: int, count: int) -> list[np.ndarray]:
-        """The memoised leading rows of V' of the history windows before columns start..start+count-1 of X.
-
-        Column j of `hist` starts the history window of column start + j.
-        """
-        keys = [(start + j, window) for j in range(count)]
-        missing = [j for j, key in enumerate(keys) if self._vt_memo.get(key, (None,))[0] is not X]
-        for j, vt in zip(missing, _window_vts(hist, window, self._pc_rows, missing)):
-            self._vt_memo[keys[j]] = (X, vt)
-        return [self._vt_memo[key][1] for key in keys]
 
 
 def rolling_forecast(y, X, window: int, steps: int, scheme, h: int = 1) -> RollingForecastReport:

@@ -198,6 +198,8 @@ def pc_factors(panel, n_factors: int) -> FactorFit:
 
 def _check_pc_rank(X: np.ndarray, n_factors: int) -> None:
     n, t = X.shape
+    if n_factors < 0:
+        raise DimensionError(f"R must be non-negative, got R={n_factors}")
     if n_factors > min(n, t):
         raise DimensionError(
             f"R={n_factors} exceeds min(N, T)={min(n, t)}"

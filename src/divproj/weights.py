@@ -171,8 +171,10 @@ def rolling_window_weights(
 
 def _rolling_history(panel_history: np.ndarray, n_factors: int, epsilon: float) -> np.ndarray:
     """The validated N x T0 history of rolling-window weights."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    if n_factors < 1:
+        raise DimensionError(f"rolling-window weights need R >= 1, got R={n_factors}")
     hist = np.asarray(panel_history, dtype=float)
     if hist.ndim != 2:
         raise DimensionError("historical panel must be N x T0")

@@ -1,9 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from divproj import forecast, projection
+from divproj import experiments, forecast, projection
 from divproj.exceptions import DegenerateWeightsWarning, DimensionError, InsufficientDataError, NumericalWarning
 from divproj.experiments import experiment_forecast
 from divproj.forecast import (
@@ -15,7 +16,8 @@ from divproj.forecast import (
     rolling_forecast,
 )
 from divproj.projection import estimate_factors, pc_factors
-from divproj.weights import _warn_if_degenerate, rolling_window_weights, walsh_hadamard_weights
+from divproj.simulation import SimConfig
+from divproj.weights import _warn_if_degenerate, rolling_window_weights, sieve_weights, walsh_hadamard_weights
 
 
 class TestFitAugmented:
@@ -198,41 +200,68 @@ class TestRollingForecast:
         with pytest.raises(DimensionError):
             PCScheme(5).window_factors(np.ones((4, 30)), 0, 20, 1)
 
+    def test_factor_counts_below_the_minimum(self, monkeypatch):
+        """PC schemes need R >= 0 and rolling weights R >= 1, checked before any eigendecomposition."""
+        calls = []
+        monkeypatch.setattr(projection, "_gram_vt", lambda g, k: calls.append(g.shape))
+        monkeypatch.setattr(projection, "_leading_vt", lambda X, k: calls.append(X.shape))
+        rng = np.random.default_rng(11)
+        y, X, history = rng.standard_normal(40), rng.standard_normal((6, 40)), rng.standard_normal((6, 21))
+        for scheme in [PCScheme(-1), RollingWeightScheme(history, 0), RollingWeightScheme(history, -1)]:
+            with pytest.raises(DimensionError, match="R must be non-negative|R >= 1"):
+                rolling_forecast(y, X, 20, 5, scheme)
+        assert calls == []
+        monkeypatch.undo()
+        assert rolling_forecast(y, X, 20, 5, PCScheme(0)).forecasts.shape == (5,)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+    def test_rolling_scheme_epsilon_must_be_positive_and_finite(self, eps):
+        rng = np.random.default_rng(12)
+        scheme = RollingWeightScheme(rng.standard_normal((6, 21)), 2, eps)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            rolling_forecast(rng.standard_normal(40), rng.standard_normal((6, 40)), 20, 5, scheme)
+
 
 class TestSharedWindowSVD:
-    """Siblings of a RollingWeightScheme share one eigendecomposition per history window."""
+    """The forecast study runs one eigendecomposition per window and scheme, shared by its working counts."""
 
     @staticmethod
     def _data():
         rng = np.random.default_rng(9)
         return rng.standard_normal((7, 15)), rng.standard_normal((7, 30))
 
-    @pytest.mark.parametrize("order", [(3, 2, 1), (1, 2, 3)])
-    def test_siblings_equal_stand_alone_weights(self, order):
-        history, X = self._data()
-        window, eps = 12, 0.7
-        parent = RollingWeightScheme(history, n_factors=3, epsilon=eps)
-        combined = np.hstack([history, X])
-        # blocks of 1, 4 and 14 windows starting before, across and after the history's end
-        for start, count in [(0, 1), (1, 4), (5, 14)]:
-            for r in order:
-                got = parent.with_factors(r).window_factors(X, start, window, count)
-                for s in range(start, start + count):
-                    hist_win = combined[:, history.shape[1] + s - window : history.shape[1] + s]
-                    expected = estimate_factors(
-                        X[:, s : s + window], rolling_window_weights(hist_win, r, eps)
-                    )
-                    assert np.array_equal(got[s - start], expected), (s, r)
+    @pytest.mark.parametrize("n_series, window", [(40, 30), (50, 40), (20, 30)])  # band grams; the thin SVD
+    @pytest.mark.parametrize("r_true, extra", [(2, (0, 1, 3)), (1, (2, 0))])
+    def test_study_forecasts_equal_stand_alone_schemes(self, monkeypatch, n_series, window, r_true, extra):
+        """Each working count's forecasts equal rolling_forecast with a stand-alone scheme of that count.
 
-    def test_sibling_cannot_exceed_parent(self):
-        history, _ = self._data()
-        parent = RollingWeightScheme(history, n_factors=3)
-        with pytest.raises(ValueError):
-            parent.with_factors(4)
-        with pytest.raises(ValueError):
-            parent.with_factors(2).with_factors(4)
-        with pytest.raises(ValueError):
-            parent.with_factors(0)
+        Characteristic forecasts bit for bit at R >= 2.  The rolling-weight
+        loadings X F / T are formed from all of the largest count's factors,
+        and a product's leading columns can round differently from a
+        narrower product's (at N = 50, window 40 and R = 2, 3), so those
+        forecasts, and both schemes' at R = 1, are compared to 1e-12.
+        """
+        cfg = SimConfig(n_series=n_series, n_periods=window, n_factors_true=r_true, rho_T=0.5, seed=5)
+        n_steps, eps = 9, 0.7
+        reports = []
+        monkeypatch.setattr(experiments, "rolling_forecast",
+                            lambda *a: reports.append(rolling_forecast(*a)) or reports[-1])
+        out = experiments._forecast_rep(cfg, 1, n_steps=n_steps, schemes=("characteristic", "rolling"),
+                                        extra_factors=extra, epsilon=eps)
+        counts = [r_true + e for e in extra]
+        assert list(out) == ["pc"] + [f"{name}_R{r}" for r in counts for name in ("characteristic", "rolling")]
+        y, X, X_pre, z = experiments._forecast_path(cfg, 1, n_steps, np.ones(r_true), 1.5, 0.5)
+        for r in counts:
+            for name, scheme in [("characteristic", FixedWeightScheme(sieve_weights(z, r))),
+                                 ("rolling", RollingWeightScheme(X_pre, r, eps))]:
+                expected = rolling_forecast(y, X, window, n_steps, scheme)
+                if name == "characteristic" and r >= 2:
+                    assert out[f"{name}_R{r}"] == expected.mse
+                    assert any(np.array_equal(rep.forecasts, expected.forecasts) for rep in reports), (name, r)
+                else:
+                    assert out[f"{name}_R{r}"] == pytest.approx(expected.mse, rel=1e-12, abs=0)
+                    assert any(np.allclose(rep.forecasts, expected.forecasts, rtol=1e-12, atol=0)
+                               for rep in reports), (name, r)
 
     def test_new_panel_recomputes_the_window_svd(self):
         history, X = self._data()
@@ -377,17 +406,6 @@ class TestBlockEquivalence:
         blocks = [(s, min(run, steps - s)) for s in range(0, steps, run)]
         self._check(y, X, window, steps, scheme, factors_of, h, blocks)
 
-    @pytest.mark.parametrize("order", [(4, 2, 1), (1, 2, 4)])
-    @pytest.mark.parametrize("n, window", [(12, 9), (6, 14)])
-    @pytest.mark.parametrize("h", [1, 2])
-    def test_rolling_siblings_in_either_order(self, monkeypatch, order, n, window, h):
-        steps = 2 * self.BLOCK + 1
-        y, X, history = self._data(n, window, steps, seed=21)
-        parent = RollingWeightScheme(history, 4, 1.0)
-        for r in order:
-            block_windows(monkeypatch, self.BLOCK, n, window, r)
-            self._check(y, X, window, steps, parent.with_factors(r), rolling_reference(history, X, r, 1.0), h)
-
     def test_default_block_size_across_its_boundary(self):
         n, window, r, h = 30, 20, 3, 1
         block = forecast._BLOCK_ENTRIES // ((n + window) * (r + 2))
@@ -498,6 +516,32 @@ def test_blocks_bound_the_memory_of_a_study_sized_forecast(traced_peak):
     y = rng.standard_normal(window + steps + 1)
     rolling_forecast(y, X, window, steps, RollingWeightScheme(history, 5))  # numpy's one-time allocations
     assert traced_peak(lambda: rolling_forecast(y, X, window, steps, RollingWeightScheme(history, 5))) < 1 << 20
+
+
+def test_rolling_scheme_holds_no_memory_that_grows_with_steps():
+    """What a RollingWeightScheme still holds after rolling_forecast returns does not grow with `steps`.
+
+    N = 100, window 50, R = 5.  A lifetime memo of the history windows'
+    principal-component rows held 108, 428 and 860 KB at steps 50, 200 and 400.
+    """
+    rng = np.random.default_rng(29)
+    n, window = 100, 50
+    X = rng.standard_normal((n, window + 400))
+    y = rng.standard_normal(window + 401)
+    history = rng.standard_normal((n, window + 1))
+
+    def retained(steps):
+        scheme = RollingWeightScheme(history, 5)
+        tracemalloc.start()
+        try:
+            rolling_forecast(y, X, window, steps, scheme)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    retained(50)  # numpy's one-time allocations
+    small, large = retained(50), retained(400)
+    assert large <= small + (16 << 10), (small, large)
 
 
 class TestBandGrams:

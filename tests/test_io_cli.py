@@ -458,6 +458,23 @@ class TestCLI:
         assert "steps must be at least 1" in capsys.readouterr().err
         assert not (out / "mse.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [(["--R", "0"], "R >= 1"),
+                                                 (["--epsilon", "nan"], "epsilon must be positive and finite"),
+                                                 (["--epsilon", "inf"], "epsilon must be positive and finite")])
+    def test_rolling_forecast_rejects_bad_weight_arguments(self, tmp_path, capsys, flags, message):
+        rng = np.random.default_rng(7)
+        panel, yp, hist = tmp_path / "x.csv", tmp_path / "y.csv", tmp_path / "h.csv"
+        write_panel(panel, PanelData(rng.standard_normal((8, 60))))
+        write_panel(hist, PanelData(rng.standard_normal((8, 31))))
+        write_series(yp, rng.standard_normal(60))
+        out = tmp_path / "fc_out"
+        code = run(["forecast", "--panel", str(panel), "--outcome", str(yp), "--history", str(hist),
+                    "--scheme", "rolling", "--R", "2", "--window", "30", "--steps", "10", *flags,
+                    "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "mse.json").exists()
+
     def test_simulate_smoke(self, tmp_path):
         out = tmp_path / "sim_out"
         code = run(["simulate", "--experiment", "table3", "--reps", "2",

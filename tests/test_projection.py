@@ -175,6 +175,16 @@ class TestPCFactors:
         with pytest.raises(DimensionError):
             pc_factors(np.ones((4, 6)), 5)
 
+    def test_negative_factor_count(self):
+        with pytest.raises(DimensionError, match="R must be non-negative"):
+            pc_factors(np.ones((30, 60)), -1)
+
+    def test_zero_factors(self):
+        X = np.random.default_rng(9).standard_normal((30, 60))
+        fr = pc_factors(X, 0)
+        assert fr.factors.shape == (60, 0)
+        np.testing.assert_array_equal(fr.residuals, X)
+
 
 def largest_angle_sine(a, b):
     """Sine of the largest principal angle between the row spaces of orthonormal a and b."""

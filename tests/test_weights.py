@@ -146,6 +146,17 @@ class TestRollingWindow:
         with pytest.raises(InsufficientDataError):
             rolling_window_weights(np.ones((5, 2)), 3)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+    def test_epsilon_must_be_positive_and_finite(self, eps):
+        hist = np.random.default_rng(4).standard_normal((5, 10))
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            rolling_window_weights(hist, 2, epsilon=eps)
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_factor_count_below_one(self, r):
+        with pytest.raises(DimensionError, match="R >= 1"):
+            rolling_window_weights(np.random.default_rng(5).standard_normal((5, 10)), r)
+
 
 class TestInitialTransform:
     def test_signs(self):
