@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import KINDS, ThresholdRule, _inverse_rows, sparse_idio_cov
+from .covariance import KINDS, ThresholdRule, _estimate_parts, _inverse_parts, sparse_idio_cov
 from .exceptions import DivprojError
 from .experiments import (
     _ONE_BLAS_THREAD,
@@ -39,7 +39,8 @@ from .fdr import farm_test
 from .forecast import FixedWeightScheme, PCScheme, RollingWeightScheme, rolling_forecast
 from .inference import confidence_interval, double_selection
 from .io import (
-    _write_labelled,
+    _write_parts,
+    _write_triplets,
     ensure_outdir,
     read_panel,
     read_series,
@@ -47,7 +48,6 @@ from .io import (
     write_matrix,
     write_panel,
     write_rows_csv,
-    write_sparse_triplets,
 )
 from .projection import PanelData, fit as projection_fit
 from .spectest import DEFAULT_RULE as SPEC_TEST_RULE
@@ -331,13 +331,14 @@ def _cmd_cov(args) -> int:
     cov = sparse_idio_cov(fit_res.residuals, rule)
     outdir = ensure_outdir(args.out)
     s_ids = panel.series_ids
+    # Both matrices are +0.0 off the blocks and the diagonal of the partition the thresholding
+    # pass found, so both files are written row by row from those blocks: no N-length row is
+    # formed or scanned, and the inverse is never held as an N x N array.
     if args.sparse:
-        write_sparse_triplets(outdir / "sigma_u.csv", cov.sigma_u)
+        _write_triplets(outdir / "sigma_u.csv", _estimate_parts(cov))
     else:
-        write_matrix(outdir / "sigma_u.csv", cov.sigma_u, s_ids, s_ids, corner="series")
-    # the inverse is written row by row from its blocks, never held as an N x N array;
-    # the blocks are those the thresholding pass found
-    _write_labelled(outdir / "sigma_u_inv.csv", ["series", *s_ids], s_ids, _inverse_rows(cov.sigma_u, cov.partition))
+        _write_parts(outdir / "sigma_u.csv", ["series", *s_ids], s_ids, _estimate_parts(cov))
+    _write_parts(outdir / "sigma_u_inv.csv", ["series", *s_ids], s_ids, _inverse_parts(cov.sigma_u, cov.partition))
     write_json(
         outdir / "summary.json",
         {

@@ -9,14 +9,15 @@ which amounts to a constant threshold on correlations.  Diagonal entries
 are never touched.
 
 Each rule's formula is written once (`_shrink`).  Soft and SCAD run only
-on the entries with |s| > tau (NaNs included); the others are set to
-sign(s) * 0.0, the signed zero that the formula gives them.
+on the entries with |s| > tau (NaNs included).  Every zero of the result
+is +0.0, whichever rule made it, so every entry off the diagonal and the
+connected blocks below is +0.0.
 
 No symmetrizing average (S + S')/2 is taken.  S = U U'/T is computed from
 one contiguous U, which numpy hands to BLAS syrk: one triangle is computed
 and mirrored, so S is exactly symmetric.  tau_ij = tau_ji bit for bit, so
 the thresholded matrix is exactly symmetric too, and the average would
-return it unchanged, signed zeros included.
+return it unchanged.
 
 The thresholded matrix is sparse, and after a permutation it and its
 inverse are block-diagonal over the connected components of its nonzero
@@ -27,10 +28,13 @@ thresholding pass labels the estimate's (`SparseCovariance.partition`),
 the block helpers require one, and `_blocks` scans only a matrix that
 comes without it.  The inverse computes eigenvalues only when a Cholesky
 test finds that some block's smallest one may be at or below its
-eigenvalue floor.  The blocks' inverses are kept apart (`_inverse_blocks`),
-so a caller that writes the inverse row by row never holds it as a dense
-N x N array.  A block of consecutive indices is read and written as a
-slice view, not gathered (`_block_index`), with the same bits.
+eigenvalue floor.  The blocks' inverses are kept apart (`_inverse_blocks`).
+The estimate and its inverse are +0.0 off the partition's blocks and
+diagonal, so each is read row by row as its block members and the values
+there (`_parts`); the `cov` command writes both files that way, without an
+N-length row or the dense inverse.  A block of consecutive indices is read
+and written as a slice view, not gathered (`_block_index`), with the same
+bits.
 
 `sparse_idio_cov` and `invert_sparse_cov` return new arrays.  Their private
 forms (`_sample_cov`, `_threshold_rows`, `_invert_into`) write into N x N
@@ -109,6 +113,8 @@ def threshold_value(s, tau, rule: ThresholdRule):
     soft:  sign(s) * max(|s| - tau, 0)
     scad:  soft for |s| <= 2 tau, a linear interpolation on (2 tau, a tau],
            and the identity beyond a*tau (no shrinkage of large entries)
+
+    Every zero of the result is +0.0, whatever the sign of s.
     """
     scalar = np.isscalar(s) or np.ndim(s) == 0
     s, tau = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(tau, dtype=float))
@@ -122,10 +128,11 @@ def threshold_value(s, tau, rule: ThresholdRule):
 def _shrink(s: np.ndarray, tau: np.ndarray, rule: ThresholdRule, out: np.ndarray):
     """Write h(s, tau) into `out` (s's shape; it may be s); return the flat indices of the kept entries and h there.
 
-    Hard keeps |s| >= tau and sets +0.0 elsewhere.  Soft and SCAD keep
-    |s| > tau and NaN, and set sign(s) * 0.0 elsewhere, which is what their
-    formula gives; it runs on the kept entries alone, with the bits of the
-    whole-array computation.
+    Hard keeps |s| >= tau; soft and SCAD keep |s| > tau and NaN, and their
+    formula runs on the kept entries alone, with the bits of the
+    whole-array computation.  Every other entry, and every kept entry
+    whose h is zero (hard's exact zeros at tau = 0), is +0.0; NaN signs and
+    nonzero bits are the formula's.
     """
     a_s = np.abs(s)
     kept = np.flatnonzero(a_s >= tau if rule.kind == "hard" else ~(a_s <= tau))
@@ -133,7 +140,6 @@ def _shrink(s: np.ndarray, tau: np.ndarray, rule: ThresholdRule, out: np.ndarray
     s_k, tau_k = (s.ravel()[kept], tau.ravel()[kept]) if s.ndim else (s, tau)
     if rule.kind == "hard":
         values = s_k
-        out.fill(0.0)
     else:
         a_s, sign = np.abs(s_k), np.sign(s_k)
         values = sign * np.maximum(a_s - tau_k, 0.0)
@@ -141,8 +147,8 @@ def _shrink(s: np.ndarray, tau: np.ndarray, rule: ThresholdRule, out: np.ndarray
             a = rule.scad_a
             mid = ((a - 1.0) * s_k - sign * a * tau_k) / (a - 2.0)
             values = np.where(a_s <= 2.0 * tau_k, values, np.where(a_s <= a * tau_k, mid, s_k))
-        np.sign(s, out=out)
-        out *= 0.0
+    values = np.where(values == 0, 0.0, values)
+    out.fill(0.0)
     out.ravel()[kept] = values
     return kept, values
 
@@ -195,9 +201,13 @@ def _threshold_rows(S: np.ndarray, d: np.ndarray, omega: float, rule: ThresholdR
     n = S.shape[0]
     labels = np.arange(n)
     step = max(1, _BLOCK_ENTRIES // n)
+    buffer = np.empty((min(step, n), n))  # tau of one row block, formed in place
     for i in range(0, n, step):
         rows = slice(i, i + step)
-        tau = rule.constant_C * np.sqrt(np.outer(d[rows], d)) * omega
+        tau = np.multiply.outer(d[rows], d, out=buffer[: min(step, n - i)])
+        np.sqrt(tau, out=tau)
+        tau *= rule.constant_C
+        tau *= omega
         kept, values = _shrink(S[rows], tau, rule, out[rows])
         lo, hi = np.divmod(kept[values != 0], n)
         lo += i
@@ -347,27 +357,38 @@ def _inverse_blocks(sigma: np.ndarray, partition):
     return blocks, inverses, singles, 1.0 / (d[singles] + shift)
 
 
-def _inverse_rows(sigma: np.ndarray, partition):
-    """The rows of `invert_sparse_cov(sigma)`, one at a time, from `_inverse_blocks(sigma, partition)`.
+def _parts(partition, block_row, diagonal):
+    """Row by row, (columns, values) of a symmetric matrix that is +0.0 off its partition's blocks and diagonal.
+
+    Row i, the r-th member of block k, is (the block's members,
+    `block_row(k, r)`); the m-th singleton's row is ([its index],
+    `diagonal[m : m + 1]`).  The values are read when their row is reached.
+    """
+    blocks, singles = partition
+    where = [None] * (singles.size + sum(b.size for b in blocks))
+    for k, b in enumerate(blocks):
+        columns = b.tolist()
+        for r, i in enumerate(columns):
+            where[i] = (columns, k, r)
+    for m, i in enumerate(singles.tolist()):
+        where[i] = ([i], None, m)
+    for columns, k, m in where:
+        yield columns, diagonal[m : m + 1] if k is None else block_row(k, m)
+
+
+def _estimate_parts(cov: SparseCovariance):
+    """`_parts` of a thresholded estimate over its own partition, read from sigma_u."""
+    sigma, (blocks, singles) = cov.sigma_u, cov.partition
+    return _parts(cov.partition, lambda k, r: sigma[blocks[k][r], blocks[k]], np.diagonal(sigma)[singles])
+
+
+def _inverse_parts(sigma: np.ndarray, partition):
+    """`_parts` of `invert_sparse_cov(sigma)` from `_inverse_blocks(sigma, partition)`.
 
     The blocks are inverted, and any shift warned about, before this returns.
     """
-    n = sigma.shape[0]
     blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma, partition)
-    parts = [None] * n  # row i: (its columns, their values)
-    for b, inverse in zip(blocks, inverses):
-        for i, values in zip(b.tolist(), inverse):
-            parts[i] = (b, values)
-    for i, value in zip(singles.tolist(), inverse_singles):
-        parts[i] = (i, value)
-
-    def rows():
-        for columns, values in parts:
-            row = np.zeros(n)
-            row[columns] = values
-            yield row
-
-    return rows()
+    return _parts((blocks, singles), lambda k, r: inverses[k][r], inverse_singles)
 
 
 def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:

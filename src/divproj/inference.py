@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-import statistics
 import warnings
 from dataclasses import dataclass
 
@@ -487,6 +486,8 @@ def double_selection(
 @functools.lru_cache(maxsize=None)
 def _normal_quantile(level: float) -> float:
     """The standard normal quantile at 0.5 + level/2."""
+    import statistics  # here, not at the top: with fractions and decimal it would slow every import of divproj
+
     return statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
 
 

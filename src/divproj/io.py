@@ -3,17 +3,19 @@
 Panels are stored time-major: the first row is a header of series ids, the
 first column holds time labels, and the body is T rows by N columns.
 Floats are written as their `repr`, the shortest decimal that parses back
-to the same double, and zeros by their sign bit as ``0.0`` or ``-0.0``, so
-write-then-read is lossless and writing a file we read reproduces it byte
-for byte.  Rows of floats are formatted as whole lines, byte-identical to
-what the csv module writes; the csv module still writes headers, the
-label cell of each row, and the mixed-type dict rows, cell by cell
-through :func:`format_value`, which writes bools as 1/0.  The labelled
-writer takes its float rows from any iterable, one row at a time, so a
-matrix can be written from rows that are never held together.  Only the
-nonzero cells go through `repr`; a row with few nonzero or negative cells,
-such as a row of a sparse covariance or its inverse, is their reprs
-spliced into a cached line of zeros.
+to the same double (``-0.0`` keeps its sign), so write-then-read is
+lossless and writing a file we read reproduces it byte for byte.  Rows of
+floats are formatted as whole lines, byte-identical to what the csv module
+writes; the csv module still writes headers, the label cell of each row,
+and the mixed-type dict rows, cell by cell through :func:`format_value`,
+which writes bools as 1/0.  A row comes in one of two kinds, each with one
+writer, and rows are taken one at a time from any iterable, so a matrix
+can be written from rows that are never held together.  A dense row is
+the `repr` of each cell.  A sparse row comes as its parts, the ascending
+columns that are not ``0.0`` and the floats there (a row of a thresholded
+covariance or of its inverse); its line is their reprs spliced into one
+cached line of ``0.0`` cells, so it costs about its parts, and the same
+parts give the (i, j, value) triplets of its nonzero entries.
 
 The body of a table is parsed in one pass by ``np.loadtxt``.  A file that
 pass cannot vouch for (a quote, a blank line, a bad or non-finite cell, a
@@ -164,39 +166,47 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
-# A row with fewer than one nonzero or negative cell in _SPARSE is spliced into a line of zeros.
-_SPARSE = 8
+def _write_lines(path, header, labels, bodies) -> None:
+    """Write `header`, then each label and its row's body (its cells joined by commas), as csv.writer writes them.
 
-
-def _labelled(labels, rows):
-    """Lines as csv.writer writes the rows [label, *row], one row at a time.
-
-    Zeros are looked up by their sign bit and only the nonzero floats (nan
-    and inf included) go through `repr`.  A row whose nonzero and negative
-    cells are few is their `repr`s spliced into a cached line of ``0.0``
-    cells, so it costs about its nonzeros.  The label cell is written by
-    csv.writer, which quotes it when it needs to.
+    Rows are taken one at a time.  csv.writer writes each label cell, and
+    quotes it when it needs to.
     """
-    buf = StringIO()
-    writer = csv.writer(buf)
-    zeros = ""
-    for label, row in zip(labels, rows):
-        negative = np.signbit(row)
-        (j,) = np.nonzero(row)
-        if _SPARSE * (j.size + np.count_nonzero(negative)) < row.size:
-            if len(zeros) != 4 * row.size - 1:
-                zeros = ",".join(["0.0"] * row.size)
-            (j,) = np.nonzero(negative | (row != 0))  # every cell that is not 0.0
-            body = _spliced(zeros, j.tolist(), map(repr, row[j].tolist()))
-        else:
-            cells = _ZEROS[negative.view(np.int8)]
-            cells[j] = list(map(repr, row[j].tolist()))
-            body = ",".join(cells.tolist())
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((label, None))  # "label,\r\n"
-        yield buf.getvalue()[:-2] + body + "\r\n"
+    if len(header) == 1:  # csv.writer quotes an empty label when it is the only cell
+        return _write_csv(path, header, ([label] for label in labels))
+    buf = StringIO()  # csv.writer quotes a line break in a label only with its default line terminator
+    label_line = csv.writer(buf).writerow
+    with open(Path(path), "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for label, body in zip(labels, bodies):
+            buf.seek(0)
+            buf.truncate()
+            label_line((label, None))  # "label,\r\n"
+            fh.write(buf.getvalue()[:-2] + body + "\r\n")
+
+
+def _write_labelled(path, header, labels, rows) -> None:
+    """Write `header`, then [label, *row] for each label and dense float row.
+
+    `rows` is any iterable of 1-D float arrays, such as a matrix or a
+    generator; each row is formatted as it is taken, and the row width is
+    one less than the header's.
+    """
+    _write_lines(path, header, labels, (",".join(map(repr, row.tolist())) for row in rows))
+
+
+def _write_parts(path, header, labels, parts) -> None:
+    """Write `header`, then [label, *row] for each label and row given by its parts.
+
+    `parts` is any iterable of (columns, values): a row's ascending column
+    indices and a 1-D float array of its values there; every other cell is
+    0.0.  Each line is the values' reprs spliced into one cached line of
+    0.0 cells as wide as the header's columns, so no row of that width is
+    formed or scanned.
+    """
+    zeros = ",".join(["0.0"] * (len(header) - 1))
+    bodies = (_spliced(zeros, columns, map(repr, values.tolist())) for columns, values in parts)
+    _write_lines(path, header, labels, bodies)
 
 
 def _spliced(zeros: str, j, cells) -> str:
@@ -209,26 +219,14 @@ def _spliced(zeros: str, j, cells) -> str:
     return "".join(pieces)
 
 
-def _write_labelled(path, header, labels, rows) -> None:
-    """Write `header`, then [label, *row] for each label and float row.
-
-    `rows` is any iterable of 1-D float arrays, such as a matrix or a
-    generator; each row is formatted as it is taken, and the row width is
-    one less than the header's.
-    """
-    if len(header) == 1:  # csv.writer quotes an empty label when it is the only cell
-        return _write_csv(path, header, ([label] for label in labels))
-    with open(Path(path), "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(_labelled(labels, rows))
-
-
-def _triplets(values):
-    """Rows (i, j, value) of the nonzero entries, 1-based, built one matrix row at a time."""
-    for i, row in enumerate(values, start=1):
-        (j,) = np.nonzero(row)
-        for col, value in zip((j + 1).tolist(), row[j].tolist()):
-            yield i, col, value
+def _write_triplets(path, parts) -> None:
+    """Write the (i, j, value) rows, 1-based, of the nonzero values in each row's parts (as in `_write_parts`)."""
+    _write_csv(path, ["i", "j", "value"], (
+        (i, j + 1, value)
+        for i, (columns, values) in enumerate(parts, start=1)
+        for j, value in zip(columns, values.tolist())
+        if value != 0
+    ))
 
 
 def read_panel(path) -> PanelData:
@@ -262,7 +260,8 @@ def write_matrix(path, values, row_labels=None, col_labels=None, corner: str = "
 def write_sparse_triplets(path, values) -> None:
     """Write the nonzero entries of a matrix as (i, j, value) rows, 1-based."""
     values = np.atleast_2d(np.asarray(values, dtype=float))
-    _write_csv(path, ["i", "j", "value"], _triplets(values))
+    i, j = np.nonzero(values)
+    _write_csv(path, ["i", "j", "value"], zip((i + 1).tolist(), (j + 1).tolist(), values[i, j].tolist()))
 
 
 def write_rows_csv(path, fieldnames, rows) -> None:

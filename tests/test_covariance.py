@@ -23,7 +23,7 @@ from divproj.covariance import (
     _block_index,
     _blocks,
     _inverse_blocks,
-    _inverse_rows,
+    _inverse_parts,
     _join,
     _sym_opnorm,
     _threshold_rows,
@@ -96,19 +96,24 @@ class TestThresholdValue:
             threshold_value(np.ones((2, 3)), tau, rule)
 
 
+def _plus_zeros(x):
+    """x with every zero +0.0: the thresholded estimate's one zero."""
+    return np.where(x == 0, 0.0, x)
+
+
 def _dense_threshold(s, tau, rule):
-    """The thresholding formula applied to every entry: the reference for threshold_value's bits."""
+    """The thresholding formula applied to every entry, its zeros +0.0: the reference for threshold_value's bits."""
     s, tau = np.asarray(s, dtype=float), np.asarray(tau, dtype=float)
     a_s = np.abs(s)
     if rule.kind == "hard":
-        return np.where(a_s >= tau, s, 0.0)
+        return _plus_zeros(np.where(a_s >= tau, s, 0.0))
     sign = np.sign(s)
     soft = sign * np.maximum(a_s - tau, 0.0)
     if rule.kind == "soft":
-        return soft
+        return _plus_zeros(soft)
     a = rule.scad_a
     mid = ((a - 1.0) * s - sign * a * tau) / (a - 2.0)
-    return np.where(a_s <= 2.0 * tau, soft, np.where(a_s <= a * tau, mid, s))
+    return _plus_zeros(np.where(a_s <= 2.0 * tau, soft, np.where(a_s <= a * tau, mid, s)))
 
 
 class TestThresholdBits:
@@ -160,7 +165,7 @@ class TestThresholdBits:
 
 
 def _threshold_value_before(s, tau, rule):
-    """`threshold_value` as it was before the row-block kernel, frozen: the reference for the kernel's bits."""
+    """`threshold_value` as it was before the row-block kernel, frozen, its zeros then made +0.0: the reference for the kernel's bits."""
     scalar = np.isscalar(s) or np.ndim(s) == 0
     s = np.asarray(s, dtype=float)
     tau = np.asarray(tau, dtype=float)
@@ -182,6 +187,7 @@ def _threshold_value_before(s, tau, rule):
             a = rule.scad_a
             mid = ((a - 1.0) * s - sign * a * tau) / (a - 2.0)
             out[keep] = np.where(a_s <= 2.0 * tau, soft, np.where(a_s <= a * tau, mid, s))
+    out = _plus_zeros(out)
     return float(out) if scalar else out
 
 
@@ -266,12 +272,12 @@ class TestThresholdKernel:
         S, d, omega = self._special_input(rule)
         out, partition = _run_kernel(S, d, omega, rule, in_place)
         ref = _kernel_reference(S, d, omega, rule)
-        assert out.tobytes() == ref.tobytes()  # signed zeros and NaN signs included
+        assert out.tobytes() == ref.tobytes()  # the signs of zeros and of NaNs included
         _assert_partition(partition, _blocks(ref))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_zero_entries_link_nothing(self, kind):
-        """At C = 0 hard thresholding keeps every entry, the exact zeros (+0.0 and -0.0) among them; no zero is an edge."""
+        """At C = 0 hard thresholding keeps every entry and writes S's exact zeros (+0.0 and -0.0) as +0.0; no zero is an edge."""
         n = self.N
         rng = np.random.default_rng(34)
         pattern = _random_sparse(1.0)(n, rng)
@@ -315,6 +321,37 @@ class TestThresholdKernel:
         s = np.random.default_rng(32).standard_normal((5, 7))
         taus = np.random.default_rng(33).uniform(0.0, 1.0, (5, 1))  # broadcast against s
         assert threshold_value(s, taus, rule).tobytes() == _threshold_value_before(s, taus, rule).tobytes()
+
+
+def _minus_zeros(x) -> int:
+    return int(np.count_nonzero((x == 0) & np.signbit(x)))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf and inf * 0 in the formulas
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_zero_is_plus_zero(kind):
+    """No zero of an estimate or of threshold_value has its sign bit set, hard's kept exact zeros at C = 0 included."""
+    rng = np.random.default_rng(35)
+    U = rng.standard_normal((300, 30))
+    U[:100] += 0.6 * U[100:200]
+    for C in (0.0, 0.5, 1.0, 2.0):
+        sigma = sparse_idio_cov(U, ThresholdRule(kind=kind, constant_C=C)).sigma_u
+        assert _minus_zeros(sigma) == 0
+        if C > 0:
+            assert np.count_nonzero(sigma == 0) > 0
+    rule = ThresholdRule(kind=kind)
+    s = np.array([-0.0, 0.0, -0.1, 0.1, -1.0, 1.0, -np.inf, np.nan, -np.nan] * 3)
+    for tau in (0.0, 0.3, np.inf):
+        out = threshold_value(s, tau, rule)
+        assert _minus_zeros(out) == 0
+        assert np.count_nonzero(out == 0) > 0
+        assert _minus_zeros(np.array([threshold_value(np.float64(x), tau, rule) for x in s])) == 0  # the 0-d path
+    # an S holding an exact -0.0 (and a -0.0 that hard keeps at C = 0), through the row-block kernel
+    S, d, omega = covariance._sample_cov(U)
+    S[3, 5] = S[5, 3] = -0.0
+    for C in (0.0, 2.0):
+        out, _ = _run_kernel(S, d, omega, ThresholdRule(kind=kind, constant_C=C), in_place=False)
+        assert _minus_zeros(out) == 0 and out[3, 5] == 0
 
 
 def _pattern_input(pattern, rng):
@@ -690,8 +727,11 @@ class TestBlockViews:
             inverse = invert_sparse_cov(sigma)
         assert sigma.tobytes() == before
         with pytest.warns(NumericalWarning, match="shifting diagonal"):
-            rows = np.array(list(_inverse_rows(sigma, _blocks(sigma))))
+            parts = _inverse_parts(sigma, _blocks(sigma))
         assert sigma.tobytes() == before
+        rows = np.zeros_like(sigma)
+        for row, (columns, values) in zip(rows, parts):
+            row[columns] = values
         assert rows.tobytes() == inverse.tobytes()
         blocks, singles = _blocks(sigma)
         assert not _above_floor(sigma, singles, blocks, 1e-6)
@@ -1148,7 +1188,8 @@ def test_runtime_imports_no_scipy():
     No module imports scipy, at top level or inside a function, and a fresh
     interpreter that imports the package, the CLI and the experiments and
     builds the CLI parser has no scipy module loaded.  scipy's import took
-    about 0.8 s of each fresh process.
+    about 0.8 s of each fresh process.  Nor is `statistics` loaded: the
+    normal quantile imports it on its first call.
     """
     assert _offending_imports("scipy") == []
     script = (
@@ -1156,7 +1197,7 @@ def test_runtime_imports_no_scipy():
         "import divproj, divproj.cli, divproj.experiments\n"
         "with contextlib.redirect_stderr(io.StringIO()):\n"
         "    code = divproj.cli.run([])\n"
-        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'statistics')))\n"
     )
     src = str(Path(divproj.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -17,7 +17,16 @@ import pytest
 from divproj.cli import SIMULATIONS, _build_parser, run
 from divproj import cli as cli_module
 from divproj import covariance
-from divproj.covariance import SparseCovariance, ThresholdRule, _blocks, _inverse_rows, invert_sparse_cov
+from divproj.covariance import (
+    KINDS,
+    SparseCovariance,
+    ThresholdRule,
+    _blocks,
+    _estimate_parts,
+    _inverse_parts,
+    invert_sparse_cov,
+    sparse_idio_cov,
+)
 from divproj import io as io_module
 from divproj.exceptions import DegenerateDataError, NumericalWarning
 from divproj.experiments import experiment_spectest
@@ -257,23 +266,36 @@ def test_writers_match_the_csv_module(tmp_path):
     assert (tmp_path / "e.csv").read_bytes() == _csv_rendering(["row"], ["", "x", "a,b"], np.zeros((3, 0)))
 
 
-@pytest.mark.parametrize("sparse", [0, 1 << 30], ids=["every-row-spliced", "rows-of-zeros-spliced"])
-def test_spliced_rows_have_the_bytes_of_dense_rows(monkeypatch, sparse):
-    """Rows of widths 1-17 with +-0.0, nan, +-inf and subnormals, spliced into a line of zeros or not."""
+@pytest.mark.parametrize("with_zeros", [False, True], ids=["every-row-spliced", "rows-of-zeros-spliced"])
+def test_spliced_rows_have_the_bytes_of_dense_rows(tmp_path, with_zeros):
+    """Rows of widths 1-17 with +-0.0, nan, +-inf and subnormals, written from their parts and as dense rows.
+
+    The parts hold every cell that is not +0.0, and some +0.0 cells too when
+    `with_zeros`: a part may be zero, and is spliced in like any other.
+    """
     rng = np.random.default_rng(29)
     pool = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 1.5, -2.0, 1e300])
-    rows = []
-    for width in [*range(1, 18), *range(17, 0, -1)]:  # the cached line of zeros changes width both ways
+    for width in [*range(1, 18), *range(17, 0, -1)]:
+        rows, parts = [], []
         for _ in range(12):
             row = np.zeros(width)
             at = rng.choice(width, size=rng.integers(0, width + 1), replace=False)
             row[at] = rng.choice(pool, size=at.size)
+            given = (row != 0) | np.signbit(row)
+            if with_zeros:
+                given |= rng.random(width) < 0.3
+            columns = np.flatnonzero(given)
             rows.append(row)
-    labels = [f"r{i}" for i in range(len(rows))]
-    expected = StringIO()
-    csv.writer(expected).writerows([label, *row.tolist()] for label, row in zip(labels, rows))
-    monkeypatch.setattr(io_module, "_SPARSE", sparse)
-    assert "".join(io_module._labelled(labels, rows)) == expected.getvalue()
+            parts.append((columns.tolist(), row[columns]))
+        labels = [f"r{i}" for i in range(len(rows))]
+        header = ["id", *(f"c{j}" for j in range(width))]
+        io_module._write_labelled(tmp_path / "dense.csv", header, labels, rows)
+        assert (tmp_path / "dense.csv").read_bytes() == _csv_rendering(header, labels, rows)
+        io_module._write_parts(tmp_path / "parts.csv", header, labels, iter(parts))
+        assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+        io_module._write_triplets(tmp_path / "triplets.csv", iter(parts))
+        write_sparse_triplets(tmp_path / "ref.csv", np.array(rows))
+        assert (tmp_path / "triplets.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_floats_are_written_as_their_repr(tmp_path):
@@ -694,6 +716,60 @@ def test_cov_inverse_file_is_the_dense_inverse(tmp_path, monkeypatch, case):
     assert (out / "sigma_u_inv.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def _residual_design(design, rng):
+    """24 x 400 residuals: independent series, or three blocks of correlated series at permuted indices."""
+    U = rng.standard_normal((24, 400))
+    if design == "blocks":
+        perm = rng.permutation(24)
+        for b in (perm[:5], perm[5:8], perm[8:10]):
+            U[b] += 1.5 * rng.standard_normal(400)
+    return U
+
+
+@pytest.mark.parametrize("C", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("design", ["independent", "blocks"])
+def test_cov_files_have_the_bytes_of_the_dense_writers(tmp_path, monkeypatch, design, kind, C):
+    """sigma_u.csv (dense and --sparse) and sigma_u_inv.csv, written from the estimate's blocks, are the dense writers' files.
+
+    The command thresholds designed residuals at its rule and C.  C = 0
+    gives one block of every series; independent series at C = 2 give
+    singletons only; the block design gives blocks of non-consecutive
+    indices at C > 0.  Two series ids need csv quoting.
+    """
+    rng = np.random.default_rng(40)
+    U = _residual_design(design, rng)
+    made = []
+
+    def threshold(residuals, rule):
+        made.append(sparse_idio_cov(U, rule))
+        return made[-1]
+
+    monkeypatch.setattr(cli_module, "sparse_idio_cov", threshold)
+    ids = [f"s{i + 1}" for i in range(24)]
+    ids[3], ids[7] = "a,b", 'q"x'
+    write_panel(tmp_path / "x.csv", PanelData(rng.standard_normal((24, 30)), series_ids=ids))
+    argv = ["cov", "--panel", str(tmp_path / "x.csv"), "--scheme", "walsh", "--R", "1", "--rule", kind, "--C", str(C)]
+    assert run([*argv, "--out", str(tmp_path / "dense")]) == 0
+    assert run([*argv, "--sparse", "--out", str(tmp_path / "sparse")]) == 0
+    cov = made[0]
+    blocks, singles = cov.partition
+    if C == 0.0:
+        assert [b.tolist() for b in blocks] == [list(range(24))]
+    elif design == "independent" and C == 2.0:
+        assert blocks == [] and singles.size == 24
+    elif design == "blocks":
+        assert len(blocks) >= 2 and any(b[-1] - b[0] + 1 != b.size for b in blocks)
+    write_matrix(tmp_path / "sigma.csv", cov.sigma_u, ids, ids, corner="series")
+    write_sparse_triplets(tmp_path / "triplets.csv", cov.sigma_u)
+    write_matrix(tmp_path / "inverse.csv", invert_sparse_cov(cov.sigma_u), ids, ids, corner="series")
+    assert (tmp_path / "dense" / "sigma_u.csv").read_bytes() == (tmp_path / "sigma.csv").read_bytes()
+    assert (tmp_path / "sparse" / "sigma_u.csv").read_bytes() == (tmp_path / "triplets.csv").read_bytes()
+    for out in ("dense", "sparse"):
+        assert (tmp_path / out / "sigma_u_inv.csv").read_bytes() == (tmp_path / "inverse.csv").read_bytes()
+    assert '"a,b"' in (tmp_path / "sigma.csv").read_text()
+
+
 @pytest.fixture(scope="module")
 def wide_panel(tmp_path_factory):
     """An N = 1200, T = 240 two-factor panel, a characteristic driving its loadings, and its factors, as CSV files."""
@@ -731,8 +807,8 @@ def test_wide_commands_hold_one_n_by_n_array(wide_panel, tmp_path, command):
 def test_cov_inverse_uses_the_thresholding_pass_partition(wide_panel, tmp_path, monkeypatch):
     """At N = 1200 the cov command never scans its estimate into a pattern; its files are those of a fresh partition.
 
-    The thresholding pass labels the estimate's components, and the
-    inverse is written from those blocks, so `_blocks` is never called.
+    The thresholding pass labels the estimate's components, and both
+    matrices are written from those blocks, so `_blocks` is never called.
     A run that partitions the estimate with `_blocks` writes the same bytes.
     """
     argv = ["cov", "--panel", str(wide_panel / "panel.csv"), "--scheme", "sieve", "--R", "2",
@@ -747,7 +823,9 @@ def test_cov_inverse_uses_the_thresholding_pass_partition(wide_panel, tmp_path, 
         m.setattr(covariance, "_blocks", counting_blocks)
         assert run([*argv, "--out", str(tmp_path / "pass")]) == 0
     assert counted == []
-    monkeypatch.setattr(cli_module, "_inverse_rows", lambda sigma, partition: _inverse_rows(sigma, _blocks(sigma)))
+    monkeypatch.setattr(cli_module, "_estimate_parts", lambda cov: _estimate_parts(
+        SparseCovariance(cov.sigma_u, cov.omega, cov.nonzero_offdiag, _blocks(cov.sigma_u))))
+    monkeypatch.setattr(cli_module, "_inverse_parts", lambda sigma, partition: _inverse_parts(sigma, _blocks(sigma)))
     assert run([*argv, "--out", str(tmp_path / "fresh")]) == 0
     summary = json.loads((tmp_path / "pass" / "summary.json").read_text())
     assert summary["nonzero_offdiag"] > 1000  # blocks of more than one member to invert
