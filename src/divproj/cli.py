@@ -11,12 +11,17 @@ counts the worker processes of `simulate`'s replications and must be at
 least 1.  `simulate` runs at one BLAS thread: `main` runs the command line
 again with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS set to
 1 unless they are, so results.csv has the same bytes on any host.
+Companion files are matched to the panel by label, not reordered: the rows
+of --outcome, --treatment and --factors carry the panel's time ids, and
+those of --chars and the columns of --history its series ids, in order,
+or the command exits 2 and names the first mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import json
 import os
 import sys
@@ -26,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .covariance import KINDS, ThresholdRule, _estimate_parts, _inverse_parts, sparse_idio_cov
+from .covariance import KINDS, ThresholdRule, sparse_idio_cov
 from .exceptions import DivprojError
 from .experiments import (
     _ONE_BLAS_THREAD,
@@ -201,6 +206,28 @@ def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(argv[: at + 1] + tokens + argv[at + 1 :])
 
 
+def _check_labels(path, labels, panel_labels, kind: str) -> None:
+    """A companion file's labels must be the panel's `kind` ids, in order; DivprojError names the first mismatch."""
+    for i, (got, want) in enumerate(itertools.zip_longest(labels, panel_labels)):
+        if got != want:
+            got, want = ("none" if x is None else repr(x) for x in (got, want))
+            raise DivprojError(f"{path}: {kind} id {i + 1} is {got}, the panel's is {want} (ids must match in order)")
+
+
+def _series(path, panel_labels, kind: str = "time"):
+    """The values of a (label, value) CSV whose labels are the panel's `kind` ids, in order."""
+    labels, values = read_series(path)
+    _check_labels(path, labels, panel_labels, kind)
+    return values
+
+
+def _history(args, panel: PanelData):
+    """The --history panel's values; its series ids are the panel's, in order."""
+    history = read_panel(args.history)
+    _check_labels(args.history, history.series_ids, panel.series_ids, "series")
+    return history.X
+
+
 def _panel_and_weights(args, panel: PanelData, *series):
     """Weights for a user panel, returned as (panel, W, *series).
 
@@ -208,8 +235,8 @@ def _panel_and_weights(args, panel: PanelData, *series):
     panel and from the first axis of each companion series.
     """
     X = panel.X
-    chars = read_series(args.chars)[1] if args.chars else None
-    history = read_panel(args.history).X if args.history else None
+    chars = _series(args.chars, panel.series_ids, "series") if args.chars else None
+    history = _history(args, panel) if args.history else None
     x0 = None
     if args.scheme == "initial":
         if X.shape[1] < 2:
@@ -263,15 +290,14 @@ def _forecast_scheme(args, panel: PanelData, y):
     if args.scheme == "rolling":
         if not args.history:
             raise DivprojError("rolling-window forecasts need --history")
-        history = read_panel(args.history).X
-        return RollingWeightScheme(history, args.R, args.epsilon), panel, y
+        return RollingWeightScheme(_history(args, panel), args.R, args.epsilon), panel, y
     panel, W, y = _panel_and_weights(args, panel, y)
     return FixedWeightScheme(W), panel, y
 
 
 def _cmd_forecast(args) -> int:
     panel = read_panel(args.panel)
-    _, y = read_series(args.outcome)
+    y = _series(args.outcome, panel.time_ids)
     scheme, panel, y = _forecast_scheme(args, panel, y)
     report = rolling_forecast(y, panel.X, args.window, args.steps, scheme, h=args.lead)
     columns = {"forecast_" + args.scheme: report.forecasts}
@@ -292,8 +318,7 @@ def _cmd_forecast(args) -> int:
 
 def _cmd_infer(args) -> int:
     panel = read_panel(args.panel)
-    _, y = read_series(args.outcome)
-    _, g = read_series(args.treatment)
+    y, g = _series(args.outcome, panel.time_ids), _series(args.treatment, panel.time_ids)
     if args.R == 0:
         weights = None
     else:
@@ -331,14 +356,13 @@ def _cmd_cov(args) -> int:
     cov = sparse_idio_cov(fit_res.residuals, rule)
     outdir = ensure_outdir(args.out)
     s_ids = panel.series_ids
-    # Both matrices are +0.0 off the blocks and the diagonal of the partition the thresholding
-    # pass found, so both files are written row by row from those blocks: no N-length row is
-    # formed or scanned, and the inverse is never held as an N x N array.
+    # Both matrices are held as their blocks, so both files are written row by row from those:
+    # no N-length row is formed or scanned, and neither matrix is held as an N x N array.
     if args.sparse:
-        _write_triplets(outdir / "sigma_u.csv", _estimate_parts(cov))
+        _write_triplets(outdir / "sigma_u.csv", cov.estimate.rows())
     else:
-        _write_parts(outdir / "sigma_u.csv", ["series", *s_ids], s_ids, _estimate_parts(cov))
-    _write_parts(outdir / "sigma_u_inv.csv", ["series", *s_ids], s_ids, _inverse_parts(cov.sigma_u, cov.partition))
+        _write_parts(outdir / "sigma_u.csv", ["series", *s_ids], s_ids, cov.estimate.rows())
+    _write_parts(outdir / "sigma_u_inv.csv", ["series", *s_ids], s_ids, cov.estimate.inverse().rows())
     write_json(
         outdir / "summary.json",
         {
@@ -356,6 +380,7 @@ def _cmd_cov(args) -> int:
 def _cmd_spectest(args) -> int:
     panel = read_panel(args.panel)
     factors = read_panel(args.factors)
+    _check_labels(args.factors, factors.time_ids, panel.time_ids, "time")
     G = factors.X.T  # panel layout stores series in rows; observed factors are columns
     args.R = G.shape[1]  # the working number of factors is pinned to dim(g_t)
     panel, W, G = _panel_and_weights(args, panel, G)

@@ -10,41 +10,35 @@ are never touched.
 
 Each rule's formula is written once (`_shrink`).  Soft and SCAD run only
 on the entries with |s| > tau (NaNs included).  Every zero of the result
-is +0.0, whichever rule made it, so every entry off the diagonal and the
-connected blocks below is +0.0.
-
-No symmetrizing average (S + S')/2 is taken.  S = U U'/T is computed from
-one contiguous U, which numpy hands to BLAS syrk: one triangle is computed
-and mirrored, so S is exactly symmetric.  tau_ij = tau_ji bit for bit, so
-the thresholded matrix is exactly symmetric too, and the average would
-return it unchanged.
+is +0.0, whichever rule made it.
 
 The thresholded matrix is sparse, and after a permutation it and its
 inverse are block-diagonal over the connected components of its nonzero
-pattern.  Its eigenvalues and inverse are computed one block at a time,
-which is exact (Mazumder & Hastie 2012); a dense, connected matrix is one
-block.  Each matrix's partition is found once, by whoever made it: the
-thresholding pass labels the estimate's (`SparseCovariance.partition`),
-the block helpers require one, and `_blocks` scans only a matrix that
-comes without it.  The inverse computes eigenvalues only when a Cholesky
-test finds that some block's smallest one may be at or below its
-eigenvalue floor.  The blocks' inverses are kept apart (`_inverse_blocks`).
-The estimate and its inverse are +0.0 off the partition's blocks and
-diagonal, so each is read row by row as its block members and the values
-there (`_parts`); the `cov` command writes both files that way, without an
-N-length row or the dense inverse.  A block of consecutive indices is read
-and written as a slice view, not gathered (`_block_index`), with the same
-bits.
+pattern (Mazumder & Hastie 2012).  So the estimate, its inverse and the
+covariance study's truth are held as their blocks (`_Blocks`): each
+block's ascending members and submatrix, and the singletons' indices and
+diagonal.  A dense, connected matrix is one block.
 
-`sparse_idio_cov` and `invert_sparse_cov` return new arrays.  Their private
-forms (`_sample_cov`, `_threshold_rows`, `_invert_into`) write into N x N
-arrays that the caller gives, with the same bits, so a caller that makes
-many estimates (the covariance study) can form S once and threshold it at
-each C into one reused buffer.
+One pass (`_estimates`) forms S = U U'/T from U an upper row block at a
+time (`U[rows] @ U[i:].T / T`), thresholds each row block at every rule it is given,
+hooks the kept edges into that rule's component labels, and builds each
+estimate's blocks once its partition is known, so no N x N array is made.
+The diagonal is U's squared row norms over T.  Each kept entry above the
+diagonal is mirrored below it, so the estimate is exactly symmetric.
+
+The callers use four operations of the block type: the dense matrix
+(`dense`; `SparseCovariance.sigma_u` builds it on request), its rows as
+the `cov` writers take them (`rows`), the repaired inverse (`inverse`) and
+W' Sigma W (`sandwich`).  The inverse computes eigenvalues only when a
+Cholesky test finds that some block's smallest one may be at or below its
+eigenvalue floor.  `_blocks` partitions only a matrix that comes as a raw
+array.  A block of consecutive indices is read and written as a slice
+view, not gathered (`_block_index`), with the same bits.
 """
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -53,7 +47,7 @@ import numpy as np
 from .exceptions import DegenerateDataError, DimensionError, NumericalWarning
 
 KINDS = ("hard", "soft", "scad")
-_BLOCK_ENTRIES = 1 << 16  # entries per row block of the thresholding loop
+_BLOCK_ENTRIES = 1 << 16  # entries per row block of the thresholding pass
 
 
 @dataclass(frozen=True)
@@ -79,31 +73,119 @@ class ThresholdRule:
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
-class SparseCovariance:
-    """Thresholded residual covariance with its construction metadata."""
+class _Blocks:
+    """A symmetric matrix that is +0.0 off its blocks and its diagonal, held as those.
 
-    sigma_u: np.ndarray        # N x N symmetric
+    blocks : each block's ascending members, ordered by their smallest (`_partition`)
+    values : each block's submatrix, in the order of its members
+    singles : the other indices, ascending
+    diagonal : the matrix's whole diagonal
+    """
+
+    blocks: list
+    values: list
+    singles: np.ndarray
+    diagonal: np.ndarray
+
+    def dense(self, out: np.ndarray | None = None, subtract: bool = False) -> np.ndarray:
+        """The N x N matrix, written into `out` if given; with `subtract`, out minus the matrix, in place."""
+        out = np.empty((self.diagonal.size,) * 2) if out is None else out
+        if not subtract:
+            out.fill(0.0)
+        for idx, v in [((self.singles,) * 2, self.diagonal[self.singles]),
+                       *((_block_index(b), v) for b, v in zip(self.blocks, self.values))]:
+            out[idx] = out[idx] - v if subtract else v
+        return out
+
+    def rows(self):
+        """Row by row, (columns, values): a block member's block and its row there, or a singleton's [i] and d_i.
+
+        The values are read when their row is reached.
+        """
+        where = {i: ([i], self.diagonal, i) for i in range(self.diagonal.size)}  # in index order
+        for b, v in zip(self.blocks, self.values):
+            columns = b.tolist()
+            where.update({i: (columns, v, r) for r, i in enumerate(columns)})
+        for columns, v, r in where.values():
+            yield columns, v[r] if v.ndim == 2 else v[r : r + 1]
+
+    def inverse(self) -> _Blocks:
+        """The inverse, repaired as in `invert_sparse_cov`; a shift's warning names the caller of this one's caller.
+
+        The Cholesky gate and the shift work on copies of the blocks, so the
+        matrix keeps its bits.
+        """
+        mean_diag = float(np.mean(self.diagonal))
+        floor = 1e-6 * mean_diag
+        if not floor > 0:
+            raise DegenerateDataError(
+                f"covariance mean diagonal {mean_diag:.3g} <= 0: no diagonal shift makes it positive definite"
+            )
+        shift = 0.0
+        if not self._above(floor):
+            lam_min = float(min([self.diagonal[self.singles].min(initial=np.inf)]
+                                + [np.linalg.eigvalsh(v)[0] for v in self.values]))
+            if lam_min <= floor:
+                shift = floor - lam_min
+                warnings.warn(f"covariance smallest eigenvalue {lam_min:.3g} <= floor {floor:.3g}; shifting "
+                              f"diagonal by {shift:.3g} before inversion", NumericalWarning, stacklevel=3)
+        inverses, diagonal = [], 1.0 / (self.diagonal + shift)
+        for b, v in zip(self.blocks, self.values):
+            if shift:
+                v = v.copy()
+                v[np.diag_indices_from(v)] += shift
+            inverses.append(np.linalg.inv(v))  # numpy, not scipy.linalg: one BLAS (see tests/test_covariance.py)
+            diagonal[b] = np.diagonal(inverses[-1])
+        return _Blocks(self.blocks, inverses, self.singles, diagonal)
+
+    def _above(self, floor: float) -> bool:
+        """True when every singleton's diagonal exceeds `floor` and every block minus floor*I has a Cholesky factor.
+
+        The floor is taken off the diagonal of one copy of each block at a time.
+        """
+        if not np.all(self.diagonal[self.singles] > floor):
+            return False
+        try:
+            for v in self.values:
+                s = v.copy()
+                s[np.diag_indices_from(s)] -= floor
+                np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def sandwich(self, w: np.ndarray) -> np.ndarray:
+        """W' M W for an N x R matrix W, block by block: O(sum |b|^2 R + N R^2)."""
+        v = (w[self.singles].T * self.diagonal[self.singles]) @ w[self.singles]
+        for b, m in zip(self.blocks, self.values):
+            v += w[b].T @ (m @ w[b])
+        return v
+
+
+@dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
+class SparseCovariance:
+    """Thresholded residual covariance, held as its blocks, with its construction metadata."""
+
+    estimate: _Blocks
     omega: float               # omega_NT used in the thresholds
     nonzero_offdiag: int
-    partition: tuple | None = None  # `_blocks(sigma_u)`, from the thresholding pass
+
+    @property
+    def sigma_u(self) -> np.ndarray:
+        """The N x N symmetric estimate, built on each access."""
+        return self.estimate.dense()
 
     def sparsity_m(self, q: float) -> float:
         """Row-wise sparsity diagnostic max_i sum_j |sigma_ij|^q (0^0 := 0); q >= 0 (NaN raises ValueError).
 
-        Taken over row blocks, so the temporaries are row blocks; a row's
-        sum does not depend on the block that holds it.
+        Taken block by block: a member's row sums over its block's members,
+        in ascending order, and a singleton's row is |d_i|^q.
         """
         if not q >= 0:  # NaN fails too
             raise ValueError(f"sparsity exponent q must be non-negative, got {q}")
-        sigma = self.sigma_u
-        per_row = np.empty(sigma.shape[0])
-        step = max(1, _BLOCK_ENTRIES // sigma.shape[1])
-        for i in range(0, sigma.shape[0], step):
-            block = sigma[i : i + step]
-            per_row[i : i + step] = (
-                np.count_nonzero(block, axis=1) if q == 0 else np.sum(np.abs(block) ** q, axis=1)
-            )
-        return float(np.max(per_row))
+        power = (lambda x: x != 0) if q == 0 else (lambda x: np.abs(x) ** q)
+        e = self.estimate
+        return float(max([power(e.diagonal[e.singles]).max(initial=0), *(power(v).sum(1).max() for v in e.values)]))
 
 
 def threshold_value(s, tau, rule: ThresholdRule):
@@ -120,19 +202,19 @@ def threshold_value(s, tau, rule: ThresholdRule):
     s, tau = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(tau, dtype=float))
     if not np.all(tau >= 0):  # NaN fails too
         raise ValueError("threshold must be non-negative, not NaN")
-    out = np.empty(s.shape)
-    _shrink(s, tau, rule, out)
+    out = np.zeros(s.shape)
+    np.put(out, *_shrink(s, tau, rule))
     return float(out) if scalar else out
 
 
-def _shrink(s: np.ndarray, tau: np.ndarray, rule: ThresholdRule, out: np.ndarray):
-    """Write h(s, tau) into `out` (s's shape; it may be s); return the flat indices of the kept entries and h there.
+def _shrink(s: np.ndarray, tau: np.ndarray, rule: ThresholdRule):
+    """(flat indices of the entries of s that `rule` keeps at tau, of s's shape, and h(s, tau) there).
 
     Hard keeps |s| >= tau; soft and SCAD keep |s| > tau and NaN, and their
     formula runs on the kept entries alone, with the bits of the
-    whole-array computation.  Every other entry, and every kept entry
-    whose h is zero (hard's exact zeros at tau = 0), is +0.0; NaN signs and
-    nonzero bits are the formula's.
+    whole-array computation.  h is +0.0 at every other entry, and a kept
+    entry whose h is zero (hard's exact zeros at tau = 0) is +0.0 too; NaN
+    signs and nonzero bits are the formula's.
     """
     a_s = np.abs(s)
     kept = np.flatnonzero(a_s >= tau if rule.kind == "hard" else ~(a_s <= tau))
@@ -147,74 +229,97 @@ def _shrink(s: np.ndarray, tau: np.ndarray, rule: ThresholdRule, out: np.ndarray
             a = rule.scad_a
             mid = ((a - 1.0) * s_k - sign * a * tau_k) / (a - 2.0)
             values = np.where(a_s <= 2.0 * tau_k, values, np.where(a_s <= a * tau_k, mid, s_k))
-    values = np.where(values == 0, 0.0, values)
-    out.fill(0.0)
-    out.ravel()[kept] = values
-    return kept, values
+    return kept, np.where(values == 0, 0.0, values)
 
 
 def sparse_idio_cov(residuals_hat: np.ndarray, rule: ThresholdRule) -> SparseCovariance:
-    """Thresholded covariance of estimated residuals (N x T input).
+    """Thresholded covariance of estimated residuals (N x T input), held as its blocks.
 
     The result is exactly symmetric.  A residual array that is neither C-
-    nor F-contiguous (a strided view) is copied to C order first, because
-    numpy multiplies such a view by general gemm, whose S = U U' is not
-    exactly symmetric.  Its S may then differ from the view's product in
-    the last bits.
+    nor F-contiguous (a strided view) is copied to C order first, so that
+    each row block's product runs in BLAS.
     """
-    S, d, omega = _sample_cov(residuals_hat)
-    partition = _threshold_rows(S, d, omega, rule, S)
-    return SparseCovariance(S, omega, int(np.count_nonzero(S)) - S.shape[0], partition)
+    (e,), omega = _estimates(residuals_hat, [rule])
+    return SparseCovariance(e, omega, sum(np.count_nonzero(v) - b.size for b, v in zip(e.blocks, e.values)))
 
 
-def _sample_cov(residuals_hat: np.ndarray, out: np.ndarray | None = None):
-    """(S = U U'/T, its diagonal d, omega) of N x T residuals; S is written into `out` (C-contiguous N x N) if given.
-
-    numpy hands U U' to syrk with or without `out`, so both give the same
-    bits, and S is exactly symmetric.
-    """
+def _estimates(residuals_hat: np.ndarray, rules) -> tuple[list[_Blocks], float]:
+    """(the estimate at each rule, as `_Blocks`; omega) of N x T residuals, from one pass over S's upper row blocks."""
     U = np.atleast_2d(np.asarray(residuals_hat, dtype=float))
     if not (U.flags.c_contiguous or U.flags.f_contiguous):
         U = np.ascontiguousarray(U)
     n, t = U.shape
     if t < 2:
         raise DegenerateDataError("need at least two time periods")
-    S = np.matmul(U, U.T, out=out)
-    S /= t
-    d = np.diag(S).copy()
+    d = np.einsum("it,it->i", U, U) / t
     if not np.all(d > 0):  # a NaN variance would give NaN thresholds
         bad = int(np.argmin(d))
-        raise DegenerateDataError(
-            f"residual variance of series {bad} is not positive ({d[bad]:.3g})"
-        )
-    return S, d, float(np.sqrt(np.log(n) / t) + 1.0 / np.sqrt(n))
+        raise DegenerateDataError(f"residual variance of series {bad} is not positive ({d[bad]:.3g})")
+    omega = float(np.sqrt(np.log(n) / t) + 1.0 / np.sqrt(n))
+    step = max(1, _BLOCK_ENTRIES // n)  # S[i : i + step, i:], divided by T in place
+    upper_rows = ((i, operator.itruediv(U[i : i + step] @ U[i:].T, t)) for i in range(0, n, step))
+    return _threshold(upper_rows, d, omega, rules), omega
 
 
-def _threshold_rows(S: np.ndarray, d: np.ndarray, omega: float, rule: ThresholdRule, out: np.ndarray):
-    """Write S thresholded by `rule` into `out` (C-contiguous N x N, or S itself); return its `_blocks` partition.
+def _threshold(row_blocks, d: np.ndarray, omega: float, rules) -> list[_Blocks]:
+    """`_Blocks` of a symmetric S with diagonal d, thresholded at each rule, from its row blocks (i, S[i : i + k, i:]).
 
-    S is an exactly symmetric `_sample_cov` with diagonal d.  Row block by
-    row block, so tau and the temporaries are row blocks; the nonzeros of
-    each block's upper triangle (every edge: the result is symmetric) are
-    hooked into the component labels while the block is in cache.
+    A row block holds at most max(`_BLOCK_ENTRIES`, N) entries.  It is
+    thresholded at every rule, and is not written to; its tau is formed in
+    one reused buffer.  Its nonzeros above the diagonal are the edges: they
+    are hooked into that rule's component labels while the block is in
+    cache, and kept with their values until the partition is known
+    (`_assemble`).
     """
-    n = S.shape[0]
-    labels = np.arange(n)
-    step = max(1, _BLOCK_ENTRIES // n)
-    buffer = np.empty((min(step, n), n))  # tau of one row block, formed in place
-    for i in range(0, n, step):
-        rows = slice(i, i + step)
-        tau = np.multiply.outer(d[rows], d, out=buffer[: min(step, n - i)])
-        np.sqrt(tau, out=tau)
-        tau *= rule.constant_C
-        tau *= omega
-        kept, values = _shrink(S[rows], tau, rule, out[rows])
-        lo, hi = np.divmod(kept[values != 0], n)
-        lo += i
-        upper = lo < hi
-        labels = _components(labels, lo[upper], hi[upper])
-    np.fill_diagonal(out, d)
-    return _partition(labels)
+    labels, edges = [np.arange(d.size) for _ in rules], [[] for _ in rules]
+    work = np.empty((2, max(_BLOCK_ENTRIES, d.size)))  # each row block's sqrt(d_i d_j) and tau, reused
+    for i, s in row_blocks:
+        root, tau = (w[: s.size].reshape(s.shape) for w in work)
+        np.sqrt(np.multiply.outer(d[i : i + s.shape[0]], d[i:], out=root), out=root)
+        above = (np.arange(s.shape[1]) > np.arange(s.shape[0])[:, None]).ravel()
+        for k, rule in enumerate(rules):
+            np.multiply(root, rule.constant_C, out=tau)
+            tau *= omega
+            kept, values = _shrink(s, tau, rule)
+            upper = above[kept] & (values != 0)
+            kept, values = kept[upper], values[upper]
+            labels[k] = _components(labels[k], *(j + i for j in np.divmod(kept, s.shape[1])))
+            edges[k].append((i, s.shape[1], kept.astype(np.min_scalar_type(s.size - 1)), values))
+    del work, root, tau  # before the blocks are built
+    return [_assemble(lab, e, d) for lab, e in zip(labels, edges)]
+
+
+def _assemble(labels: np.ndarray, edges, d: np.ndarray) -> _Blocks:
+    """The `_Blocks` of component labels, diagonal d, and the edges above the diagonal, one upper row block at a time.
+
+    A row block S[i : i + k, i : i + w] gives (i, w, its edges' flat
+    indices in the block, in the smallest unsigned type that holds them,
+    their values).  The blocks' submatrices are views of one buffer, into
+    which each row block's edges are written and mirrored.
+    """
+    blocks, singles = _partition(labels)
+    buffer = np.zeros(sum(b.size**2 for b in blocks))
+    pos, at, values, offset = np.zeros_like(labels), np.zeros_like(labels), [], 0
+    for b in blocks:
+        pos[b] = np.arange(b.size)  # a member's place in its block
+        at[b] = offset + b.size * pos[b]  # where its row starts in the buffer
+        values.append(buffer[offset : offset + b.size**2].reshape(b.size, b.size))
+        np.fill_diagonal(values[-1], d[b])
+        offset += b.size**2
+    while edges:  # the last (narrowest) row block first, each freed once written
+        i, width, places, x = edges.pop()
+        lo, hi = (j + i for j in np.divmod(places.astype(np.intp), width))
+        buffer[at[lo] + pos[hi]] = x
+        buffer[at[hi] + pos[lo]] = x
+    return _Blocks(blocks, values, singles, d)
+
+
+def _as_blocks(a: np.ndarray) -> _Blocks:
+    """A square matrix as `_Blocks` over its partition `_blocks(a)`; a block of consecutive indices is a view of `a`."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"covariance must be a square matrix, got shape {a.shape}")
+    blocks, singles = _blocks(a)
+    return _Blocks(blocks, [a[_block_index(b)] for b in blocks], singles, np.diagonal(a).copy())
 
 
 def _blocks(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -299,98 +404,6 @@ def _sym_opnorm(e: np.ndarray, partition) -> float:
     return float(norm)
 
 
-def _above_floor(sigma: np.ndarray, singles: np.ndarray, blocks: list[np.ndarray], floor: float) -> bool:
-    """True when every singleton's diagonal exceeds `floor` and every block minus floor*I has a Cholesky factor.
-
-    The floor is taken off the diagonal of one copy of each block at a time.
-    """
-    if not np.all(np.diagonal(sigma)[singles] > floor):
-        return False
-    try:
-        for b in blocks:
-            idx = _block_index(b)
-            s = sigma[idx].copy() if isinstance(idx[0], slice) else sigma[idx]
-            s[np.diag_indices_from(s)] -= floor
-            np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _inverse_blocks(sigma: np.ndarray, partition):
-    """The inverse of a symmetric `sigma` over its partition `_blocks(sigma)`, repaired as in `invert_sparse_cov`.
-
-    Returns (blocks, inverses, singles, inverse_singles): the partition,
-    the inverse of each block (in the order of its members), and the
-    inverse's diagonal at the singletons.  The inverse is zero everywhere
-    else.  Each block is read (`_block_index`), copied if shifted, and
-    inverted one at a time.  The shift's warning names the caller of this
-    helper's caller.
-    """
-    d = np.diagonal(sigma)
-    mean_diag = float(np.mean(d))
-    eig_floor = 1e-6 * mean_diag
-    if not eig_floor > 0:
-        raise DegenerateDataError(
-            f"covariance mean diagonal {mean_diag:.3g} <= 0: no diagonal shift makes it positive definite"
-        )
-    blocks, singles = partition
-    shift = 0.0
-    if not _above_floor(sigma, singles, blocks, eig_floor):
-        lam_min = float(min([d[singles].min(initial=np.inf)]
-                            + [np.linalg.eigvalsh(sigma[_block_index(b)])[0] for b in blocks]))
-        if lam_min <= eig_floor:
-            shift = eig_floor - lam_min
-            warnings.warn(
-                f"covariance smallest eigenvalue {lam_min:.3g} <= floor {eig_floor:.3g}; "
-                f"shifting diagonal by {shift:.3g} before inversion",
-                NumericalWarning,
-                stacklevel=3,
-            )
-    inverses = []
-    for b in blocks:
-        s = sigma[_block_index(b)]
-        if shift:
-            s = s.copy()  # never shift sigma's own entries through a view
-            s[np.diag_indices_from(s)] += shift
-        inverses.append(np.linalg.inv(s))  # numpy, not scipy.linalg: one BLAS (see tests/test_covariance.py)
-    return blocks, inverses, singles, 1.0 / (d[singles] + shift)
-
-
-def _parts(partition, block_row, diagonal):
-    """Row by row, (columns, values) of a symmetric matrix that is +0.0 off its partition's blocks and diagonal.
-
-    Row i, the r-th member of block k, is (the block's members,
-    `block_row(k, r)`); the m-th singleton's row is ([its index],
-    `diagonal[m : m + 1]`).  The values are read when their row is reached.
-    """
-    blocks, singles = partition
-    where = [None] * (singles.size + sum(b.size for b in blocks))
-    for k, b in enumerate(blocks):
-        columns = b.tolist()
-        for r, i in enumerate(columns):
-            where[i] = (columns, k, r)
-    for m, i in enumerate(singles.tolist()):
-        where[i] = ([i], None, m)
-    for columns, k, m in where:
-        yield columns, diagonal[m : m + 1] if k is None else block_row(k, m)
-
-
-def _estimate_parts(cov: SparseCovariance):
-    """`_parts` of a thresholded estimate over its own partition, read from sigma_u."""
-    sigma, (blocks, singles) = cov.sigma_u, cov.partition
-    return _parts(cov.partition, lambda k, r: sigma[blocks[k][r], blocks[k]], np.diagonal(sigma)[singles])
-
-
-def _inverse_parts(sigma: np.ndarray, partition):
-    """`_parts` of `invert_sparse_cov(sigma)` from `_inverse_blocks(sigma, partition)`.
-
-    The blocks are inverted, and any shift warned about, before this returns.
-    """
-    blocks, inverses, singles, inverse_singles = _inverse_blocks(sigma, partition)
-    return _parts((blocks, singles), lambda k, r: inverses[k][r], inverse_singles)
-
-
 def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
     """Inverse of a thresholded covariance, repaired to be positive definite.
 
@@ -401,7 +414,7 @@ def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
     raises DegenerateDataError; a non-square matrix raises DimensionError.
     The reported covariance itself is never modified.  The inverse is
     computed on the connected blocks of the nonzero pattern (an estimate's
-    own partition), so entries outside the blocks are exact zeros.
+    own blocks), so entries outside the blocks are exact zeros.
 
     The eigenvalues are computed only when the matrix fails a Cholesky
     gate: every singleton above the floor, and a Cholesky factor of every
@@ -413,21 +426,5 @@ def invert_sparse_cov(cov: SparseCovariance | np.ndarray) -> np.ndarray:
     where the computed lambda_min would have asked for a shift no larger
     than that rounding.
     """
-    if isinstance(cov, SparseCovariance):
-        sigma, partition = cov.sigma_u, cov.partition
-    else:
-        sigma, partition = np.asarray(cov, dtype=float), None
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise DimensionError(f"covariance must be a square matrix, got shape {sigma.shape}")
-    partition = _blocks(sigma) if partition is None else partition
-    return _invert_into(_inverse_blocks(sigma, partition), np.empty_like(sigma))
-
-
-def _invert_into(inverse, out: np.ndarray) -> np.ndarray:
-    """Write the N x N inverse whose blocks `_inverse_blocks` returned (`inverse`) into `out`; returns `out`."""
-    blocks, inverses, singles, inverse_singles = inverse
-    out.fill(0.0)
-    out[singles, singles] = inverse_singles
-    for b, inverse in zip(blocks, inverses):
-        out[_block_index(b)] = inverse
-    return out
+    blocks = cov.estimate if isinstance(cov, SparseCovariance) else _as_blocks(np.asarray(cov, dtype=float))
+    return blocks.inverse().dense()

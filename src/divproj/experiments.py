@@ -25,12 +25,11 @@ from functools import partial
 
 import numpy as np
 
-from .covariance import (ThresholdRule, _blocks, _inverse_blocks, _invert_into, _join, _sample_cov,
-                         _sym_opnorm, _threshold_rows)
+from .covariance import ThresholdRule, _Blocks, _estimates, _join, _sym_opnorm
 from .forecast import FixedWeightScheme, PCScheme, RollingWeightScheme, rolling_forecast
 from .inference import confidence_interval, double_selection
 from .projection import estimate_loadings, fit as projection_fit, pc_factors
-from .simulation import SimConfig, generate_panel, loading_scale, rep_rng, true_idio_cov
+from .simulation import SimConfig, generate_panel, loading_scale, rep_rng
 from .spectest import DEFAULT_RULE as SPEC_TEST_RULE
 from .spectest import _check_draws, spec_test
 from .weights import WeightMatrix, build_weights, sieve_weights
@@ -79,11 +78,15 @@ def _replicate(rep_fn, cells, n_reps: int, threads: int) -> list[list]:
     return [results[i * n_reps : (i + 1) * n_reps] for i in range(len(cells))]
 
 
+def _spread(values: np.ndarray) -> float:
+    """The sample standard deviation (ddof 1) of a study's values; 0.0 at one replication, where it is undefined."""
+    return float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+
+
 def _mean_se(values: np.ndarray):
+    """(mean, standard error `_spread` / sqrt(n)) of a study's values over its replications: 0.0 at one."""
     values = np.asarray(values, dtype=float)
-    m = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
-    return m, se
+    return float(np.mean(values)), float(_spread(values) / np.sqrt(values.size))
 
 
 def _scheme_weights(scheme: str, sim, r_work: int, x0: np.ndarray) -> WeightMatrix:
@@ -112,53 +115,55 @@ def _cov_residuals(X, z, F, r, extra_factors, include_pc, include_known):
 
 
 def _cov_cell(cfg: SimConfig):
-    """(cfg, Sigma, Sigma^{-1}, Sigma's `_blocks` partition, which is also Sigma^{-1}'s): one covariance study cell."""
-    sigma_true = true_idio_cov(cfg)
-    partition = _blocks(sigma_true)
-    return cfg, sigma_true, _invert_into(_inverse_blocks(sigma_true, partition), np.empty_like(sigma_true)), partition
+    """(cfg, Sigma, Sigma^{-1}) of one covariance study cell, as `_Blocks` built from `cfg` (`true_idio_cov`).
 
-
-def _cov_errors(est, own, cell):
-    """(covariance error, inverse error) of the thresholded estimate in the N x N buffer `est`, which it overwrites.
-
-    `own` is the estimate's partition.  The estimate's blocks are inverted
-    first; `est` then takes the covariance error and then the inverse's
-    error.  Each error is the whole-matrix difference `a - b` written in
-    place, so its bits are those of the difference.
+    Sigma holds `n_blocks` runs of `block_size` consecutive series at
+    rho_N^|i-j| / (1 - rho_T^2), and every other series alone at
+    1 / (1 - rho_T^2); a run of one series is a singleton.
     """
-    _, sigma_true, sigma_true_inv, truth_partition = cell
+    m, var = cfg.block_size, 1.0 - cfg.rho_T**2
+    k = cfg.n_blocks if m > 1 else 0
+    lag = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    truth = _Blocks([np.arange(j * m, j * m + m) for j in range(k)], [cfg.rho_N**lag / var] * k,
+                    np.arange(k * m, cfg.n_series), np.ones(cfg.n_series) / var)
+    return cfg, truth, truth.inverse()
+
+
+def _cov_errors(est, cell, E):
+    """(covariance error, inverse error) of the thresholded estimate `est`, each taken in the N x N buffer E.
+
+    E takes the estimate, then its inverse, and the truth's matrix is
+    subtracted in place, so each error has the bits of the whole-matrix
+    difference `a - b`.
+    """
+    _, truth, truth_inv = cell
     # Both errors vanish outside the blocks of the estimate's and the truth's
     # joint pattern: the inverses are block-diagonal over their own matrices' blocks.
-    partition = _join(own, truth_partition, est.shape[0])
-    inverse = _inverse_blocks(est, own)  # a shift's warning names _cov_rep
-    est -= sigma_true
-    err = _sym_opnorm(est, partition)
-    _invert_into(inverse, est)
-    est -= sigma_true_inv
-    return err, _sym_opnorm(est, partition)
+    partition = _join((est.blocks, est.singles), (truth.blocks, truth.singles), E.shape[0])
+    inverse = est.inverse()  # a shift's warning names _cov_rep
+    err = _sym_opnorm(truth.dense(est.dense(E), subtract=True), partition)
+    return err, _sym_opnorm(truth_inv.dense(inverse.dense(E), subtract=True), partition)
 
 
 def _cov_rep(cell, rep, *, C_values, rule_kind, extra_factors, include_pc, include_known):
     """{(method, C): (covariance error, inverse error)} of one replication.
 
-    One residual set is alive at a time.  Its S is formed once, in one of
-    two N x N buffers that all estimates of the replication share, and
-    each C thresholds it into the other (`_threshold_rows`), which also
-    gives the estimate's partition.  Both errors of an estimate are taken
-    in that buffer (`_cov_errors`) before the next C is thresholded.
+    One residual set is alive at a time.  One thresholding pass gives its
+    estimate at every C (`_estimates`), and both errors of each are taken
+    in one N x N buffer (`_cov_errors`).
     """
     cfg = cell[0]
     sim = generate_panel(cfg, replication=rep)
     X, z, F = sim.panel.X, sim.z_chars, sim.F_true
     del sim  # and with it the simulated noise
-    S, E = np.empty((2, cfg.n_series, cfg.n_series))
+    E = np.empty((cfg.n_series, cfg.n_series))
+    rules = [ThresholdRule(kind=rule_kind, constant_C=C) for C in C_values]
     out = {}
     for method, U_hat in _cov_residuals(X, z, F, cfg.n_factors_true, extra_factors, include_pc, include_known):
-        _, d, omega = _sample_cov(U_hat, out=S)
+        estimates = _estimates(U_hat, rules)[0]
         del U_hat  # before the next set is made
         for C in C_values:
-            own = _threshold_rows(S, d, omega, ThresholdRule(kind=rule_kind, constant_C=C), E)
-            out[(method, C)] = _cov_errors(E, own, cell)
+            out[(method, C)] = _cov_errors(estimates.pop(0), cell, E)  # each estimate freed after its errors
     return out
 
 
@@ -183,17 +188,19 @@ def experiment_cov(
     the known-factor benchmark, all thresholded with the same rule.  N = T
     along `sizes`.  Returns a list of result rows.
 
-    A replication makes its residual sets one at a time, forms each set's
-    S once and thresholds it at every C, and writes the estimates and both
-    error matrices into two N x N buffers, which its estimates share; the
-    errors keep the bits of the whole-matrix differences (`_cov_rep`,
-    `_cov_errors`).  The truth is partitioned once per cell (`_cov_cell`);
-    an estimate's partition comes from its thresholding pass.
+    A replication makes its residual sets one at a time, thresholds each
+    set at every C in one pass, and writes both error matrices of each
+    estimate into one N x N buffer; the errors keep the bits of the
+    whole-matrix differences (`_cov_rep`, `_cov_errors`).  The truth and
+    its inverse are built as blocks once per cell from its configuration
+    (`_cov_cell`); an estimate's blocks come from its thresholding pass.
 
     At `threads=1` the replications run in this process, at its BLAS's
     digits; above 1, in up to `threads` spawned one-BLAS-thread workers,
     whose digits do not depend on the host (a calling script needs an
     `if __name__ == "__main__":` guard).  n_reps or threads < 1: ValueError.
+    The `_se` columns are standard errors over the replications, 0.0 at
+    n_reps = 1 (`_mean_se`), as in every study.
     """
     grid = [(alpha, rho, size) for alpha in alphas for rho in rho_Ts for size in sizes]
     cells = [_cov_cell(SimConfig(n_series=size, n_periods=size, n_factors_true=n_factors_true,
@@ -304,9 +311,10 @@ def experiment_forecast(
 
     The target follows y_{t+1} = 1.5 + 0.5 y_t + (1, 1)'f_t + eps with two
     true factors; each method is evaluated on identical windows and the
-    per-replication MSE ratio to PC (true r) is averaged over replications.
-    `threads` counts worker processes, with the digits and the `__main__`
-    guard of `experiment_cov`.
+    per-replication MSE ratio to PC (true r) is averaged over replications;
+    its standard error is 0.0 at n_reps = 1 (`_mean_se`).  `threads` counts
+    worker processes, with the digits and the `__main__` guard of
+    `experiment_cov`.
     """
     grid = [(alpha, rho, window) for alpha in alphas for rho in rho_Ts for window in window_sizes]
     cells = [SimConfig(n_series=n_series, n_periods=window, n_factors_true=2, alpha_strength=alpha,
@@ -400,8 +408,10 @@ def experiment_postsel(
     variances (the penalty is defined through them; the feasible iteration
     is a stand-in for real data where they are unknown).
 
-    `threads` counts worker processes, with the digits and the `__main__`
-    guard of `experiment_cov`.
+    `std_z` is the z-statistics' sample standard deviation, 0.0 at
+    n_reps = 1 (`_spread`, the rule of every study's spread).  `threads`
+    counts worker processes, with the digits and the `__main__` guard of
+    `experiment_cov`.
     """
     if support_offset is None:
         support_offset = SimConfig.n_blocks * SimConfig.block_size
@@ -426,7 +436,7 @@ def experiment_postsel(
             cover = np.array([res[method][1] for res in per_rep])
             samples[f"r{r}_{method}"] = z
             rows.append({"r": r, "method": method, "mean_z": float(np.mean(z)),
-                         "std_z": float(np.std(z, ddof=1)), "coverage": float(np.mean(cover)), "level": level})
+                         "std_z": _spread(z), "coverage": float(np.mean(cover)), "level": level})
     return samples, rows
 
 
@@ -472,7 +482,8 @@ def experiment_spectest(
     test's size hinges on (larger constants over-shrink the block
     covariances and inflate the statistic).  `threads` counts worker
     processes, with the digits and the `__main__` guard of `experiment_cov`.
-    n_draws < 2 raises `spec_test`'s ValueError before any panel is drawn.
+    `mc_se` is 0.0 at n_reps = 1 (`_mean_se`).  n_draws < 2 raises
+    `spec_test`'s ValueError before any panel is drawn.
     """
     _check_draws(n_draws)
     grid = [(scheme, gamma, t_len) for scheme in schemes for gamma in gammas for t_len in T_values]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, InsufficientDataError, NumericalWarning, SingularGramError
+from .exceptions import DegenerateDataError, DimensionError, InsufficientDataError, NumericalWarning, SingularGramError
 from .projection import _solve_gram, estimate_factors
 from .weights import _RANK_TOL, WeightMatrix
 
@@ -63,7 +63,9 @@ class DoubleSelectionResult:
 
     @property
     def z(self) -> float:
-        """Standardized estimate relative to beta = 0."""
+        """Standardized estimate relative to beta = 0; a standard error not above 0 raises DegenerateDataError."""
+        if not self.se > 0:
+            raise DegenerateDataError(f"standard error of the treatment effect is {self.se:.3g}: no z-statistic")
         return self.beta_hat / self.se
 
 
@@ -309,9 +311,11 @@ def _lasso(G, c, tau, gamma0=None):
 
 
 def tuning_tau(sigma2: float, n: int, t: int, C: float = 4.1) -> float:
-    """Penalty level tau = C sqrt(sigma2 * log(n) / t)."""
+    """Penalty level tau = C sqrt(sigma2 * log(n) / t); C >= 0 (NaN raises ValueError)."""
     if sigma2 < 0:
         raise ValueError("sigma2 must be non-negative")
+    if not C >= 0:  # NaN fails too
+        raise ValueError(f"penalty constant C must be non-negative, got {C}")
     return C * math.sqrt(sigma2 * math.log(n) / t)
 
 
@@ -395,7 +399,8 @@ def double_selection(
         ``None`` to skip the factor step entirely (plain double selection
         directly on the controls).
     C : penalty constant in tau = C sqrt(sigma2 log N / T); must exceed 4
-        for the theory, 4.1 by default.
+        for the theory, 4.1 by default.  A negative or NaN C raises
+        ValueError (`tuning_tau`).
     refit : refit unpenalized on the union support before the residual
         regression (the default pipeline); ``False`` uses the penalized
         coefficients directly.
@@ -403,6 +408,10 @@ def double_selection(
         the outcome and treatment equations.  Left unset they are estimated
         by the feasible iteration; simulations that know the true values
         can pin them (the penalty is defined through the true variances).
+
+    The standard error is 0 when the outcome's residuals are exactly
+    proportional to the treatment's (an outcome that is the treatment
+    itself); the result's `z` then raises DegenerateDataError.
     """
     y = np.asarray(y, dtype=float).ravel()
     g = np.asarray(g, dtype=float).ravel()

@@ -257,13 +257,6 @@ def write_matrix(path, values, row_labels=None, col_labels=None, corner: str = "
     _write_labelled(path, [corner, *col_labels], row_labels, values)
 
 
-def write_sparse_triplets(path, values) -> None:
-    """Write the nonzero entries of a matrix as (i, j, value) rows, 1-based."""
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    i, j = np.nonzero(values)
-    _write_csv(path, ["i", "j", "value"], zip((i + 1).tolist(), (j + 1).tolist(), values[i, j].tolist()))
-
-
 def write_rows_csv(path, fieldnames, rows) -> None:
     """Write a list of dict rows; every cell goes through :func:`format_value`."""
     _write_csv(path, fieldnames, ([format_value(row[name]) for name in fieldnames] for row in rows))

@@ -139,10 +139,11 @@ def spec_test(
     distorts the test's size).  The plug-in covariance is rescaled by
     T/(T - R) to undo the downward bias of residual variances after
     fitting R factor loadings; without it the test over-rejects in small
-    samples.  The rescale is made in place on the thresholded matrix, so
-    the test holds one N x N array.  A noiseless panel has V = 0, and no
-    N x N matrix is built for it.  n_draws < 2 raises `sigma_bootstrap`'s
-    ValueError before any of the work.
+    samples.  V = W' Sigma_u W is formed from the estimate's blocks
+    (`_Blocks.sandwich`), so no N x N array is built, and the rescale is
+    made on V.  A noiseless panel has V = 0 and makes no estimate.
+    n_draws < 2 raises `sigma_bootstrap`'s ValueError before any of the
+    work.
     """
     _check_draws(n_draws)
     G = np.atleast_2d(np.asarray(observed, dtype=float))
@@ -164,11 +165,9 @@ def spec_test(
         # sigma floor, reported as a non-rejection
         v = np.zeros((W.n_working_factors,) * 2)
     else:
-        sigma_u = sparse_idio_cov(fit_res.residuals, rule).sigma_u
-        r_work = F.shape[1]
-        if t > r_work:
-            sigma_u *= t / (t - r_work)
-        v = W.values.T @ sigma_u @ W.values
+        v = sparse_idio_cov(fit_res.residuals, rule).estimate.sandwich(W.values)
+        if t > F.shape[1]:
+            v *= t / (t - F.shape[1])
     stat = spec_statistic(F, G)
     a_hat, m_hat = _plug_ins(F, v, n)
     sd = sigma_bootstrap(a_hat, v / n, n_draws=n_draws, seed=seed, rng=rng)

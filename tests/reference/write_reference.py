@@ -191,20 +191,24 @@ def compute() -> dict:
         inputs.mkdir()
         _write_inputs(inputs)
         values["cli"] = {}
-        raw, taus = {}, {}  # each command's S before thresholding, and its tau row blocks
+        gaps = {}  # each command's relative gaps | |s_ij| - tau_ij | / tau_ij above the diagonal of S
 
-        # S is thresholded in place after _sample_cov returns; _shrink leaves tau as it was
+        # _shrink takes each upper row block S[i : i + k, i:] with its tau; entry (r, c) is above the diagonal if c > r
+        def above(args, res):
+            s, tau = args[0], args[1]
+            upper = np.triu(np.ones(s.shape, dtype=bool), 1)
+            return np.abs(np.abs(s[upper]) - tau[upper]) / tau[upper]
+
         for name, argv in _commands(inputs, out).items():
-            with (_recording(covariance, "_sample_cov", lambda args, res: res[0].copy(), raw.setdefault(name, [])),
-                  _recording(covariance, "_shrink", lambda args, res: np.array(args[1]), taus.setdefault(name, []))):
+            with _recording(covariance, "_shrink", above, gaps.setdefault(name, [])):
                 if cli.run(argv) != 0:
                     raise RuntimeError(f"divproj {name} failed")
             values["cli"][name] = {
                 path.name: _read_output(path) for path in sorted((out / name).iterdir()) if path.name != "manifest.json"
             }
-    (s,), tau = raw["cov"], np.vstack(taus["cov"])  # the command's one S, and its tau row block after row block
-    off = ~np.eye(CLI_N, dtype=bool)
-    margins["cov thresholding"] = float(np.min(np.abs(np.abs(s[off]) - tau[off]) / tau[off]))
+    gap = np.concatenate(gaps["cov"])  # the command's one estimate: every off-diagonal pair once
+    assert gap.size == CLI_N * (CLI_N - 1) // 2
+    margins["cov thresholding"] = float(np.min(gap))
     p = np.sort(values["cli"]["fdr"]["fdr.csv"]["p"])
     cut = FDR_Q * np.arange(1, p.size + 1) / p.size
     margins["fdr rejections"] = float(np.min(np.abs(p - cut) / cut))

@@ -19,14 +19,15 @@ from divproj.covariance import (
     KINDS,
     SparseCovariance,
     ThresholdRule,
-    _above_floor,
+    _as_blocks,
     _block_index,
+    _Blocks,
     _blocks,
-    _inverse_blocks,
-    _inverse_parts,
+    _estimates,
     _join,
+    _shrink,
     _sym_opnorm,
-    _threshold_rows,
+    _threshold,
     invert_sparse_cov,
     sparse_idio_cov,
     threshold_value,
@@ -34,6 +35,7 @@ from divproj.covariance import (
 from divproj.exceptions import DegenerateDataError, DimensionError, NumericalWarning
 from divproj.experiments import experiment_cov
 from divproj.projection import estimate_loadings, fit, pc_factors
+from divproj.spectest import spec_test
 from divproj.simulation import SimConfig, cross_section_cov, generate_panel, true_idio_cov
 from divproj.weights import sieve_weights
 
@@ -116,6 +118,25 @@ def _dense_threshold(s, tau, rule):
     return _plus_zeros(np.where(a_s <= 2.0 * tau, soft, np.where(a_s <= a * tau, mid, s)))
 
 
+def _row_block_sample(U):
+    """(S, d, omega) of N x T residuals as the thresholding pass forms them.
+
+    S's entries above the diagonal are the row-block products
+    U[rows] @ U[i:].T / T, mirrored below it; its diagonal d is U's squared
+    row norms over T.  So S is exactly symmetric.
+    """
+    n, t = U.shape
+    S = np.empty((n, n))
+    step = max(1, covariance._BLOCK_ENTRIES // n)
+    for i in range(0, n, step):
+        S[i : i + step, i:] = U[i : i + step] @ U[i:].T / t
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    S.T[upper] = S[upper]
+    d = np.einsum("it,it->i", U, U) / t
+    np.fill_diagonal(S, d)
+    return S, d, float(np.sqrt(np.log(n) / t) + 1.0 / np.sqrt(n))
+
+
 class TestThresholdBits:
     """threshold_value evaluates soft and SCAD only where |s| > tau; every bit is the dense formula's."""
 
@@ -155,9 +176,7 @@ class TestThresholdBits:
         rng = np.random.default_rng(n)
         U = rng.standard_normal((n, 30))
         U[: n // 3] += 0.6 * U[n // 3 : 2 * (n // 3)]
-        S = U @ U.T / 30
-        d = np.diag(S).copy()
-        omega = np.sqrt(np.log(n) / 30) + 1.0 / np.sqrt(n)
+        S, d, omega = _row_block_sample(U)
         ref = _dense_threshold(S, rule.constant_C * np.sqrt(np.outer(d, d)) * omega, rule)
         np.fill_diagonal(ref, d)
         ref = (ref + ref.T) / 2.0
@@ -192,33 +211,39 @@ def _threshold_value_before(s, tau, rule):
 
 
 def _kernel_reference(S, d, omega, rule):
-    """The thresholded S as it was computed before the kernel: the frozen formula on each row block, then the diagonal d.
+    """The thresholded S by the frozen formula on each upper row block S[rows, i:], mirrored below the diagonal; then d.
 
     The row blocks matter for NaN entries alone: numpy's vector loops and
     their scalar tails may give a NaN different signs, and where an entry
-    falls depends on the array the formula runs on.
+    falls depends on the array the formula runs on.  The pass reads only
+    the entries above the diagonal and mirrors them, so the reference does.
     """
     n = S.shape[0]
-    ref = np.empty_like(S)
+    ref = np.zeros_like(S)
     step = max(1, covariance._BLOCK_ENTRIES // n)
     for i in range(0, n, step):
         rows = slice(i, i + step)
-        ref[rows] = _threshold_value_before(S[rows], rule.constant_C * np.sqrt(np.outer(d[rows], d)) * omega, rule)
+        tau = rule.constant_C * np.sqrt(np.outer(d[rows], d[i:])) * omega
+        ref[rows, i:] = _threshold_value_before(S[rows, i:], tau, rule)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    ref.T[upper] = ref[upper]
     np.fill_diagonal(ref, d)
     return ref
 
 
 def _run_kernel(S, d, omega, rule, in_place):
-    """(the kernel's output, its partition), into a new buffer or in place; S keeps its bits in the former case."""
+    """(the pass's estimate as a dense matrix, its partition) from S's upper row blocks, and S keeps its bits.
+
+    The row blocks are views of S (`in_place`), which the pass must not
+    write to, or copies of them.
+    """
     before = S.tobytes()
-    if in_place:
-        out = S.copy()
-        partition = _threshold_rows(out, d, omega, rule, out)
-    else:
-        out = np.full_like(S, np.nan)
-        partition = _threshold_rows(S, d, omega, rule, out)
-        assert S.tobytes() == before
-    return out, partition
+    step = max(1, covariance._BLOCK_ENTRIES // S.shape[0])
+    row_blocks = ((i, S[i : i + step, i:] if in_place else S[i : i + step, i:].copy())
+                  for i in range(0, S.shape[0], step))
+    (est,) = _threshold(row_blocks, d, omega, [rule])
+    assert S.tobytes() == before
+    return est.dense(), (est.blocks, est.singles)
 
 
 def _assert_partition(partition, reference):
@@ -232,7 +257,7 @@ SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf and inf * 0 in the formulas
 class TestThresholdKernel:
-    """`_threshold_rows` writes the frozen formulas' bits and labels the components across its row blocks.
+    """The thresholding pass (`_threshold`) writes the frozen formulas' bits and labels components across row blocks.
 
     N = 700 spans eight row blocks of 93 rows.
     """
@@ -294,17 +319,30 @@ class TestThresholdKernel:
 
     @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
     def test_bits_of_sample_covariances(self, rule):
+        """From U, the kept entries are `_shrink`'s on the same row-block products; the estimates are those of S's."""
         n = self.N
         rng = np.random.default_rng(31)
         U = rng.standard_normal((n, 40))
         U[: n // 2] += 0.5 * U[n // 2 :]
-        S, d, omega = covariance._sample_cov(U)
-        for C in (0.5, 1.0, 2.0):
-            r = ThresholdRule(kind=rule.kind, constant_C=C)
+        S, d, omega = _row_block_sample(U)
+        rules = [ThresholdRule(kind=rule.kind, constant_C=C) for C in (0.5, 1.0, 2.0)]
+        estimates, got_omega = _estimates(U, rules)
+        assert got_omega == omega
+        for r, est in zip(rules, estimates):
             out, partition = _run_kernel(S, d, omega, r, in_place=False)
             ref = _kernel_reference(S, d, omega, r)
             assert out.tobytes() == ref.tobytes()
             _assert_partition(partition, _blocks(ref))
+            assert est.dense().tobytes() == out.tobytes()
+            _assert_partition((est.blocks, est.singles), partition)
+            # every kept entry above the diagonal has the bits of `_shrink` on its row block
+            step = max(1, covariance._BLOCK_ENTRIES // n)
+            for i in range(0, n, step):
+                s = U[i : i + step] @ U[i:].T / 40
+                kept, values = _shrink(s, r.constant_C * np.sqrt(np.outer(d[i : i + step], d[i:])) * omega, r)
+                lo, hi = np.divmod(kept, s.shape[1])
+                upper = lo < hi
+                assert out[lo[upper] + i, hi[upper] + i].tobytes() == values[upper].tobytes()
 
     @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
     def test_threshold_value_equals_the_formula_before(self, rule):
@@ -346,8 +384,8 @@ def test_every_zero_is_plus_zero(kind):
         assert _minus_zeros(out) == 0
         assert np.count_nonzero(out == 0) > 0
         assert _minus_zeros(np.array([threshold_value(np.float64(x), tau, rule) for x in s])) == 0  # the 0-d path
-    # an S holding an exact -0.0 (and a -0.0 that hard keeps at C = 0), through the row-block kernel
-    S, d, omega = covariance._sample_cov(U)
+    # an S holding an exact -0.0 (and a -0.0 that hard keeps at C = 0), through the thresholding pass
+    S, d, omega = _row_block_sample(U)
     S[3, 5] = S[5, 3] = -0.0
     for C in (0.0, 2.0):
         out, _ = _run_kernel(S, d, omega, ThresholdRule(kind=kind, constant_C=C), in_place=False)
@@ -522,13 +560,11 @@ class TestSparseIdioCov:
 
     @pytest.mark.parametrize("rule", [HARD, SOFT, SCAD])
     def test_row_blocks_match_whole_matrix_threshold(self, rule):
-        # N = 700 spans eight row blocks; the arithmetic is the whole-matrix one, so the bits agree
+        # N = 700 spans eight row blocks; the arithmetic on S's row blocks is the whole-matrix one, so the bits agree
         rng = np.random.default_rng(6)
         U = rng.standard_normal((700, 40))
         U[:350] += 0.5 * U[350:]
-        S = U @ U.T / 40
-        d = np.diag(S).copy()
-        omega = np.sqrt(np.log(700) / 40) + 1.0 / np.sqrt(700)
+        S, d, omega = _row_block_sample(U)
         ref = threshold_value(S, rule.constant_C * np.sqrt(np.outer(d, d)) * omega, rule)
         np.fill_diagonal(ref, d)
         ref = (ref + ref.T) / 2.0
@@ -557,26 +593,36 @@ class TestSparseIdioCov:
 
     @pytest.mark.parametrize("q", [0.0, 0.5, 1.0, 2.0])
     def test_sparsity_m_row_blocks_match_whole_matrix(self, q):
-        # N = 700 spans eight row blocks; each row's sum is the whole-matrix one
+        """Each row's sum is that of the dense row over its component's columns, in ascending order.
+
+        The components are scipy's; the sum over the whole dense row adds
+        zeros in other places, which may move its last bit.
+        """
         rng = np.random.default_rng(14)
         U = rng.standard_normal((700, 40))
         U[:350] += 0.5 * U[350:]
-        cov = sparse_idio_cov(U, SCAD)
+        cov = sparse_idio_cov(U, ThresholdRule(kind="scad", constant_C=1.0))
         sigma = cov.sigma_u
-        per_row = np.count_nonzero(sigma, axis=1) if q == 0 else np.sum(np.abs(sigma) ** q, axis=1)
+        blocks, singles = _scipy_blocks(sigma)
+        assert max(b.size for b in blocks) > 600 and singles.size > 0
+        power = (lambda x: x != 0) if q == 0 else (lambda x: np.abs(x) ** q)
+        per_row = power(np.diagonal(sigma)).astype(float)
+        for b in blocks:
+            per_row[b] = [np.sum(power(sigma[i, b])) for i in b]
         assert cov.sparsity_m(q) == float(np.max(per_row))
+        whole = np.count_nonzero(sigma, axis=1) if q == 0 else np.sum(np.abs(sigma) ** q, axis=1)
+        assert cov.sparsity_m(q) == pytest.approx(float(np.max(whole)), rel=1e-15, abs=0.0)
 
     def test_sparsity_diagnostic(self):
-        cov = SparseCovariance(
-            sigma_u=np.array([[1.0, 0.5], [0.5, 2.0]]),
-            omega=0.1, nonzero_offdiag=2,
-        )
+        cov = SparseCovariance(_as_blocks(np.array([[1.0, 0.5], [0.5, 2.0]])), omega=0.1, nonzero_offdiag=2)
         assert cov.sparsity_m(0) == 2.0
         assert cov.sparsity_m(1) == 2.5
+        singletons = SparseCovariance(_as_blocks(np.diag([1.0, 3.0, 0.0])), omega=0.1, nonzero_offdiag=0)
+        assert (singletons.sparsity_m(0), singletons.sparsity_m(1), singletons.sparsity_m(2)) == (1.0, 3.0, 9.0)
 
     @pytest.mark.parametrize("q", [-1.0, -np.inf, np.nan])
     def test_sparsity_m_rejects_a_negative_or_nan_exponent(self, q):
-        cov = SparseCovariance(sigma_u=np.array([[1.0, 0.5], [0.5, 2.0]]), omega=0.1, nonzero_offdiag=2)
+        cov = SparseCovariance(_as_blocks(np.array([[1.0, 0.5], [0.5, 2.0]])), omega=0.1, nonzero_offdiag=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no divide-by-zero warning on the way
             with pytest.raises(ValueError, match="non-negative"):
@@ -675,7 +721,7 @@ def _indefinite_run_block():
 
 
 def _gathered_inverses(sigma):
-    """The blocks' inverses of `_inverse_blocks`, each from an `np.ix_` gather: the reference for the views' bits."""
+    """The blocks' inverses of `_Blocks.inverse`, each from an `np.ix_` gather: the reference for the views' bits."""
     blocks, singles = _blocks(sigma)
     floor = 1e-6 * np.mean(np.diagonal(sigma))
     lam_min = min([np.diagonal(sigma)[singles].min(initial=np.inf)]
@@ -713,9 +759,9 @@ class TestBlockViews:
             if case == "permuted_shifted":
                 sigma[np.ix_(blocks[1], blocks[1])] *= -1.0
         blocks, inverses = _gathered_inverses(sigma)
-        got_blocks, got, _, _ = _inverse_blocks(sigma, _blocks(sigma))
-        assert [b.tolist() for b in got_blocks] == [b.tolist() for b in blocks]
-        assert [x.tobytes() for x in got] == [x.tobytes() for x in inverses]
+        got = _as_blocks(sigma).inverse()
+        assert [b.tolist() for b in got.blocks] == [b.tolist() for b in blocks]
+        assert [x.tobytes() for x in got.values] == [x.tobytes() for x in inverses]
         dense = invert_sparse_cov(sigma)
         for b, inverse in zip(blocks, inverses):
             assert dense[np.ix_(b, b)].tobytes() == inverse.tobytes()
@@ -726,22 +772,28 @@ class TestBlockViews:
         with pytest.warns(NumericalWarning, match="shifting diagonal"):
             inverse = invert_sparse_cov(sigma)
         assert sigma.tobytes() == before
+        m = _as_blocks(sigma)
+        assert np.shares_memory(m.values[0], sigma)  # the run is a view of sigma
         with pytest.warns(NumericalWarning, match="shifting diagonal"):
-            parts = _inverse_parts(sigma, _blocks(sigma))
+            parts = m.inverse().rows()
         assert sigma.tobytes() == before
         rows = np.zeros_like(sigma)
         for row, (columns, values) in zip(rows, parts):
             row[columns] = values
         assert rows.tobytes() == inverse.tobytes()
-        blocks, singles = _blocks(sigma)
-        assert not _above_floor(sigma, singles, blocks, 1e-6)
-        assert sigma.tobytes() == before
 
-    def test_gate_on_a_run_leaves_sigma_unchanged(self):
+    def test_gate_on_a_run_leaves_sigma_unchanged(self, monkeypatch):
+        """The gate takes the floor off a copy of the block, which is a view of sigma, and passes: no eigenvalues."""
         sigma = _indefinite_run_block() + 2.0 * np.eye(40)  # positive definite: the gate passes
         before = sigma.tobytes()
-        blocks, singles = _blocks(sigma)
-        assert _above_floor(sigma, singles, blocks, 1e-6)
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda s: factored.append(np.shares_memory(s, sigma)) or cholesky(s))
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        m = _as_blocks(sigma)
+        assert np.shares_memory(m.values[0], sigma)
+        m.inverse()
+        assert factored == [False]
         assert sigma.tobytes() == before
 
     def test_opnorm_of_a_run_equals_the_gathered_one(self):
@@ -751,10 +803,13 @@ class TestBlockViews:
 
 
 class TestOneNByNArray:
-    """At N = 1200, T = 240 the covariance path holds one N x N array (8 N^2 bytes) and row blocks.
+    """At N = 1200, T = 240 the covariance path holds no N x N array (8 N^2 bytes) for a sparse estimate.
 
-    The former S + S' average and the |sigma|^q of `sparsity_m` each took
-    another one or two (peaks of 2.02 and 2.00 x 8 N^2).
+    The pass holds row blocks of S and the kept entries; the estimate is its
+    blocks.  Forming S as one N x N product and thresholding it in place
+    peaked at 1.10 x 8 N^2 on these residuals, whose estimate has 20 blocks
+    of two; the former S + S' average and the |sigma|^q of `sparsity_m`
+    each took another one or two (peaks of 2.02 and 2.00 x 8 N^2).
     """
 
     N, T = 1200, 240
@@ -767,16 +822,44 @@ class TestOneNByNArray:
         return U
 
     def test_sparse_idio_cov_peak(self, residuals, traced_peak):
-        assert traced_peak(sparse_idio_cov, residuals, SCAD) < 1.25 * 8 * self.N**2
+        assert traced_peak(sparse_idio_cov, residuals, SCAD) < 0.25 * 8 * self.N**2
 
     def test_sparsity_m_peak(self, residuals, traced_peak):
         cov = sparse_idio_cov(residuals, SCAD)
         for q in (0.0, 1.0):
             assert traced_peak(cov.sparsity_m, q) < 0.25 * 8 * self.N**2
 
+    def test_spec_test_peak(self, traced_peak):
+        """The spec test's V is W' Sigma_u W, block by block: 0.60 x 8 N^2 with the N x T panel, against 1.31 before.
+
+        Sieve weights of a characteristic, R = 2, C = 2: a sparse estimate.
+        """
+        rng = np.random.default_rng(3)
+        z = np.sin(rng.standard_normal(self.N))
+        F = rng.standard_normal((self.T, 2))
+        X = (np.column_stack([z, z**2]) + 0.5 * rng.standard_normal((self.N, 2))) @ F.T
+        X += rng.standard_normal((self.N, self.T))
+        W = sieve_weights(z, 2)
+        assert traced_peak(spec_test, X, F, W, SCAD, 200) < 0.7 * 8 * self.N**2
+
+    def test_one_block_estimate_peak(self, traced_peak):
+        """One block of every series: the block, and the kept entries that wait for the partition with their places.
+
+        A kept entry waits as its value and its 2-byte place in its row
+        block.  A weak common component keeps 14% of the entries (1.13 x
+        8 N^2); a strong one keeps all of them (1.66, against 1.46-1.64 when
+        S was formed whole and thresholded in place).
+        """
+        rng = np.random.default_rng(16)
+        for strength, bound in ((0.4, 1.35), (2.0, 1.75)):
+            U = rng.standard_normal((self.N, self.T)) + strength * rng.standard_normal(self.T)
+            cov = sparse_idio_cov(U, ThresholdRule(kind="scad", constant_C=1.0))
+            assert [b.size for b in cov.estimate.blocks] == [self.N]
+            assert traced_peak(sparse_idio_cov, U, ThresholdRule(kind="scad", constant_C=1.0)) < bound * 8 * self.N**2
+
 
 class TestInverseOfAnEstimate:
-    """`invert_sparse_cov` of an estimate inverts over the thresholding pass's partition, with no second scan.
+    """`invert_sparse_cov` of an estimate inverts over the thresholding pass's blocks, with no scan.
 
     N = 1200, T = 240: the many-block residuals give 20 blocks of two and
     1160 singletons; a strong common component makes every estimate one
@@ -798,9 +881,9 @@ class TestInverseOfAnEstimate:
     @pytest.mark.parametrize("design", ["many_blocks", "one_block"])
     def test_no_second_scan_and_the_bits_of_a_fresh_partition(self, residuals, design, rule, monkeypatch):
         cov = sparse_idio_cov(residuals[design], rule)
-        blocks, singles = cov.partition
-        assert [b.size for b in blocks] == ([self.N] if design == "one_block" else [2] * 20)
-        _assert_partition(cov.partition, _blocks(cov.sigma_u))
+        partition = (cov.estimate.blocks, cov.estimate.singles)
+        assert [b.size for b in partition[0]] == ([self.N] if design == "one_block" else [2] * 20)
+        _assert_partition(partition, _blocks(cov.sigma_u))
         counted = []
         with monkeypatch.context() as m:
             m.setattr(covariance, "_blocks", lambda a: counted.append(a.shape) or _blocks(a))
@@ -1020,21 +1103,31 @@ class TestBlocks:
         assert traced_peak(_blocks, a) < 3.3 * 8 * n**2
 
     def test_covariance_study_rows_equal_with_the_reference(self, monkeypatch):
+        """The study's rows, every bit, with scipy's partitions of the dense truth and of each joint pattern."""
         kwargs = dict(sizes=(40, 60), alphas=(1.0,), rho_Ts=(0.7,), n_reps=2, seed=5,
                       C_values=(1.0, 2.0), extra_factors=(0, 2))
         rows = experiment_cov(**kwargs)
         monkeypatch.setattr(covariance, "_blocks", _scipy_blocks)
-        monkeypatch.setattr(experiments, "_blocks", _scipy_blocks)
+        monkeypatch.setattr(experiments, "_cov_cell", _scanned_cell)
+        monkeypatch.setattr(experiments, "_join", lambda first, second, n: _scipy_blocks(
+            _Blocks(first[0], [np.ones((b.size,) * 2) for b in first[0]], first[1], np.ones(n)).dense()
+            + _Blocks(second[0], [np.ones((b.size,) * 2) for b in second[0]], second[1], np.ones(n)).dense()))
         assert rows == experiment_cov(**kwargs)
 
 
-def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
-    """No estimate makes a `_blocks` call, and its errors equal the norms on their own patterns.
+def _scanned_cell(cfg):
+    """`experiments._cov_cell` from the dense truth, scanned by `_blocks`: the reference for the cell built from cfg."""
+    truth = _as_blocks(true_idio_cov(cfg))
+    return cfg, truth, truth.inverse()
 
-    A cell partitions once: the truth, whose inverse is block-diagonal over
-    the same blocks.  An estimate's partition comes from its thresholding
-    pass; its inverse uses that partition, and both errors share its join
-    with the truth's.
+
+def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
+    """The study makes no `_blocks` call, and its errors equal the norms on their own patterns.
+
+    A cell's truth is built as its blocks from its configuration, and its
+    inverse is block-diagonal over the same blocks.  An estimate's blocks
+    come from its thresholding pass; its inverse has the same blocks, and
+    both errors share their join with the truth's.
     """
     kwargs = dict(sizes=(40, 60), alphas=(1.0,), rho_Ts=(0.7,), n_reps=2, seed=5,
                   C_values=(1.0, 2.0), extra_factors=(0, 2))
@@ -1046,19 +1139,26 @@ def test_covariance_study_shares_one_partition_per_estimate(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(covariance, "_blocks", counting_blocks)
-        m.setattr(experiments, "_blocks", counting_blocks)
         rows = experiment_cov(**kwargs)
-    n_cells = 2  # sizes
-    assert len(counted) == n_cells
+    assert counted == []
     monkeypatch.setattr(experiments, "_sym_opnorm", lambda e, partition: _sym_opnorm(e, _blocks(e)))
     assert rows == experiment_cov(**kwargs)
 
 
-def test_covariance_cell_partition_is_that_of_the_joint_pattern():
-    """On `experiment_cov`'s default grid the truth's partition is that of (Sigma != 0) | (Sigma^{-1} != 0).
+def _assert_same_blocks(got, ref):
+    """Two `_Blocks` with the same partition and the same bits in every block and on the diagonal."""
+    _assert_partition((got.blocks, got.singles), (ref.blocks, ref.singles))
+    assert [v.tobytes() for v in got.values] == [v.tobytes() for v in ref.values]
+    assert got.diagonal.tobytes() == ref.diagonal.tobytes()
 
-    Sigma^{-1} is block-diagonal over Sigma's blocks, so a cell partitions
-    Sigma alone; its inverse has the bits of `invert_sparse_cov(Sigma)`.
+
+def test_covariance_cell_partition_is_that_of_the_joint_pattern():
+    """On `experiment_cov`'s default grid the cell built from its configuration is that of a scan of the truth.
+
+    The truth's blocks, their bits and its diagonal are those of
+    `_as_blocks(true_idio_cov(cfg))`, and its partition is that of
+    (Sigma != 0) | (Sigma^{-1} != 0): Sigma^{-1} is block-diagonal over
+    Sigma's blocks.  The inverse has the bits of `invert_sparse_cov(Sigma)`.
     """
     defaults = {k: v.default for k, v in inspect.signature(experiment_cov).parameters.items()}
     for alpha in defaults["alphas"]:
@@ -1066,10 +1166,33 @@ def test_covariance_cell_partition_is_that_of_the_joint_pattern():
             for size in defaults["sizes"]:
                 cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=defaults["n_factors_true"],
                                 alpha_strength=alpha, rho_T=rho, seed=defaults["seed"])
-                _, sigma, sigma_inv, partition = experiments._cov_cell(cfg)
-                assert partition[0]  # blocks to join
-                _assert_partition(partition, _blocks((sigma != 0) | (sigma_inv != 0)))
-                assert sigma_inv.tobytes() == invert_sparse_cov(sigma).tobytes()
+                _, truth, truth_inv = experiments._cov_cell(cfg)
+                _, scanned, scanned_inv = _scanned_cell(cfg)
+                _assert_same_blocks(truth, scanned)
+                _assert_same_blocks(truth_inv, scanned_inv)
+                sigma, sigma_inv = truth.dense(), truth_inv.dense()
+                assert truth.blocks  # blocks to join
+                _assert_partition((truth.blocks, truth.singles), _blocks((sigma != 0) | (sigma_inv != 0)))
+                assert sigma.tobytes() == true_idio_cov(cfg).tobytes()
+                assert sigma_inv.tobytes() == invert_sparse_cov(true_idio_cov(cfg)).tobytes()
+
+
+@pytest.mark.parametrize("settings",
+                         [dict(block_size=1), dict(rho_N=0.0), dict(n_blocks=0), dict(n_blocks=5, block_size=6)],
+                         ids=["runs_of_one", "rho_N_zero", "no_runs", "five_runs_of_six"])
+def test_covariance_cell_of_other_configurations(settings):
+    """A run of one series is a singleton; at rho_N = 0 each run is a diagonal block, which holds whole components.
+
+    The dense matrices have the bits of the truth and of its inverse, and
+    every norm over the cell's partition equals the one over a scan of it.
+    """
+    cfg = SimConfig(n_series=40, n_periods=40, n_factors_true=1, rho_T=0.5, **settings)
+    _, truth, truth_inv = experiments._cov_cell(cfg)
+    assert [b.size for b in truth.blocks] == ([] if cfg.block_size == 1 else [cfg.block_size] * cfg.n_blocks)
+    assert truth.dense().tobytes() == true_idio_cov(cfg).tobytes()
+    np.testing.assert_allclose(truth_inv.dense(), np.linalg.inv(true_idio_cov(cfg)), rtol=1e-13, atol=1e-15)
+    e = _permuted_blocks(np.random.default_rng(2), spd=False)[0] * (truth.dense() != 0)
+    assert _sym_opnorm(e, (truth.blocks, truth.singles)) == _sym_opnorm(e, _blocks(e))
 
 
 def _whole_matrix_errors(cfg, rep, rule_kind, C_values, extra_factors):
@@ -1134,8 +1257,12 @@ def test_covariance_replication_holds_one_residual_set_and_two_buffers(traced_pe
     tracemalloc peaks: 12.4 x 8 N^2 with all six residual sets alive and
     fresh N x N arrays for each estimate's S, inverse and two errors, 6.4 x
     8 N^2 with one set at a time and two reused buffers, 5.1 x 8 N^2 with
-    S formed once per set and thresholded into those two buffers.  A third
-    buffer would add one 8 N^2.
+    S formed once per set and thresholded into those two buffers.  Now the
+    estimates are their blocks and both errors share one buffer: 6.4 x
+    8 N^2, because the N x T residuals stay alive through the thresholding
+    pass (T = N here), and at N = 300 each row block of the pass is 0.73
+    x 8 N^2.  An estimate kept alive into the next set's pass would add one
+    8 N^2 (7.4).
     """
     n = 300
     cell = experiments._cov_cell(SimConfig(n_series=n, n_periods=n, n_factors_true=1, rho_T=0.7, seed=3))
@@ -1208,12 +1335,12 @@ def test_runtime_imports_no_scipy():
 
 
 def _dense_spectral_calls(tree):
-    """Lines calling np.linalg.svd, np.linalg.inv or np.linalg.norm(., 2) outside _inverse_blocks."""
+    """Lines calling np.linalg.svd, np.linalg.inv or np.linalg.norm(., 2) outside `_Blocks.inverse`."""
     found = []
 
     def visit(node, in_inverse):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            in_inverse = in_inverse or node.name == "_inverse_blocks"
+            in_inverse = in_inverse or node.name == "inverse"
         if isinstance(node, ast.Call) and not in_inverse:
             f = node.func
             if (
@@ -1243,8 +1370,8 @@ def test_covariance_study_makes_no_dense_spectral_call():
     pass (2-vCPU host, one BLAS thread), dropping the SVDs of
     `np.linalg.norm(., 2)` took the study's own time from 1.39 to 0.68 s,
     and inverting block by block took `invert_sparse_cov` from 0.91 to
-    0.64 s.  Only `_inverse_blocks`, which `invert_sparse_cov` and the
-    CLI's row writer share, inverts, one block at a time.
+    0.64 s.  Only `_Blocks.inverse`, which `invert_sparse_cov`, the CLI's
+    row writer and the study share, inverts, one block at a time.
     """
     offenders = []
     for name in ("experiments.py", "covariance.py"):
@@ -1254,7 +1381,7 @@ def test_covariance_study_makes_no_dense_spectral_call():
 
 
 def test_one_inverse_call_site():
-    """The package calls np.linalg.inv in one place, `_inverse_blocks`."""
+    """The package calls np.linalg.inv in one place, `_Blocks.inverse`."""
     sites = []
     for path in sorted(Path(divproj.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

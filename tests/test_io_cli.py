@@ -21,9 +21,8 @@ from divproj.covariance import (
     KINDS,
     SparseCovariance,
     ThresholdRule,
+    _as_blocks,
     _blocks,
-    _estimate_parts,
-    _inverse_parts,
     invert_sparse_cov,
     sparse_idio_cov,
 )
@@ -40,11 +39,20 @@ from divproj.io import (
     write_matrix,
     write_panel,
     write_rows_csv,
-    write_sparse_triplets,
 )
 from divproj.projection import PanelData
 from divproj.spectest import DEFAULT_RULE, spec_test
 from divproj.weights import build_weights, initial_transform_weights, rolling_window_weights
+
+
+def write_triplets(path, values) -> None:
+    """Write the nonzero entries of a matrix as (i, j, value) rows, 1-based: the reference for the sparse writer."""
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    i, j = np.nonzero(values)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j", "value"])
+        writer.writerows(zip((i + 1).tolist(), (j + 1).tolist(), values[i, j].tolist()))
 
 
 def write_series(path, values, labels=None, value_name: str = "value") -> None:
@@ -294,7 +302,7 @@ def test_spliced_rows_have_the_bytes_of_dense_rows(tmp_path, with_zeros):
         io_module._write_parts(tmp_path / "parts.csv", header, labels, iter(parts))
         assert (tmp_path / "parts.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
         io_module._write_triplets(tmp_path / "triplets.csv", iter(parts))
-        write_sparse_triplets(tmp_path / "ref.csv", np.array(rows))
+        write_triplets(tmp_path / "ref.csv", np.array(rows))
         assert (tmp_path / "triplets.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -305,7 +313,7 @@ def test_floats_are_written_as_their_repr(tmp_path):
     write_matrix(tmp_path / "m.csv", x[None, :])
     write_panel(tmp_path / "p.csv", PanelData(x[:, None]))
     write_series(tmp_path / "s.csv", x)
-    write_sparse_triplets(tmp_path / "t.csv", x[None, :])
+    io_module._write_triplets(tmp_path / "t.csv", [([0, 1, 2, 3, 4], x)])
 
     def lines(name):
         return (tmp_path / name).read_text().splitlines()
@@ -700,7 +708,7 @@ def test_cov_inverse_file_is_the_dense_inverse(tmp_path, monkeypatch, case):
     rng = np.random.default_rng(21)
     sigma = _covariance_case(case, rng)
     monkeypatch.setattr(cli_module, "sparse_idio_cov", lambda residuals, rule: (
-        SparseCovariance(sigma.copy(), omega=0.1, nonzero_offdiag=0, partition=_blocks(sigma))))
+        SparseCovariance(_as_blocks(sigma.copy()), omega=0.1, nonzero_offdiag=0)))
     write_panel(tmp_path / "x.csv", PanelData(rng.standard_normal((30, 40))))
     ids = [f"s{i + 1}" for i in range(30)]
     out = tmp_path / "out"
@@ -753,7 +761,7 @@ def test_cov_files_have_the_bytes_of_the_dense_writers(tmp_path, monkeypatch, de
     assert run([*argv, "--out", str(tmp_path / "dense")]) == 0
     assert run([*argv, "--sparse", "--out", str(tmp_path / "sparse")]) == 0
     cov = made[0]
-    blocks, singles = cov.partition
+    blocks, singles = cov.estimate.blocks, cov.estimate.singles
     if C == 0.0:
         assert [b.tolist() for b in blocks] == [list(range(24))]
     elif design == "independent" and C == 2.0:
@@ -761,7 +769,7 @@ def test_cov_files_have_the_bytes_of_the_dense_writers(tmp_path, monkeypatch, de
     elif design == "blocks":
         assert len(blocks) >= 2 and any(b[-1] - b[0] + 1 != b.size for b in blocks)
     write_matrix(tmp_path / "sigma.csv", cov.sigma_u, ids, ids, corner="series")
-    write_sparse_triplets(tmp_path / "triplets.csv", cov.sigma_u)
+    write_triplets(tmp_path / "triplets.csv", cov.sigma_u)
     write_matrix(tmp_path / "inverse.csv", invert_sparse_cov(cov.sigma_u), ids, ids, corner="series")
     assert (tmp_path / "dense" / "sigma_u.csv").read_bytes() == (tmp_path / "sigma.csv").read_bytes()
     assert (tmp_path / "sparse" / "sigma_u.csv").read_bytes() == (tmp_path / "triplets.csv").read_bytes()
@@ -786,11 +794,14 @@ def wide_panel(tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["cov", "spectest"])
 def test_wide_commands_hold_one_n_by_n_array(wide_panel, tmp_path, command):
-    """At N = 1200 the cov and spectest commands peak below two N x N arrays (2 x 8 N^2 bytes).
+    """At N = 1200 the cov and spectest commands peak below two N x N arrays (2 x 8 N^2 bytes), cov below one.
 
-    They hold the thresholded covariance and row-sized temporaries: the
-    former S + S' average, the spec test's rescaled copy and the dense
-    inverse beside the covariance are gone (peaks of 3.4 and 2.5 x 8 N^2).
+    They hold the thresholded covariance as its blocks and row-sized
+    temporaries.  The cov command's estimate is sparse, and it peaks at
+    0.64 x 8 N^2 (1.53 with a dense estimate); the spectest command's is
+    one block of every series (1.21, against 1.52).  The former S + S'
+    average, the spec test's rescaled copy and the dense inverse beside
+    the covariance are gone too (peaks of 3.4 and 2.5 x 8 N^2).
     """
     flags = {"cov": ["--scheme", "sieve", "--R", "2", "--chars", str(wide_panel / "chars.csv")],
              "spectest": ["--factors", str(wide_panel / "factors.csv"), "--scheme", "initial", "--draws", "200"]}
@@ -802,14 +813,16 @@ def test_wide_commands_hold_one_n_by_n_array(wide_panel, tmp_path, command):
         tracemalloc.stop()
     assert code == 0
     assert peak < 2 * 8 * 1200**2
+    assert peak < {"cov": 0.75, "spectest": 1.35}[command] * 8 * 1200**2
 
 
 def test_cov_inverse_uses_the_thresholding_pass_partition(wide_panel, tmp_path, monkeypatch):
     """At N = 1200 the cov command never scans its estimate into a pattern; its files are those of a fresh partition.
 
-    The thresholding pass labels the estimate's components, and both
-    matrices are written from those blocks, so `_blocks` is never called.
-    A run that partitions the estimate with `_blocks` writes the same bytes.
+    The thresholding pass builds the estimate's blocks, and both matrices
+    are written from those, so `_blocks` is never called.  A run whose
+    estimate is its dense matrix partitioned again by `_blocks` writes the
+    same bytes.
     """
     argv = ["cov", "--panel", str(wide_panel / "panel.csv"), "--scheme", "sieve", "--R", "2",
             "--chars", str(wide_panel / "chars.csv"), "--rule", "soft", "--C", "0.5"]
@@ -823,9 +836,9 @@ def test_cov_inverse_uses_the_thresholding_pass_partition(wide_panel, tmp_path, 
         m.setattr(covariance, "_blocks", counting_blocks)
         assert run([*argv, "--out", str(tmp_path / "pass")]) == 0
     assert counted == []
-    monkeypatch.setattr(cli_module, "_estimate_parts", lambda cov: _estimate_parts(
-        SparseCovariance(cov.sigma_u, cov.omega, cov.nonzero_offdiag, _blocks(cov.sigma_u))))
-    monkeypatch.setattr(cli_module, "_inverse_parts", lambda sigma, partition: _inverse_parts(sigma, _blocks(sigma)))
+    monkeypatch.setattr(cli_module, "sparse_idio_cov", lambda residuals, rule: (
+        lambda cov: SparseCovariance(_as_blocks(cov.sigma_u), cov.omega, cov.nonzero_offdiag))(
+        sparse_idio_cov(residuals, rule)))
     assert run([*argv, "--out", str(tmp_path / "fresh")]) == 0
     summary = json.loads((tmp_path / "pass" / "summary.json").read_text())
     assert summary["nonzero_offdiag"] > 1000  # blocks of more than one member to invert
