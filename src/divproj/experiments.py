@@ -194,6 +194,12 @@ def experiment_cov(
     whole-matrix differences (`_cov_rep`, `_cov_errors`).  The truth and
     its inverse are built as blocks once per cell from its configuration
     (`_cov_cell`); an estimate's blocks come from its thresholding pass.
+    Each norm is taken block by block over the join of the two partitions
+    (`_sym_opnorm`): a block of 150 or more members, such as the whole
+    matrix at C = 1 and N = 300, by a certified Lanczos iteration, which
+    moves the last bits of `err_*` against `eigvalsh` (within 1e-12
+    relative), and a smaller one, or one Lanczos does not certify, by
+    `eigvalsh`.
 
     At `threads=1` the replications run in this process, at its BLAS's
     digits; above 1, in up to `threads` spawned one-BLAS-thread workers,

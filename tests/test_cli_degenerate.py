@@ -6,7 +6,10 @@ prints one `divproj:` line and nothing else; a case that exits 0 writes
 only finite numbers.  No case raises past `run` (a traceback) or emits a
 numpy RuntimeWarning; a NumericalWarning (a pseudo-inverse, an eigenvalue
 shift) is allowed.  The cases whose exit code is given must exit so: they
-are the inputs that once ended in a traceback or a silent answer.
+are the inputs that once ended in a traceback or a silent answer, and the
+one-period, one-series, R-above-T and out-of-range-constant inputs, pinned
+as they behave.  A NaN given to an integer flag is a usage error: it exits
+1, with one `divproj:` line.
 """
 
 import csv
@@ -58,6 +61,10 @@ def _argv(d, command, *flags):
         "infer": ["--outcome", str(d / "y.csv"), "--treatment", str(d / "g.csv"), "--scheme", "walsh", "--R", "2"],
     }[command]
     return [command, *panel, *base, *flags, "--out", str(d / "out" / command)]
+
+
+def _panel_of(shape):
+    return lambda d: _inputs(d, np.random.default_rng(7).standard_normal(shape))
 
 
 def _constant_series(d):
@@ -112,6 +119,21 @@ CASES = [
      ["--scheme", "rolling", "--history", "{d}/history.csv"], 2),
     ("forecast_reordered_history", lambda d: _reordered(_inputs(d), "history.csv", "header"), "forecast",
      ["--scheme", "rolling", "--history", "{d}/history.csv"], 2),
+    # estimate at T = 1 < R takes a pseudo-inverse; the others need more periods
+    *[(f"T1-{c}", _panel_of((N, 1)), c, [], 0 if c == "estimate" else 2) for c in COMMANDS],
+    # cov at N = R = 1 leaves no residual variance; spectest's two factors exceed N
+    *[(f"N1-{c}", _panel_of((1, T)), c, [] if c == "spectest" else ["--R", "1"], 2 if c in ("cov", "spectest") else 0)
+      for c in COMMANDS],
+    ("cov_R_above_T", _inputs, "cov", ["--R", "35"], 0),
+    ("estimate_R_above_T", _inputs, "estimate", ["--R", "31"], 0),
+    *[(f"fdr_q_{name}", _inputs, "fdr", ["--q", v], 2)
+      for name, v in [("nan", "nan"), ("negative", "-0.1"), ("zero", "0"), ("above_one", "1.5")]],
+    *[(f"infer_level_{name}", _inputs, "infer", ["--level", v], 2)
+      for name, v in [("nan", "nan"), ("negative", "-0.5"), ("above_one", "1.5")]],
+    *[(f"forecast_{flag}_{name}", _inputs, "forecast", [f"--{flag}", v], 1 if name == "nan" else 2)
+      for flag in ("lead", "steps", "window") for name, v in [("nan", "nan"), ("negative", "-1"), ("zero", "0"),
+                                                     ("past_the_panel", "100")]],
+    ("spectest_draws_0", _inputs, "spectest", ["--draws", "0"], 2),
 ]
 
 
@@ -149,10 +171,10 @@ def _run(argv, capsys):
 def _assert_clean(code, err, caught, out, required):
     assert [w for w in caught if not issubclass(w.category, NumericalWarning)] == []  # no numpy RuntimeWarning
     assert "Traceback" not in err and "RuntimeWarning" not in err
-    assert code in (0, 2)
     if required is not None:
         assert code == required, err
-    if code == 2:
+    assert code in (0, 2) or code == required == 1
+    if code != 0:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("divproj: "), err
     else:

@@ -796,10 +796,24 @@ class TestBlockViews:
         assert factored == [False]
         assert sigma.tobytes() == before
 
-    def test_opnorm_of_a_run_equals_the_gathered_one(self):
+    def test_opnorm_of_a_run_equals_the_gathered_one(self, monkeypatch):
+        """Below the Lanczos cut and above it, a run read as a view gives the bits of its gathered copy.
+
+        Above the cut the run is the whole matrix (a contiguous view) or sits
+        inside a larger one (a strided view), and its norm is certified.
+        """
         e = _indefinite_run_block()
-        w = np.linalg.eigvalsh(e[np.ix_(np.arange(40), np.arange(40))])
+        gathered = e[np.ix_(np.arange(40), np.arange(40))]
+        w = np.linalg.eigvalsh(gathered)
         assert _sym_opnorm(e, _blocks(e)) == max(-w[0], w[-1])
+        monkeypatch.setattr(covariance, "_LANCZOS_MIN", 2)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # every norm is certified
+        inside = np.diag(np.full(50, 0.5))
+        inside[5:45, 5:45] = e
+        norm = covariance._lanczos_norm(gathered)
+        assert norm == pytest.approx(max(-w[0], w[-1]), rel=1e-12, abs=0.0)
+        assert _sym_opnorm(e, _blocks(e)) == norm
+        assert _sym_opnorm(inside, _blocks(inside)) == norm
 
 
 class TestOneNByNArray:
@@ -942,6 +956,137 @@ class TestSymOpnorm:
         everything = ([np.arange(e.shape[0])], np.array([], dtype=int))
         for p in (partition, everything):
             assert _sym_opnorm(e, p) == pytest.approx(np.linalg.norm(e, 2), rel=1e-12, abs=0.0)
+
+
+def _with_spectrum(rng, eigenvalues):
+    """Q diag(eigenvalues) Q' for a seeded random orthogonal Q, made exactly symmetric."""
+    q = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))[0]
+    a = (q * eigenvalues) @ q.T
+    return (a + a.T) / 2
+
+
+def _persymmetric(rng, n=60):
+    """A Toeplitz block plus 1.5 v v' for a skew-symmetric unit v (v reversed is -v).
+
+    The extreme eigenvector is skew-symmetric, with eigenvalue 2.36 at
+    rng = default_rng(11); the largest with a symmetric eigenvector is 1.98.
+    """
+    lag = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    v = rng.standard_normal(n)
+    v -= v[::-1]
+    return 0.5 * 0.6**lag + 1.5 * np.outer(v, v) / (v @ v)
+
+
+def _rank_one(rng, n=60):
+    u = rng.standard_normal(n)
+    return 2.5 * np.outer(u, u) / (u @ u)
+
+
+def _whole(n):
+    """The partition of an n x n matrix into one block."""
+    return [np.arange(n)], np.array([], dtype=np.intp)
+
+
+class TestLanczosNorm:
+    """`_sym_opnorm` with the Lanczos cut forced low: certified norms within 1e-12 of `eigvalsh`'s, or its very bits.
+
+    Each case records whether Lanczos certifies its norm.  A rank-one or a
+    zero block has an invariant Krylov space: Lanczos breaks down and the
+    norm is `eigvalsh`'s.
+    """
+
+    CASES = {
+        "clustered_extremes": (lambda rng: _with_spectrum(rng, np.r_[4.0 - 1e-9 * np.arange(5), -4.0 + 1e-9 * np.arange(5),
+                                                                    rng.uniform(-2, 2, 50)]), True),
+        "negative_dominant": (lambda rng: _with_spectrum(rng, np.r_[-7.0, rng.uniform(-3, 3, 59)]), True),
+        "rank_one": (_rank_one, False),
+        "diagonal": (lambda rng: np.diag(rng.uniform(-2, 3, 60)), True),
+        "zero": (lambda rng: np.zeros((60, 60)), False),
+        "persymmetric": (_persymmetric, True),
+    }
+
+    @pytest.fixture(autouse=True)
+    def low_cut(self, monkeypatch):
+        monkeypatch.setattr(covariance, "_LANCZOS_MIN", 2)
+
+    @staticmethod
+    def _opnorm(a, monkeypatch):
+        """(`_sym_opnorm` of a as one block, the shapes it gave `eigvalsh`)."""
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x.shape) or eigvalsh(x))
+        return _sym_opnorm(a, _whole(a.shape[0])), calls
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_eigvalsh(self, case, monkeypatch):
+        make, certified = self.CASES[case]
+        a = make(np.random.default_rng(11))
+        w = np.linalg.eigvalsh(a)
+        got, calls = self._opnorm(a, monkeypatch)
+        assert got == pytest.approx(max(-w[0], w[-1]), rel=1e-12, abs=0.0)
+        assert calls == ([] if certified else [a.shape])
+
+    def test_persymmetric_extreme_eigenvector_is_skew(self):
+        """A symmetric start (such as ones) is orthogonal to it; the fixed start is not."""
+        a = _persymmetric(np.random.default_rng(11))
+        w, vectors = np.linalg.eigh(a)
+        top = vectors[:, np.argmax(np.abs(w))]
+        assert np.abs(top + top[::-1]).max() < 1e-12
+        start = np.random.default_rng(covariance._LANCZOS_SEED).standard_normal(60)
+        assert abs(start @ top) > 0.1 * np.linalg.norm(start)
+
+    def test_a_symmetric_start_certifies_another_eigenvalue(self, monkeypatch):
+        """Why the start has no symmetry, and the docstring's caveat: theta is near some eigenvalue, not the extreme one.
+
+        From ones, the Krylov space of the persymmetric block holds only its
+        symmetric eigenvectors (up to rounding), and Lanczos certifies 1.98.
+        """
+        a = _persymmetric(np.random.default_rng(11))
+
+        class Ones:
+            def __init__(self, seed):
+                pass
+
+            def standard_normal(self, n):
+                return np.ones(n)
+
+        monkeypatch.setattr(np.random, "default_rng", Ones)
+        assert covariance._lanczos_norm(a) < 0.9 * np.abs(np.linalg.eigvalsh(a)).max()
+
+    def _assert_falls_back(self, a, monkeypatch):
+        """No certificate: `_sym_opnorm` returns the bits of `eigvalsh`'s norm, from one call."""
+        assert covariance._lanczos_norm(a) is None
+        w = np.linalg.eigvalsh(a)
+        got, calls = self._opnorm(a, monkeypatch)
+        assert np.float64(got).tobytes() == max(-w[0], w[-1]).tobytes()
+        assert calls == [a.shape]
+
+    def test_iteration_cap_falls_back(self, monkeypatch):
+        a = np.random.default_rng(8).standard_normal((40, 40))
+        a += a.T
+        monkeypatch.setattr(covariance, "_LANCZOS_STEPS", 2)
+        self._assert_falls_back(a, monkeypatch)
+
+    def test_breakdown_falls_back(self, monkeypatch):
+        """The start spans an invariant space with eigenvalue 2; the norm, 9, lies outside it.
+
+        Its residual is zero, so without the breakdown test Lanczos would certify 2.
+        """
+        n = 50
+        start = np.random.default_rng(covariance._LANCZOS_SEED).standard_normal(n)
+        x = np.random.default_rng(3).standard_normal(n)
+        x -= (x @ start) / (start @ start) * start
+        a = 2.0 * np.eye(n) + 7.0 * np.outer(x, x) / (x @ x)
+        assert np.abs(np.linalg.eigvalsh(a)).max() == pytest.approx(9.0, rel=1e-14)
+        self._assert_falls_back(a, monkeypatch)
+
+    def test_same_bits_on_every_call_and_layout(self):
+        a = _with_spectrum(np.random.default_rng(4), np.random.default_rng(5).uniform(-3, 3, 80))
+        norm = covariance._lanczos_norm(a)
+        assert norm is not None
+        shifted = np.empty(80 * 80 + 1)[1:].reshape(80, 80)  # another alignment in memory
+        shifted[...] = a
+        assert [covariance._lanczos_norm(x) for x in (a, a.copy(), shifted, np.asfortranarray(a).T)] == [norm] * 4
 
 
 def _scipy_blocks(a):
@@ -1215,6 +1360,22 @@ def _whole_matrix_errors(cfg, rep, rule_kind, C_values, extra_factors):
     return out
 
 
+def _whole_matrix_rows(sizes, alphas, n_reps, rule_kind, C_values, extra_factors):
+    """`experiment_cov`'s rows at rho_T 0.7 and seed 5, from `_whole_matrix_errors`."""
+    rows = []
+    for alpha in alphas:
+        for size in sizes:
+            cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=1, alpha_strength=alpha, rho_T=0.7, seed=5)
+            per_rep = [_whole_matrix_errors(cfg, rep, rule_kind, C_values, extra_factors) for rep in range(n_reps)]
+            for method, C in per_rep[0]:
+                err_mean, err_se = experiments._mean_se([res[method, C][0] for res in per_rep])
+                inv_mean, inv_se = experiments._mean_se([res[method, C][1] for res in per_rep])
+                rows.append({"alpha": alpha, "rho_T": 0.7, "N": size, "method": method, "C": C,
+                             "err_cov_mean": err_mean, "err_cov_se": err_se,
+                             "err_inv_mean": inv_mean, "err_inv_se": inv_se})
+    return rows
+
+
 @pytest.mark.filterwarnings("ignore::divproj.exceptions.NumericalWarning")  # the oracle's own shifts
 @pytest.mark.parametrize("rule_kind", KINDS)
 def test_covariance_study_errors_equal_the_whole_matrix_formulas(rule_kind):
@@ -1235,20 +1396,40 @@ def test_covariance_study_errors_equal_the_whole_matrix_formulas(rule_kind):
                                   C_values=C_values, rule_kind=rule_kind, extra_factors=extra)
         shifted = {w.filename for w in record if issubclass(w.category, NumericalWarning)}
         assert shifted == ({experiments.__file__} if rule_kind == "hard" else set())  # the warnings name the study
-        expected = []
-        for alpha in alphas:
-            for size in sizes:
-                cfg = SimConfig(n_series=size, n_periods=size, n_factors_true=1, alpha_strength=alpha, rho_T=0.7,
-                                seed=5)
-                per_rep = [_whole_matrix_errors(cfg, rep, rule_kind, C_values, extra) for rep in range(n_reps)]
-                for method, C in per_rep[0]:
-                    err_mean, err_se = experiments._mean_se([res[method, C][0] for res in per_rep])
-                    inv_mean, inv_se = experiments._mean_se([res[method, C][1] for res in per_rep])
-                    expected.append({"alpha": alpha, "rho_T": 0.7, "N": size, "method": method, "C": C,
-                                     "err_cov_mean": err_mean, "err_cov_se": err_se,
-                                     "err_inv_mean": inv_mean, "err_inv_se": inv_se})
+        expected = _whole_matrix_rows(sizes, alphas, n_reps, rule_kind, C_values, extra)
         assert len(rows) == 2 * 2 * 4 * len(C_values)  # alphas x sizes x methods x C
         assert rows == expected
+
+
+def test_covariance_study_on_the_lanczos_path(monkeypatch):
+    """With the Lanczos cut at 2, every block norm of the study is certified by Lanczos.
+
+    The rows equal those of the whole-matrix oracle bit for bit, and lie
+    within 1e-12 of the rows that `eigvalsh` gives below the default cut
+    (each `_se` within 1e-12 of its mean).
+    """
+    sizes, alphas, n_reps, C_values, extra = (40, 60), (0.5, 1.0), 2, (1.0, 2.0), (0, 2)
+    kwargs = dict(sizes=sizes, alphas=alphas, rho_Ts=(0.7,), n_reps=n_reps, seed=5, C_values=C_values,
+                  rule_kind="scad", extra_factors=extra)
+    assert max(sizes) < covariance._LANCZOS_MIN
+    by_eigvalsh = experiment_cov(**kwargs)
+    monkeypatch.setattr(covariance, "_LANCZOS_MIN", 2)
+    norms = []
+    lanczos = covariance._lanczos_norm
+
+    def recording(a):
+        norms.append(lanczos(a))
+        return norms[-1]
+
+    monkeypatch.setattr(covariance, "_lanczos_norm", recording)
+    rows = experiment_cov(**kwargs)
+    assert len(norms) > len(rows) and None not in norms
+    assert rows == _whole_matrix_rows(sizes, alphas, n_reps, "scad", C_values, extra)
+    for got, ref in zip(rows, by_eigvalsh, strict=True):
+        for what in ("cov", "inv"):
+            mean = ref[f"err_{what}_mean"]
+            assert got[f"err_{what}_mean"] == pytest.approx(mean, rel=1e-12, abs=0.0)
+            assert got[f"err_{what}_se"] == pytest.approx(ref[f"err_{what}_se"], rel=0.0, abs=1e-12 * mean)
 
 
 def test_covariance_replication_holds_one_residual_set_and_two_buffers(traced_peak):
@@ -1371,7 +1552,11 @@ def test_covariance_study_makes_no_dense_spectral_call():
     `np.linalg.norm(., 2)` took the study's own time from 1.39 to 0.68 s,
     and inverting block by block took `invert_sparse_cov` from 0.91 to
     0.64 s.  Only `_Blocks.inverse`, which `invert_sparse_cov`, the CLI's
-    row writer and the study share, inverts, one block at a time.
+    row writer and the study share, inverts, one block at a time.  The
+    norms need no full spectrum either: a block of `_LANCZOS_MIN` or more
+    members takes a certified Lanczos iteration, which at 300 members
+    cost 1.0 ms against `eigvalsh`'s 3.0 ms (one BLAS thread), and a
+    smaller or uncertified block takes `eigvalsh`.
     """
     offenders = []
     for name in ("experiments.py", "covariance.py"):
