@@ -61,14 +61,9 @@ from .weights import build_weights, check_diversified
 
 SCHEME_CHOICES = ("hadamard", "walsh", "sieve", "rolling", "initial")
 THRESHOLD_RULE = ThresholdRule()  # the library's default thresholding constants
-# `simulate --experiment` name -> (experiment, columns of results.csv)
-SIMULATIONS = {
-    "fig1": (experiment_cov, ["alpha", "rho_T", "N", "method", "C",
-                              "err_cov_mean", "err_cov_se", "err_inv_mean", "err_inv_se"]),
-    "table2": (experiment_forecast, ["alpha", "rho_T", "N", "T", "method", "mse_ratio_mean", "mse_ratio_se"]),
-    "postsel": (experiment_postsel, ["r", "method", "mean_z", "std_z", "coverage", "level"]),
-    "table3": (experiment_spectest, ["scheme", "gamma", "T", "N", "rejection_rate", "mc_se", "level"]),
-}
+# `simulate --experiment` name -> experiment; the keys of its rows are the columns of results.csv
+SIMULATIONS = {"fig1": experiment_cov, "table2": experiment_forecast, "postsel": experiment_postsel,
+               "table3": experiment_spectest}
 
 
 class UsageError(Exception):
@@ -247,7 +242,7 @@ def _panel_and_weights(args, panel: PanelData, *series):
     W = build_weights(
         args.scheme,
         panel.n_series,
-        getattr(args, "R", 1),
+        args.R,
         characteristics=chars,
         panel_history=history,
         x0=x0,
@@ -256,12 +251,7 @@ def _panel_and_weights(args, panel: PanelData, *series):
     return panel, W, *series
 
 
-def _write_manifest(outdir: Path, args: argparse.Namespace) -> None:
-    resolved = {k: v for k, v in vars(args).items() if k != "config"}
-    write_json(outdir / "manifest.json", {"artifact": "divproj", "version": __version__, "config": resolved})
-
-
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> None:
     panel = read_panel(args.panel)
     panel, W = _panel_and_weights(args, panel)
     fit_res = projection_fit(panel, W)
@@ -281,8 +271,6 @@ def _cmd_estimate(args) -> int:
             "factor_gram": fit_res.gram,
         },
     )
-    _write_manifest(outdir, args)
-    return 0
 
 
 def _forecast_scheme(args, panel: PanelData, y):
@@ -295,7 +283,7 @@ def _forecast_scheme(args, panel: PanelData, y):
     return FixedWeightScheme(W), panel, y
 
 
-def _cmd_forecast(args) -> int:
+def _cmd_forecast(args) -> None:
     panel = read_panel(args.panel)
     y = _series(args.outcome, panel.time_ids)
     scheme, panel, y = _forecast_scheme(args, panel, y)
@@ -312,11 +300,9 @@ def _cmd_forecast(args) -> int:
         rows.append(row)
     write_rows_csv(outdir / "forecast.csv", ["step", "realized", *columns], rows)
     write_json(outdir / "mse.json", {"mse": {name: float(np.mean((vals - report.realized) ** 2)) for name, vals in columns.items()}})
-    _write_manifest(outdir, args)
-    return 0
 
 
-def _cmd_infer(args) -> int:
+def _cmd_infer(args) -> None:
     panel = read_panel(args.panel)
     y, g = _series(args.outcome, panel.time_ids), _series(args.treatment, panel.time_ids)
     if args.R == 0:
@@ -344,11 +330,9 @@ def _cmd_infer(args) -> int:
             "eps_g_hat": res.eps_g_hat,
         },
     )
-    _write_manifest(outdir, args)
-    return 0
 
 
-def _cmd_cov(args) -> int:
+def _cmd_cov(args) -> None:
     panel = read_panel(args.panel)
     panel, W = _panel_and_weights(args, panel)
     fit_res = projection_fit(panel, W)
@@ -373,11 +357,9 @@ def _cmd_cov(args) -> int:
             "rule": {"kind": rule.kind, "constant_C": rule.constant_C, "scad_a": rule.scad_a},
         },
     )
-    _write_manifest(outdir, args)
-    return 0
 
 
-def _cmd_spectest(args) -> int:
+def _cmd_spectest(args) -> None:
     panel = read_panel(args.panel)
     factors = read_panel(args.factors)
     _check_labels(args.factors, factors.time_ids, panel.time_ids, "time")
@@ -389,11 +371,9 @@ def _cmd_spectest(args) -> int:
     res = spec_test(panel.X, G, W, rule=rule, n_draws=args.draws, seed=args.seed)
     outdir = ensure_outdir(args.out)
     write_json(outdir / "spectest.json", asdict(res))
-    _write_manifest(outdir, args)
-    return 0
 
 
-def _cmd_fdr(args) -> int:
+def _cmd_fdr(args) -> None:
     panel = read_panel(args.panel)
     panel, W = _panel_and_weights(args, panel)
     res = farm_test(panel.X, W, q=args.q)
@@ -410,8 +390,6 @@ def _cmd_fdr(args) -> int:
         for i, series_id in enumerate(panel.series_ids)
     ]
     write_rows_csv(outdir / "fdr.csv", ["series", "alpha_hat", "z", "p", "rejected"], rows)
-    _write_manifest(outdir, args)
-    return 0
 
 
 def _write_fig1_panels(outdir: Path, rows: list) -> None:
@@ -451,8 +429,8 @@ def _experiment_arguments(experiment, args) -> dict:
     return bound.arguments
 
 
-def _cmd_simulate(args) -> int:
-    experiment, fields = SIMULATIONS[args.experiment]
+def _cmd_simulate(args) -> None:
+    experiment = SIMULATIONS[args.experiment]
     arguments = _experiment_arguments(experiment, args)
     outdir = ensure_outdir(args.out)
     rows = experiment(**arguments)
@@ -464,12 +442,10 @@ def _cmd_simulate(args) -> int:
             for i, z in enumerate(samples[name])
         ]
         write_rows_csv(outdir / "postsel_z_samples.csv", ["setting", "rep", "z"], sample_rows)
-    write_rows_csv(outdir / "results.csv", fields, rows)
+    write_rows_csv(outdir / "results.csv", list(rows[0]) if rows else [], rows)
     if args.experiment == "fig1":
         _write_fig1_panels(outdir, rows)
     write_json(outdir / "config.json", {"experiment": args.experiment, **arguments})
-    _write_manifest(outdir, args)
-    return 0
 
 
 _COMMANDS = {
@@ -492,7 +468,11 @@ def run(argv=None) -> int:
             raise UsageError(f"--threads (or DIVPROJ_THREADS) must be at least 1, got {args.threads}")
         if args.seed < 0:
             raise UsageError(f"--seed must be at least 0, got {args.seed}")
-        return _COMMANDS[args.subcommand](args)
+        _COMMANDS[args.subcommand](args)
+        resolved = {k: v for k, v in vars(args).items() if k != "config"}  # with spectest's pinned --R
+        write_json(Path(args.out) / "manifest.json",
+                   {"artifact": "divproj", "version": __version__, "config": resolved})
+        return 0
     except UsageError as exc:
         print(f"divproj: {exc}", file=sys.stderr)
         return 1

@@ -3,7 +3,11 @@
 Removing estimated common factors from each series' mean makes the
 per-series statistics weakly dependent, so standard false-discovery-rate
 procedures apply to them.  Benjamini-Hochberg is wired in as the default
-rejection rule.
+rejection rule.  The regression of the panel on the factors and an
+intercept is taken centred, the centred series on the centred factors:
+one solve with the centred factors' gram (`projection._solve_gram`) gives
+every series' slopes and the weights of the standard errors, and a
+singular gram (collinear weights) warns once and takes the pseudo-inverse.
 """
 
 from __future__ import annotations
@@ -31,10 +35,12 @@ def farm_stats(X, weights: WeightMatrix | np.ndarray):
     """Factor-adjusted mean estimates and their standardized statistics.
 
     Per series i, x_it is regressed on the diversified factor estimates
-    with an intercept; the intercept alpha_hat_i = xbar_i - b_hat_i'fbar
-    is the adjusted mean.  Its standard error comes from the expansion of
-    alpha_hat_i as an average of g_t * u_it with
-    g_t = 1 - fbar' S_f^{-1} (f_hat_t - fbar), giving
+    with an intercept, that is, the centred series on the centred factors
+    f_hat_t - fbar.  One solve with their gram S_f = Fc'Fc/T gives the
+    slopes b_hat_i and S_f^{-1} fbar; the intercept
+    alpha_hat_i = xbar_i - b_hat_i'fbar is the adjusted mean.  Its
+    standard error comes from the expansion of alpha_hat_i as an average
+    of g_t * u_it with g_t = 1 - fbar' S_f^{-1} (f_hat_t - fbar), giving
     se_i^2 = sum_t g_t^2 * sigma_uii / T^2.
 
     Returns (alpha_hat, z_stats).
@@ -45,15 +51,17 @@ def farm_stats(X, weights: WeightMatrix | np.ndarray):
     r = F.shape[1]
     if t < r + 2:
         raise InsufficientDataError(f"need T >= R + 2, got T={t}, R={r}")
-    design = np.hstack([np.ones((t, 1)), F])
-    coef = np.linalg.lstsq(design, Xm.T, rcond=None)[0]
-    alpha_hat = coef[0]
-    resid = Xm.T - design @ coef
-    sigma_uii = np.mean(resid**2, axis=0)
-
     fbar = F.mean(axis=0)
     Fc = F - fbar
-    g = 1.0 - Fc @ _solve_gram(Fc.T @ Fc / t, fbar)
+    # Fc'X' = Fc'Xc' (the columns of Fc sum to zero), so the panel is not centred for the slopes.
+    coef = _solve_gram(Fc.T @ Fc / t, np.column_stack([Fc.T @ Xm.T / t, fbar]))
+    b, h = coef[:, :-1], coef[:, -1]
+    xbar = Xm.mean(axis=1)
+    alpha_hat = xbar - fbar @ b
+    resid = Xm - xbar[:, None] - b.T @ Fc.T
+    sigma_uii = np.mean(resid**2, axis=1)
+
+    g = 1.0 - Fc @ h
     se = np.sqrt(np.sum(g**2) * sigma_uii) / t
     se = np.maximum(se, 1e-300)
     return alpha_hat, alpha_hat / se

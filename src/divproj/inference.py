@@ -3,7 +3,11 @@
 The pipeline purges estimated factors from the outcome and treatment,
 lasso-selects among the estimated idiosyncratic components in both
 equations, refits unpenalized on the union of the selected supports, and
-estimates the treatment effect by residual-on-residual regression.
+estimates the treatment effect by residual-on-residual regression.  The
+refit is one gram solve for both equations (`projection._solve_gram`): a
+singular refit gram, such as that of a selected control duplicating
+another, takes the pseudo-inverse, the minimum-norm least-squares answer,
+with one NumericalWarning.
 
 Every lasso is solved in gram form, G = D'D/T and c = D'y/T, but the
 N x N gram is not built: G's rows are computed from the T x N design D
@@ -362,12 +366,6 @@ def _iterate_sigma_core(G, c, y_var, y2_mean, n, t, C, n_rounds=5):
     return tuning_tau(sigma2, n, t, C), sigma2, gamma
 
 
-def _ols_coefs(Z: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if Z.shape[1] == 0:
-        return np.zeros(0)
-    return np.linalg.lstsq(Z, y, rcond=None)[0]
-
-
 def _penalized_equation(G, c_resp, y_purged, n, t, C, sigma2=None):
     """Lasso for one equation; iteratively tuned unless sigma2 is supplied."""
     if sigma2 is None:
@@ -459,8 +457,8 @@ def double_selection(
         gamma_hat = np.zeros(n)
         theta_hat = np.zeros(n)
         D_sel = D[:, selected]
-        gamma_hat[selected] = _ols_coefs(D_sel, y_p)
-        theta_hat[selected] = _ols_coefs(D_sel, g_p)
+        coef = _solve_gram(D_sel.T @ D_sel, D_sel.T @ np.column_stack([y_p, g_p]))
+        gamma_hat[selected], theta_hat[selected] = coef.T
     else:
         gamma_hat = gamma_t
         theta_hat = theta_t

@@ -185,14 +185,15 @@ def pc_factors(panel, n_factors: int) -> FactorFit:
     F_hat is sqrt(T) times the top eigenvectors of X'X, normalized so that
     F'F/T = I.  They come from an eigendecomposition of X'X itself when
     T <= N, and from the thin SVD of X when T > N, where that gram would be
-    the larger one (see `_leading_vt`).  Loadings follow by least squares
-    and residuals by subtraction.  The W'U_hat = 0 identity of the
-    projection fit does not apply here; U_hat F_hat = 0 does.
+    the larger one: the whole panel is one window of `_window_vts`.
+    Loadings follow by least squares and residuals by subtraction.  The
+    W'U_hat = 0 identity of the projection fit does not apply here;
+    U_hat F_hat = 0 does.
     """
     X = as_matrix(panel)
     _check_pc_rank(X, n_factors)
-    F, B = _pc_from_vt(X, _leading_vt(X, n_factors))
     t = X.shape[1]
+    F, B = _pc_from_vt(X, _window_vts(X, t, n_factors, [0])[0])
     return FactorFit(factors=F, loadings=B, residuals=X - B @ F.T, gram=F.T @ F / t, weights=None)
 
 
@@ -206,26 +207,6 @@ def _check_pc_rank(X: np.ndarray, n_factors: int) -> None:
         )
 
 
-def _leading_vt(X: np.ndarray, n_rows: int) -> np.ndarray:
-    """The leading n_rows rows of V' in the thin SVD X = U S V', as a contiguous copy.
-
-    Every principal-components factor in the package goes through here,
-    or through `_window_vts` for a run of rolling windows.  With no more
-    columns than rows (T <= N, every forecast, rolling-weight and
-    covariance-study window) the rows are the eigenvectors of the T x T
-    gram X'X for its n_rows largest eigenvalues, largest first: a symmetric
-    eigendecomposition of X'X costs a fraction of a full SVD of X.  With
-    T > N the thin SVD stays: recovering V from the N x N gram XX' divides
-    by singular values that can be zero, and the T x T gram would cost
-    O(T^3).  The sign of each row is arbitrary in both branches.
-    """
-    n, t = X.shape
-    if t <= n:
-        return _gram_vt(X.T @ X, n_rows).copy()
-    _, _, vt = np.linalg.svd(X, full_matrices=False)
-    return vt[:n_rows].copy()
-
-
 def _gram_vt(gram: np.ndarray, n_rows: int) -> np.ndarray:
     """Eigenvectors of a symmetric gram for its n_rows largest eigenvalues, as rows, largest first."""
     _, vecs = np.linalg.eigh(gram)
@@ -233,23 +214,29 @@ def _gram_vt(gram: np.ndarray, n_rows: int) -> np.ndarray:
 
 
 def _window_vts(X: np.ndarray, window: int, n_rows: int, starts) -> np.ndarray:
-    """`_leading_vt` of the windows X[:, j : j + window] for j in the ascending `starts`, as a stack.
+    """Leading n_rows rows of V' (thin SVD U S V') of each window X[:, j : j + window], as a stack.
 
-    Returns (len(starts), n_rows, window).  With no more window columns
-    than rows, the window grams are principal submatrices of band products
-    X_c'X_c, each over the columns of the windows starting within `window`
-    columns of its first: one product of at most (2 window - 1)^2 entries
-    replaces an N x window x window gram per window, and only the
-    eigendecompositions run one window at a time.  A band entry equals the
-    window gram's up to its last bits (the product is blocked differently),
-    so the rows equal `_leading_vt`'s to rounding, not bit for bit.  Longer
-    windows take the thin SVD of each window.
+    Every principal-components factor in the package comes from here; a
+    whole panel is the one window starting at 0.  Returns (len(starts),
+    n_rows, window) for the ascending `starts`, each row of arbitrary sign.
+    With no more window columns than rows (every forecast, rolling-weight
+    and covariance-study window) the rows are the eigenvectors of the
+    window gram for its n_rows largest eigenvalues, largest first, which
+    costs a fraction of a full SVD.  The window grams are principal
+    submatrices of band products X_c'X_c, each over the columns of the
+    windows starting within `window` columns of its first: one product of
+    at most (2 window - 1)^2 entries replaces an N x window x window gram
+    per window.  A band entry equals the window gram's up to its last bits
+    (the product is blocked differently); a lone window's band is its gram.
+    Longer windows take the thin SVD: recovering V from the N x N gram XX'
+    divides by singular values that can be zero, and the window gram would
+    cost O(window^3).
     """
     starts = list(starts)
     vts = np.empty((len(starts), n_rows, window))
     if window > X.shape[0]:
         for i, j in enumerate(starts):
-            vts[i] = _leading_vt(X[:, j : j + window], n_rows)
+            vts[i] = np.linalg.svd(X[:, j : j + window], full_matrices=False)[2][:n_rows]
         return vts
     lo = -window
     for i, j in enumerate(starts):

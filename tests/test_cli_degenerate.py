@@ -9,7 +9,9 @@ shift) is allowed.  The cases whose exit code is given must exit so: they
 are the inputs that once ended in a traceback or a silent answer, and the
 one-period, one-series, R-above-T and out-of-range-constant inputs, pinned
 as they behave.  A NaN given to an integer flag is a usage error: it exits
-1, with one `divproj:` line.
+1, with one `divproj:` line.  No command, and no replication of
+`simulate`, reaches np.linalg.lstsq: every least-squares fit takes the
+library's gram solve.
 """
 
 import csv
@@ -200,3 +202,19 @@ def test_simulate_postsel_at_one_replication(tmp_path, capsys):
     _assert_clean(code, err, caught, out, 0)
     with open(out / "results.csv", newline="") as fh:
         assert {row["std_z"] for row in csv.DictReader(fh)} == {"0.0"}
+
+
+def test_no_command_calls_lstsq(tmp_path, capsys, monkeypatch):
+    """The six data commands and a post-selection replication fit by the gram solve, never by lstsq."""
+
+    def lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq was called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    d = _inputs(tmp_path)
+    for command in COMMANDS:
+        code, err, caught = _run(_argv(d, command), capsys)
+        _assert_clean(code, err, caught, d / "out" / command, 0)
+    out = tmp_path / "simulate"
+    code, err, caught = _run(["simulate", "--experiment", "postsel", "--reps", "1", "--out", str(out)], capsys)
+    _assert_clean(code, err, caught, out, 0)

@@ -204,7 +204,7 @@ class TestRollingForecast:
         """PC schemes need R >= 0 and rolling weights R >= 1, checked before any eigendecomposition."""
         calls = []
         monkeypatch.setattr(projection, "_gram_vt", lambda g, k: calls.append(g.shape))
-        monkeypatch.setattr(projection, "_leading_vt", lambda X, k: calls.append(X.shape))
+        monkeypatch.setattr(np.linalg, "svd", lambda X, **kw: calls.append(X.shape))
         rng = np.random.default_rng(11)
         y, X, history = rng.standard_normal(40), rng.standard_normal((6, 40)), rng.standard_normal((6, 21))
         for scheme in [PCScheme(-1), RollingWeightScheme(history, 0), RollingWeightScheme(history, -1)]:
@@ -275,13 +275,13 @@ class TestSharedWindowSVD:
     def test_forecast_study_runs_one_svd_per_window_and_scheme(self, monkeypatch):
         n_series, window, n_steps = 20, 30, 8
         shapes = []
-        leading_vt = projection._leading_vt
+        svd = np.linalg.svd
 
-        def counting(X, n_rows):
+        def counting(X, **kwargs):
             shapes.append(X.shape)
-            return leading_vt(X, n_rows)
+            return svd(X, **kwargs)
 
-        monkeypatch.setattr(projection, "_leading_vt", counting)
+        monkeypatch.setattr(np.linalg, "svd", counting)
         experiment_forecast(window_sizes=(window,), rho_Ts=(0.0,), alphas=(1.0,), n_series=n_series,
                             n_steps=n_steps, n_reps=1, extra_factors=(0, 1, 3))
         # PC on each forecast window, plus one shared SVD per history window
@@ -293,7 +293,7 @@ class TestSharedWindowSVD:
         shapes = []
         gram_vt = projection._gram_vt
         monkeypatch.setattr(projection, "_gram_vt", lambda g, k: shapes.append(g.shape) or gram_vt(g, k))
-        monkeypatch.setattr(projection, "_leading_vt", None)  # no window takes the per-window path
+        monkeypatch.setattr(np.linalg, "svd", None)  # no window takes the thin SVD
         experiment_forecast(window_sizes=(window,), rho_Ts=(0.0,), alphas=(1.0,), n_series=n_series,
                             n_steps=n_steps, n_reps=1, extra_factors=(0, 1, 3))
         assert shapes == [(window, window)] * (2 * n_steps)
@@ -480,8 +480,8 @@ class TestBlockFallbacks:
     @pytest.mark.parametrize("make", [lambda h: PCScheme(3), lambda h: RollingWeightScheme(h, 3)])
     def test_short_window_fails_before_any_eigendecomposition(self, monkeypatch, make):
         calls = []
-        leading_vt, gram_vt = projection._leading_vt, projection._gram_vt
-        monkeypatch.setattr(projection, "_leading_vt", lambda X, k: calls.append(X.shape) or leading_vt(X, k))
+        svd, gram_vt = np.linalg.svd, projection._gram_vt
+        monkeypatch.setattr(np.linalg, "svd", lambda X, **kw: calls.append(X.shape) or svd(X, **kw))
         monkeypatch.setattr(projection, "_gram_vt", lambda g, k: calls.append(g.shape) or gram_vt(g, k))
         rng = np.random.default_rng(26)
         # window - h = 5 < R + p + 1 = 6
@@ -559,12 +559,12 @@ class TestBandGrams:
         monkeypatch.setattr(projection, "_gram_vt", lambda g, k: grams.append(g) or gram_vt(g, k))
         vts = projection._window_vts(X, window, 3, starts)
         assert vts.shape == (len(starts), 3, window)
-        expected = [projection._leading_vt(X[:, j : j + window], 3) for j in starts]
+        expected = [np.linalg.svd(X[:, j : j + window], full_matrices=False)[2][:3] for j in starts]
         if window > n:  # the thin SVD of each window, bit for bit
             assert len(grams) == 0
             assert np.array_equal(vts, np.stack(expected))
             return
-        assert len(grams) == 2 * len(starts)  # the band's windows, then the expected per-window grams
+        assert len(grams) == len(starts)
         for g, j in zip(grams, starts):
             win = X[:, j : j + window]
             ref = win.T @ win

@@ -660,8 +660,8 @@ class TestDoubleSelection:
         th = reference_equation(g)
         J = np.flatnonzero((np.abs(gam) > 1e-10) | (np.abs(th) > 1e-10))
         gam_hat = np.zeros(25); th_hat = np.zeros(25)
-        gam_hat[J] = np.linalg.lstsq(D[:, J], y, rcond=None)[0]
-        th_hat[J] = np.linalg.lstsq(D[:, J], g, rcond=None)[0]
+        DJ = D[:, J]
+        gam_hat[J], th_hat[J] = projection._solve_gram(DJ.T @ DJ, DJ.T @ np.column_stack([y, g])).T
         eps_y = y - D @ gam_hat
         eps_g = g - D @ th_hat
         beta_ref = float(eps_g @ eps_y) / float(eps_g @ eps_g)

@@ -522,8 +522,8 @@ class TestCLI:
         assert run(["simulate", "--experiment", "table3", "--reps", "2",
                     "--seed", "7", "--out", str(out)]) == 0
         assert json.loads((out / "config.json").read_text())["C"] == 1.0
-        _, fields = SIMULATIONS["table3"]
-        write_rows_csv(tmp_path / "expected.csv", fields, experiment_spectest(n_reps=2, seed=7, C=1.0))
+        rows = experiment_spectest(n_reps=2, seed=7, C=1.0)
+        write_rows_csv(tmp_path / "expected.csv", RESULT_COLUMNS["table3"], rows)
         assert (out / "results.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_config_file_defaults_and_flag_override(self, tmp_path, panel_csv):
@@ -882,7 +882,7 @@ def test_flag_defaults_are_the_library_defaults():
 
 def _stub_experiment(monkeypatch, name):
     """Replace an experiment by a no-op with its signature; returns the recorded calls."""
-    real, fields = SIMULATIONS[name]
+    real = SIMULATIONS[name]
     calls = []
 
     @functools.wraps(real)
@@ -890,18 +890,43 @@ def _stub_experiment(monkeypatch, name):
         calls.append(kwargs)
         return ({}, []) if name == "postsel" else []
 
-    monkeypatch.setitem(SIMULATIONS, name, (stub, fields))
+    monkeypatch.setitem(SIMULATIONS, name, stub)
     return calls
 
 
+# Each experiment's results.csv columns, in order, and a small design that runs it in well under a second.
+RESULT_COLUMNS = {
+    "fig1": ["alpha", "rho_T", "N", "method", "C", "err_cov_mean", "err_cov_se", "err_inv_mean", "err_inv_se"],
+    "table2": ["alpha", "rho_T", "N", "T", "method", "mse_ratio_mean", "mse_ratio_se"],
+    "postsel": ["r", "method", "mean_z", "std_z", "coverage", "level"],
+    "table3": ["scheme", "gamma", "T", "N", "rejection_rate", "mc_se", "level"],
+}
+SMALL_DESIGNS = {
+    "fig1": dict(sizes=(20,), alphas=(1.0,), rho_Ts=(0.1,), C_values=(1.0,), extra_factors=(0,)),
+    "table2": dict(window_sizes=(20,), rho_Ts=(0.0,), alphas=(1.0,), n_series=20, n_steps=2, extra_factors=(0,)),
+    "postsel": dict(r_values=(0,), working_factors=(1,), n_series=30, n_periods=40),
+    "table3": dict(gammas=(0.0,), T_values=(30,), schemes=("characteristic",), n_series=30, n_draws=20),
+}
+
+
 class TestSimulateSettings:
+    @pytest.mark.parametrize("name", sorted(SIMULATIONS))
+    def test_results_columns_are_the_row_keys(self, tmp_path, monkeypatch, name):
+        """results.csv's header is the keys of the study's rows, in their order."""
+        real = SIMULATIONS[name]
+        small = functools.wraps(real)(lambda **kw: real(**{**kw, **SMALL_DESIGNS[name]}))
+        monkeypatch.setitem(SIMULATIONS, name, small)
+        assert run(["simulate", "--experiment", name, "--reps", "1", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == RESULT_COLUMNS[name]
+
     @pytest.mark.parametrize("name", sorted(SIMULATIONS))
     def test_config_is_the_bound_signature(self, tmp_path, monkeypatch, name):
         calls = _stub_experiment(monkeypatch, name)
         out = tmp_path / name
         assert run(["simulate", "--experiment", name, "--reps", "3", "--seed", "5",
                     "--threads", "2", "--out", str(out)]) == 0
-        bound = inspect.signature(SIMULATIONS[name][0]).bind(n_reps=3, seed=5, threads=2)
+        bound = inspect.signature(SIMULATIONS[name]).bind(n_reps=3, seed=5, threads=2)
         bound.apply_defaults()
         assert calls == [bound.arguments]
         config = json.loads((out / "config.json").read_text())

@@ -7,7 +7,7 @@ import pytest
 from divproj.covariance import SparseCovariance
 from divproj.exceptions import DimensionError, NumericalWarning, SingularGramError
 from divproj.fdr import FarmTestResult, farm_stats
-from divproj import projection
+from divproj import inference, projection
 from divproj.forecast import AugmentedRegression, PCScheme, RollingForecastReport, fit_augmented, rolling_forecast
 from divproj.inference import DoubleSelectionResult, double_selection
 from divproj.projection import (
@@ -199,13 +199,18 @@ def two_factor_panel(n, t, seed=0):
     return B @ F.T + rng.standard_normal((n, t))
 
 
+def leading_vt(X, n_rows):
+    """The leading rows of V' of the whole panel: its one window in `_window_vts`."""
+    return projection._window_vts(X, X.shape[1], n_rows, [0])[0]
+
+
 class TestLeadingVt:
-    """`_leading_vt` takes X'X's eigenvectors when T <= N and the thin SVD when T > N."""
+    """`_window_vts` takes a window's X'X eigenvectors when T <= N and its thin SVD when T > N."""
 
     @pytest.mark.parametrize("shape", [(60, 25), (25, 25), (15, 40)])
     def test_rows_are_orthonormal(self, shape):
         X = two_factor_panel(*shape, seed=1)
-        vt = projection._leading_vt(X, 5)
+        vt = leading_vt(X, 5)
         assert vt.shape == (5, shape[1]) and vt.flags.c_contiguous
         np.testing.assert_allclose(vt @ vt.T, np.eye(5), rtol=0, atol=1e-12)
 
@@ -214,12 +219,12 @@ class TestLeadingVt:
     def test_row_space_matches_svd(self, shape, n_rows):
         X = two_factor_panel(*shape, seed=2)
         reference = np.linalg.svd(X, full_matrices=False)[2][:n_rows]
-        assert largest_angle_sine(projection._leading_vt(X, n_rows), reference) <= 1e-10
+        assert largest_angle_sine(leading_vt(X, n_rows), reference) <= 1e-10
 
     def test_rank_one_panel_with_tall_shape(self):
         rng = np.random.default_rng(3)
         b, f = rng.standard_normal(12), rng.standard_normal(9)
-        vt = projection._leading_vt(np.outer(b, f), 2)
+        vt = leading_vt(np.outer(b, f), 2)
         assert np.all(np.isfinite(vt))
         np.testing.assert_allclose(vt @ vt.T, np.eye(2), rtol=0, atol=1e-12)
         assert abs(vt[0] @ f) / np.linalg.norm(f) == pytest.approx(1.0, abs=1e-12)
@@ -239,7 +244,7 @@ class TestLeadingVt:
         y = rng.standard_normal(40)
         rolling_forecast(y, X, window=20, steps=15, scheme=PCScheme(2))
         assert calls == []
-        projection._leading_vt(X, 2)  # T > N still takes the thin SVD
+        pc_factors(X, 2)  # T > N still takes the thin SVD
         assert calls == [X.shape]
 
 
@@ -381,6 +386,46 @@ class TestSingularGram:
         numerical = [w for w in caught if issubclass(w.category, NumericalWarning)]
         assert len(numerical) == int(duplicate), [str(w.message) for w in numerical]
         assert all(w.filename == __file__ for w in numerical)  # names the public call site
+
+    def test_refit_of_a_duplicated_control_is_the_minimum_norm_answer(self, monkeypatch):
+        """Selecting a control and its copy makes the refit gram singular: one warning, lstsq's answer."""
+        X, _, _, y, g = self._data(duplicate=False)
+        X[5] = X[3]
+        supports = iter([3, 5])  # the outcome's lasso selects control 3, the treatment's its copy 5
+
+        def select(G, c, *args):
+            gamma = np.zeros(c.size)
+            gamma[next(supports)] = 1.0
+            return gamma
+
+        monkeypatch.setattr(inference, "_penalized_equation", select)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = double_selection(y, g, X, None)
+        numerical = [w for w in caught if issubclass(w.category, NumericalWarning)]
+        assert len(numerical) == 1 and numerical[0].filename == __file__, [str(w.message) for w in numerical]
+        assert res.selected.tolist() == [3, 5]
+        D = X[[3, 5]].T
+        for got, resp in [(res.gamma_hat, y), (res.theta_hat, g)]:
+            np.testing.assert_allclose(got[[3, 5]], np.linalg.lstsq(D, resp, rcond=None)[0], rtol=0, atol=1e-8)
+        assert np.count_nonzero(res.gamma_hat) == np.count_nonzero(res.theta_hat) == 2
+
+    def test_farm_stats_with_a_duplicated_weight_is_the_minimum_norm_answer(self):
+        """The intercept regression with a repeated factor: one warning, and lstsq's intercepts and z-statistics."""
+        X, _, W, _, _ = self._data(duplicate=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            alpha_hat, z = farm_stats(X, W)
+        assert sum(issubclass(w.category, NumericalWarning) for w in caught) == 1
+        t = X.shape[1]
+        F = estimate_factors(X, W)
+        design = np.hstack([np.ones((t, 1)), F])
+        coef = np.linalg.lstsq(design, X.T, rcond=None)[0]
+        Fc = F - F.mean(axis=0)
+        weight = 1.0 - Fc @ np.linalg.lstsq(Fc.T @ Fc / t, F.mean(axis=0), rcond=None)[0]
+        se = np.sqrt(np.sum(weight**2) * np.mean((X.T - design @ coef) ** 2, axis=0)) / t
+        np.testing.assert_allclose(alpha_hat, coef[0], rtol=0, atol=1e-8)
+        np.testing.assert_allclose(z, coef[0] / se, rtol=1e-8, atol=1e-8)
 
     def test_a_stack_warns_once_per_singular_member(self):
         rng = np.random.default_rng(22)
