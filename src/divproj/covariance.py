@@ -43,12 +43,11 @@ at least `_LANCZOS_MIN` members, and from all its eigenvalues otherwise.
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateDataError, DimensionError, NumericalWarning
+from .exceptions import DegenerateDataError, DimensionError, NumericalWarning, _warn
 
 KINDS = ("hard", "soft", "scad")
 _BLOCK_ENTRIES = 1 << 16  # entries per row block of the thresholding pass
@@ -120,7 +119,7 @@ class _Blocks:
             yield columns, v[r] if v.ndim == 2 else v[r : r + 1]
 
     def inverse(self) -> _Blocks:
-        """The inverse, repaired as in `invert_sparse_cov`; a shift's warning names the caller of this one's caller.
+        """The inverse, repaired as in `invert_sparse_cov`.
 
         The Cholesky gate and the shift work on copies of the blocks, so the
         matrix keeps its bits.
@@ -137,8 +136,8 @@ class _Blocks:
                                 + [np.linalg.eigvalsh(v)[0] for v in self.values]))
             if lam_min <= floor:
                 shift = floor - lam_min
-                warnings.warn(f"covariance smallest eigenvalue {lam_min:.3g} <= floor {floor:.3g}; shifting "
-                              f"diagonal by {shift:.3g} before inversion", NumericalWarning, stacklevel=3)
+                _warn(f"covariance smallest eigenvalue {lam_min:.3g} <= floor {floor:.3g}; shifting "
+                      f"diagonal by {shift:.3g} before inversion", NumericalWarning)
         inverses, diagonal = [], 1.0 / (self.diagonal + shift)
         for b, v in zip(self.blocks, self.values):
             if shift:

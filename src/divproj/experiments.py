@@ -140,7 +140,7 @@ def _cov_errors(est, cell, E):
     # Both errors vanish outside the blocks of the estimate's and the truth's
     # joint pattern: the inverses are block-diagonal over their own matrices' blocks.
     partition = _join((est.blocks, est.singles), (truth.blocks, truth.singles), E.shape[0])
-    inverse = est.inverse()  # a shift's warning names _cov_rep
+    inverse = est.inverse()
     err = _sym_opnorm(truth.dense(est.dense(E), subtract=True), partition)
     return err, _sym_opnorm(truth_inv.dense(inverse.dense(E), subtract=True), partition)
 

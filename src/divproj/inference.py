@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DegenerateDataError, DimensionError, InsufficientDataError, NumericalWarning, SingularGramError
+from .exceptions import DegenerateDataError, DimensionError, InsufficientDataError, NumericalWarning, SingularGramError, _warn
 from .projection import _solve_gram, estimate_factors
 from .weights import _RANK_TOL, WeightMatrix
 
@@ -295,7 +294,7 @@ def _lasso(G, c, tau, gamma0=None):
     The homotopy path's answer is returned when it passes the KKT check.
     Otherwise (a singular active-set gram, a failed check or more than 4N
     kinks) the answer is `_cd_lasso` started from `gamma0`; if that stops
-    at its sweep cap unconverged, a NumericalWarning names `_lasso`'s caller.
+    at its sweep cap unconverged, it warns (NumericalWarning).
     """
     try:
         gamma = _homotopy_lasso(G, c, tau)
@@ -305,12 +304,8 @@ def _lasso(G, c, tau, gamma0=None):
         return gamma, True
     gamma, converged = _cd_lasso(G, c, tau, gamma0=gamma0)
     if not converged:
-        warnings.warn(
-            f"lasso coordinate descent on {c.size} coefficients stopped at its sweep cap "
-            "before converging; the coefficients may be inexact",
-            NumericalWarning,
-            stacklevel=2,
-        )
+        _warn(f"lasso coordinate descent on {c.size} coefficients stopped at its sweep cap "
+              "before converging; the coefficients may be inexact", NumericalWarning)
     return gamma, converged
 
 

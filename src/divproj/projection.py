@@ -8,12 +8,11 @@ every fit regardless of model correctness: W'U_hat = 0 and U_hat F_hat = 0.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericalWarning, SingularGramError
+from .exceptions import DimensionError, NumericalWarning, SingularGramError, _warn
 from .weights import _RANK_TOL, WeightMatrix
 
 
@@ -90,8 +89,7 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, strict: bool = False) -> np.n
     solved member by member.  A gram whose smallest eigenvalue is at most
     _RANK_TOL times its largest is singular: it is solved by the
     pseudo-inverse with a NumericalWarning (one per singular member) or,
-    with `strict`, rejected with SingularGramError.  The warning names the
-    caller's caller, as a warning raised by the caller itself would.
+    with `strict`, rejected with SingularGramError.
     """
     eigs = np.linalg.eigvalsh(gram).T  # row 0: the smallest eigenvalue of each member
     if eigs.shape[0] == 0:
@@ -107,7 +105,7 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray, strict: bool = False) -> np.n
         x[regular] = np.linalg.solve(gram[regular], rhs[regular])
     for i in np.ndindex(regular.shape):
         if not regular[i]:
-            warnings.warn(f"{what}; using a pseudo-inverse", NumericalWarning, stacklevel=3)
+            _warn(f"{what}; using a pseudo-inverse", NumericalWarning)
             x[i] = pseudo_inverse(gram[i]) @ rhs[i]
     return x
 

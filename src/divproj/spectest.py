@@ -9,13 +9,12 @@ standard deviation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .covariance import ThresholdRule, sparse_idio_cov
-from .exceptions import DimensionError, NumericalWarning
+from .exceptions import DimensionError, NumericalWarning, _warn
 from .fdr import _two_sided_p
 from .projection import _orthobasis, _solve_gram
 from .projection import fit as projection_fit
@@ -109,11 +108,7 @@ def sigma_bootstrap(
             f"bootstrap covariance is not positive semidefinite (min eig {eigval[0]:.3g})"
         )
     if eigval[0] < 0:
-        warnings.warn(
-            "clipping small negative eigenvalues of the bootstrap covariance at zero",
-            NumericalWarning,
-            stacklevel=2,
-        )
+        _warn("clipping small negative eigenvalues of the bootstrap covariance at zero", NumericalWarning)
     root = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
     if rng is None:
         rng = rep_rng(seed, 0, 0)

@@ -11,16 +11,11 @@ observation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateWeightsWarning,
-    DimensionError,
-    InsufficientDataError,
-)
+from .exceptions import DegenerateWeightsWarning, DimensionError, InsufficientDataError, _warn
 
 # Relative eigenvalue (singular value) cut-off below which a gram matrix
 # (a column basis) is treated as rank deficient; `projection` shares it.
@@ -62,12 +57,8 @@ class WeightMatrix:
         if self.n_working_factors > self.n_series:
             # More columns than series cannot satisfy lambda_min(W'W/N) > 0;
             # downstream pseudo-inverses still run, so warn instead of raising.
-            warnings.warn(
-                f"weight matrix has R={self.n_working_factors} columns for only "
-                f"N={self.n_series} series; the gram matrix is rank deficient",
-                DegenerateWeightsWarning,
-                stacklevel=3,
-            )
+            _warn(f"weight matrix has R={self.n_working_factors} columns for only N={self.n_series} series; "
+                  "the gram matrix is rank deficient", DegenerateWeightsWarning)
 
     @property
     def n_series(self) -> int:
@@ -87,7 +78,7 @@ class WeightDiagnostics:
     gram_condition: float
 
 
-def _warn_if_degenerate(values: np.ndarray, scheme: str, stacklevel: int = 3) -> None:
+def _warn_if_degenerate(values: np.ndarray, scheme: str) -> None:
     """Warn if N x R weights have an all-zero column or collinear columns.
 
     A stack (..., N, R) is checked member by member, with one warning for
@@ -109,7 +100,7 @@ def _warn_if_degenerate(values: np.ndarray, scheme: str, stacklevel: int = 3) ->
             message = f"{scheme} weights have collinear columns (rank {rank[i]} < {values.shape[-1]})"
         else:
             continue
-        warnings.warn(message, DegenerateWeightsWarning, stacklevel=stacklevel)
+        _warn(message, DegenerateWeightsWarning)
 
 
 def hadamard_pattern_weights(n_series: int, n_factors: int) -> WeightMatrix:
@@ -194,7 +185,7 @@ def _trimmed_weights(loadings: np.ndarray, epsilon: float) -> np.ndarray:
     """
     col_max = np.max(np.abs(loadings), axis=-2, keepdims=True)
     values = loadings / np.maximum(1.0, epsilon * col_max)
-    _warn_if_degenerate(values, "rolling_window", stacklevel=4)
+    _warn_if_degenerate(values, "rolling_window")
     return values
 
 
@@ -204,14 +195,14 @@ def initial_transform_weights(x0: np.ndarray, n_factors: int) -> WeightMatrix:
 
 
 def _power_weights(v: np.ndarray, n_factors: int, what: str, scheme: str) -> WeightMatrix:
-    """Weights w[i, k] = v_i^k for k = 1..R; a warning names the caller's caller."""
+    """Weights w[i, k] = v_i^k for k = 1..R."""
     v = np.asarray(v, dtype=float).ravel()
     if v.size == 0 or not np.all(np.isfinite(v)):
         raise ValueError(f"{what} must be a non-empty finite vector")
     if n_factors < 1:
         raise DimensionError("need R >= 1")
     values = v[:, None] ** np.arange(1, n_factors + 1)[None, :]
-    _warn_if_degenerate(values, scheme, stacklevel=4)
+    _warn_if_degenerate(values, scheme)
     return WeightMatrix(values, scheme=scheme)
 
 

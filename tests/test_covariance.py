@@ -1395,7 +1395,7 @@ def test_covariance_study_errors_equal_the_whole_matrix_formulas(rule_kind):
             rows = experiment_cov(sizes=sizes, alphas=alphas, rho_Ts=(0.7,), n_reps=n_reps, seed=5,
                                   C_values=C_values, rule_kind=rule_kind, extra_factors=extra)
         shifted = {w.filename for w in record if issubclass(w.category, NumericalWarning)}
-        assert shifted == ({experiments.__file__} if rule_kind == "hard" else set())  # the warnings name the study
+        assert shifted == ({__file__} if rule_kind == "hard" else set())  # the warnings name the caller
         expected = _whole_matrix_rows(sizes, alphas, n_reps, rule_kind, C_values, extra)
         assert len(rows) == 2 * 2 * 4 * len(C_values)  # alphas x sizes x methods x C
         assert rows == expected
@@ -1573,3 +1573,23 @@ def test_one_inverse_call_site():
             if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.linalg.inv", "numpy.linalg.inv"):
                 sites.append(f"{path.name}:{node.lineno}")
     assert len(sites) == 1, sites
+
+
+def test_one_warning_call_site():
+    """The package calls warnings.warn in one place, `exceptions._warn`, and passes no stacklevel elsewhere.
+
+    `_warn` names the first frame outside the package, so no warning site
+    counts its own depth below the public call.
+    """
+    warns, stacklevels = [], []
+    for path in sorted(Path(divproj.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {id(n): f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                site = f"{path.name}:{owner.get(id(node))}"
+                if ast.unparse(node.func) == "warnings.warn":
+                    warns.append(site)
+                stacklevels += [site for k in node.keywords if k.arg == "stacklevel"]
+    assert warns == ["exceptions.py:_warn"]
+    assert set(stacklevels) <= {"exceptions.py:_warn"}, stacklevels

@@ -266,12 +266,12 @@ class TestHomotopyLasso:
     # Only the refit's pseudo-inverse warnings are ignored; the lasso's are checked.
     @pytest.mark.filterwarnings("ignore:.*gram matrix is singular:divproj.exceptions.NumericalWarning")
     def test_unconverged_fallback_warns(self, monkeypatch):
-        """A fallback stopping at its sweep cap warns from `_lasso`'s caller; no other call warns."""
+        """A fallback stopping at its sweep cap warns from the public call's line; no other call warns."""
         with pytest.warns(NumericalWarning, match="sweep cap") as record:
             for seed in range(8):
                 double_selection(*purged_panel(seed, 40, 80, near_duplicate=True))
         capped = [w for w in record if "sweep cap" in str(w.message)]
-        assert {w.filename for w in capped} == {inference.__file__}
+        assert {w.filename for w in capped} == {__file__}
         calls = []
         with pytest.warns(NumericalWarning, match="sweep cap"):
             for seed in range(8):

@@ -6,7 +6,7 @@ import pytest
 
 from divproj.covariance import SparseCovariance
 from divproj.exceptions import DimensionError, NumericalWarning, SingularGramError
-from divproj.fdr import FarmTestResult, farm_stats
+from divproj.fdr import FarmTestResult, farm_stats, farm_test
 from divproj import inference, projection
 from divproj.forecast import AugmentedRegression, PCScheme, RollingForecastReport, fit_augmented, rolling_forecast
 from divproj.inference import DoubleSelectionResult, double_selection
@@ -371,9 +371,11 @@ class TestSingularGram:
         return X, F, W, rng.standard_normal(t), rng.standard_normal(t)
 
     CALLS = {
+        "fit": lambda X, F, W, y, g: fit(X, W),
         "estimate_loadings": lambda X, F, W, y, g: estimate_loadings(X, F),
         "fit_augmented": lambda X, F, W, y, g: fit_augmented(y, None, F),
         "farm_stats": lambda X, F, W, y, g: farm_stats(X, W),
+        "farm_test": lambda X, F, W, y, g: farm_test(X, W),
         "double_selection": lambda X, F, W, y, g: double_selection(y, g, X, W),
     }
 
@@ -386,6 +388,15 @@ class TestSingularGram:
         numerical = [w for w in caught if issubclass(w.category, NumericalWarning)]
         assert len(numerical) == int(duplicate), [str(w.message) for w in numerical]
         assert all(w.filename == __file__ for w in numerical)  # names the public call site
+
+    def test_more_weights_than_series_names_the_caller(self):
+        """A 2 x 3 ndarray: the dataclass's R > N warning and the singular gram's both name this file."""
+        X = self._data(duplicate=False)[0][:2]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit(X, np.arange(6.0).reshape(2, 3))
+        assert sorted(w.category.__name__ for w in caught) == ["DegenerateWeightsWarning", "NumericalWarning"]
+        assert all(w.filename == __file__ for w in caught), [(w.filename, w.lineno) for w in caught]
 
     def test_refit_of_a_duplicated_control_is_the_minimum_norm_answer(self, monkeypatch):
         """Selecting a control and its copy makes the refit gram singular: one warning, lstsq's answer."""

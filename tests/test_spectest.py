@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import kstest, norm
 
 from divproj import spectest
-from divproj.covariance import ThresholdRule
-from divproj.exceptions import DimensionError, SingularGramError
+from divproj.covariance import ThresholdRule, _Blocks
+from divproj.exceptions import DimensionError, NumericalWarning, SingularGramError
 from divproj.projection import _solve_gram, pseudo_inverse
 from divproj.projection import fit as projection_fit
 from divproj.simulation import SimConfig, generate_panel, rep_rng
@@ -118,6 +120,20 @@ class TestSigmaBootstrap:
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError):
             sigma_bootstrap(np.eye(2), np.diag([1.0, -0.5]), n_draws=100, seed=0)
+
+    def test_rounding_negative_eigenvalue_clip_names_the_caller(self, monkeypatch):
+        """A V with a -1e-13 eigenvalue is clipped with a warning that names this file, directly or via spec_test."""
+        v = np.diag([1.0, -1e-13])
+        rng = np.random.default_rng(2)
+        X, W, G = rng.standard_normal((30, 80)), rng.standard_normal((30, 2)), rng.standard_normal((80, 2))
+        monkeypatch.setattr(_Blocks, "sandwich", lambda self, w: v.copy())
+        for call in (lambda: sigma_bootstrap(np.eye(2), v, n_draws=100, seed=0),
+                     lambda: spec_test(X, G, W, n_draws=100, seed=0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            clipped = [w for w in caught if issubclass(w.category, NumericalWarning)]
+            assert [w.filename for w in clipped] == [__file__], [str(w.message) for w in caught]
 
     def test_one_draw_rejected(self):
         """One draw has no sample standard deviation (ddof=1), so no p-value."""

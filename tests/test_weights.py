@@ -174,6 +174,14 @@ class TestInitialTransform:
         assert record[0].filename == __file__  # the warning names the caller
 
 
+@pytest.mark.parametrize("scheme, inputs", [("sieve", {"characteristics": np.ones(5)}), ("initial", {"x0": np.ones(5)})])
+def test_build_weights_warning_names_the_caller(scheme, inputs):
+    """Constant inputs give collinear power columns; the warning names this file, not the dispatch."""
+    with pytest.warns(DegenerateWeightsWarning, match="collinear") as record:
+        build_weights(scheme, 5, 2, **inputs)
+    assert [w.filename for w in record] == [__file__]
+
+
 class TestCollinearityCheck:
     """The rank behind the collinearity warning comes from the R x R gram W'W."""
 
