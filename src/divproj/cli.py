@@ -57,9 +57,8 @@ from .io import (
 from .projection import PanelData, fit as projection_fit
 from .spectest import DEFAULT_RULE as SPEC_TEST_RULE
 from .spectest import spec_test
-from .weights import build_weights, check_diversified
+from .weights import SCHEME_NAMES, build_weights, check_diversified
 
-SCHEME_CHOICES = ("hadamard", "walsh", "sieve", "rolling", "initial")
 THRESHOLD_RULE = ThresholdRule()  # the library's default thresholding constants
 # `simulate --experiment` name -> experiment; the keys of its rows are the columns of results.csv
 SIMULATIONS = {"fig1": experiment_cov, "table2": experiment_forecast, "postsel": experiment_postsel,
@@ -99,7 +98,7 @@ def _build_parser() -> _Parser:
         )
 
     def scheme_flags(p, need_R=True):
-        p.add_argument("--scheme", choices=SCHEME_CHOICES, default="walsh")
+        p.add_argument("--scheme", choices=tuple(SCHEME_NAMES), default="walsh")
         if need_R:
             p.add_argument("--R", type=int, default=1, help="working number of factors")
         p.add_argument("--chars", default=None, help="characteristics CSV (sieve weights)")
@@ -146,7 +145,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--factors", required=True, help="observed factors CSV (panel layout)")
     scheme_flags(p, need_R=False)
     p.add_argument("--rule", choices=KINDS, default=SPEC_TEST_RULE.kind)
-    p.add_argument("--C", type=float, default=None, help="threshold constant (spec_test's default if omitted)")
+    p.add_argument("--C", type=float, default=SPEC_TEST_RULE.constant_C, help="threshold constant")
     p.add_argument("--draws", type=int, default=_default(spec_test, "n_draws"))
     common(p)
 
@@ -227,7 +226,9 @@ def _panel_and_weights(args, panel: PanelData, *series):
     """Weights for a user panel, returned as (panel, W, *series).
 
     Initial weights consume the first time point: it is dropped from the
-    panel and from the first axis of each companion series.
+    panel and from the first axis of each companion series.  R >= T, after
+    that, is a data error: the fit would reproduce the panel, leaving
+    residuals of rounding size.
     """
     X = panel.X
     chars = _series(args.chars, panel.series_ids, "series") if args.chars else None
@@ -239,6 +240,8 @@ def _panel_and_weights(args, panel: PanelData, *series):
         x0 = X[:, 0]
         panel = PanelData(X[:, 1:], series_ids=panel.series_ids, time_ids=panel.time_ids[1:])
         series = tuple(s[1:] for s in series)
+    if args.R >= panel.n_periods:
+        raise DivprojError(f"R={args.R} working factors need T > R periods, the panel has T={panel.n_periods}")
     W = build_weights(
         args.scheme,
         panel.n_series,
@@ -366,8 +369,7 @@ def _cmd_spectest(args) -> None:
     G = factors.X.T  # panel layout stores series in rows; observed factors are columns
     args.R = G.shape[1]  # the working number of factors is pinned to dim(g_t)
     panel, W, G = _panel_and_weights(args, panel, G)
-    C = SPEC_TEST_RULE.constant_C if args.C is None else args.C
-    rule = ThresholdRule(kind=args.rule, constant_C=C)
+    rule = ThresholdRule(kind=args.rule, constant_C=args.C)
     res = spec_test(panel.X, G, W, rule=rule, n_draws=args.draws, seed=args.seed)
     outdir = ensure_outdir(args.out)
     write_json(outdir / "spectest.json", asdict(res))

@@ -32,7 +32,7 @@ from .projection import estimate_loadings, fit as projection_fit, pc_factors
 from .simulation import SimConfig, generate_panel, loading_scale, rep_rng
 from .spectest import DEFAULT_RULE as SPEC_TEST_RULE
 from .spectest import _check_draws, spec_test
-from .weights import WeightMatrix, build_weights, sieve_weights
+from .weights import build_weights, sieve_weights
 
 # the environment of a process whose BLAS runs one thread; the BLAS reads it when numpy loads
 _ONE_BLAS_THREAD = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
@@ -87,17 +87,6 @@ def _mean_se(values: np.ndarray):
     """(mean, standard error `_spread` / sqrt(n)) of a study's values over its replications: 0.0 at one."""
     values = np.asarray(values, dtype=float)
     return float(np.mean(values)), float(_spread(values) / np.sqrt(values.size))
-
-
-def _scheme_weights(scheme: str, sim, r_work: int, x0: np.ndarray) -> WeightMatrix:
-    """Diversified weights of a simulated panel by scheme name (see `build_weights`).
-
-    The studies compare the characteristic, Hadamard-pattern and
-    initial-transform schemes only.
-    """
-    if scheme not in ("characteristic", "sieve", "hadamard", "hadamard_pattern", "initial", "initial_transform"):
-        raise ValueError(f"unsupported weight scheme: {scheme!r}")
-    return build_weights(scheme, sim.panel.n_series, r_work, characteristics=sim.z_chars, x0=x0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +263,16 @@ class _LeadingColumns:
 def _forecast_rep(cfg, rep, *, n_steps, schemes, extra_factors, epsilon):
     """{method: rolling forecast MSE} of one replication, PC with the true r as "pc".
 
-    Both weight schemes are nested in the working count: sieve weights are
-    the powers z^1..z^R, and rolling weights are PC loadings trimmed column
-    by column.  So each scheme estimates the factors of every window once,
-    at the largest count, and each count is evaluated on their leading
-    columns.
+    "rolling" gives rolling weights, and any other name of `schemes` the
+    fixed weights `build_weights` makes of it from the characteristics (a
+    name it cannot build raises its ValueError).  Every such scheme is
+    nested in the working count: rolling weights are PC loadings trimmed
+    column by column, and each fixed scheme built without an initial
+    observation or a history has columns that do not depend on R (the sieve
+    powers z^1..z^R, the Hadamard pattern, the Walsh-Hadamard block).  So
+    each scheme estimates the factors of every window once, at the largest
+    count, and each count is evaluated exactly on their leading columns
+    (`_LeadingColumns`).
     """
     coef_factors = np.ones(cfg.n_factors_true)
     y, X, X_pre, z = _forecast_path(cfg, rep, n_steps, coef_factors, 1.5, 0.5)
@@ -286,14 +280,13 @@ def _forecast_rep(cfg, rep, *, n_steps, schemes, extra_factors, epsilon):
     out = {"pc": rolling_forecast(y, X, window, n_steps, PCScheme(cfg.n_factors_true)).mse}
     counts = [cfg.n_factors_true + extra for extra in extra_factors]
     mses = {}
-    for name in ("characteristic", "rolling"):
-        if name in schemes and counts:
-            r_max = max(counts)
-            scheme = (FixedWeightScheme(sieve_weights(z, r_max)) if name == "characteristic"
-                      else RollingWeightScheme(X_pre, r_max, epsilon))
-            F = scheme.window_factors(X, 0, window, n_steps)
-            mses[name] = [rolling_forecast(y, X, window, n_steps, _LeadingColumns(F, r)).mse for r in counts]
-            del F  # one scheme's factors at a time
+    for name in schemes if counts else ():
+        r_max = max(counts)
+        scheme = (RollingWeightScheme(X_pre, r_max, epsilon) if name == "rolling"
+                  else FixedWeightScheme(build_weights(name, cfg.n_series, r_max, characteristics=z)))
+        F = scheme.window_factors(X, 0, window, n_steps)
+        mses[name] = [rolling_forecast(y, X, window, n_steps, _LeadingColumns(F, r)).mse for r in counts]
+        del F  # one scheme's factors at a time
     for i, r in enumerate(counts):
         for name, mse in mses.items():
             out[f"{name}_R{r}"] = mse[i]
@@ -318,9 +311,11 @@ def experiment_forecast(
     The target follows y_{t+1} = 1.5 + 0.5 y_t + (1, 1)'f_t + eps with two
     true factors; each method is evaluated on identical windows and the
     per-replication MSE ratio to PC (true r) is averaged over replications;
-    its standard error is 0.0 at n_reps = 1 (`_mean_se`).  `threads` counts
-    worker processes, with the digits and the `__main__` guard of
-    `experiment_cov`.
+    its standard error is 0.0 at n_reps = 1 (`_mean_se`).  Each name of
+    `schemes` is "rolling" (weights learned on a pre-sample) or a
+    `build_weights` name that the loading characteristics can feed; any
+    other raises ValueError.  `threads` counts worker processes, with the
+    digits and the `__main__` guard of `experiment_cov`.
     """
     grid = [(alpha, rho, window) for alpha in alphas for rho in rho_Ts for window in window_sizes]
     cells = [SimConfig(n_series=n_series, n_periods=window, n_factors_true=2, alpha_strength=alpha,
@@ -354,7 +349,8 @@ def _postsel_rep(cfg, rep, *, theta, beta, factor_coef, working_factors, include
     confounder = factor_coef * sim.F_true[1:, 0] if factor_coef and cfg.n_factors_true > 0 else 0.0
     g = theta @ X + confounder + eps_g
     y = beta * g + theta @ X + confounder + eta
-    designs = {f"dp_R{k}": _scheme_weights(weights, sim, k, x0) for k in working_factors}
+    designs = {f"dp_R{k}": build_weights(weights, cfg.n_series, k, characteristics=sim.z_chars, x0=x0)
+               for k in working_factors}
     if include_plain:
         designs["plain"] = None
     out = {}
@@ -387,8 +383,8 @@ def experiment_postsel(
     """Standardized post-selection estimates over many replications.
 
     For each true factor count the pipeline runs with diversified weights
-    (`weights`: "initial" transforms of the initial observation or
-    "characteristic" polynomials of the loading characteristics) at several
+    (`weights`: a `build_weights` name that the initial observation or the
+    loading characteristics can feed, such as "initial" or "sieve") at several
     working factor counts plus, optionally, plain double selection directly
     on the controls.  Returns (samples, rows): a dict of z-statistic arrays
     per method and per-method summary rows.
@@ -460,7 +456,7 @@ def _spectest_rep(cell, rep, *, rule, n_draws, level):
     F = sim.F_true[1:]
     h = rng.standard_normal(F.shape)
     G = F + gamma * h
-    W = _scheme_weights(scheme, sim, cfg.n_factors_true, x0)
+    W = build_weights(scheme, cfg.n_series, cfg.n_factors_true, characteristics=sim.z_chars, x0=x0)
     boot_rng = rep_rng(cfg.seed, rep, stream=1)
     res = spec_test(X, G, W, rule=rule, n_draws=n_draws, seed=cfg.seed, rng=boot_rng)
     return res.p_value < level
@@ -488,7 +484,8 @@ def experiment_spectest(
     test's size hinges on (larger constants over-shrink the block
     covariances and inflate the statistic).  `threads` counts worker
     processes, with the digits and the `__main__` guard of `experiment_cov`.
-    `mc_se` is 0.0 at n_reps = 1 (`_mean_se`).  n_draws < 2 raises
+    `schemes` takes the `build_weights` names of `experiment_postsel`'s
+    `weights`.  `mc_se` is 0.0 at n_reps = 1 (`_mean_se`).  n_draws < 2 raises
     `spec_test`'s ValueError before any panel is drawn.
     """
     _check_draws(n_draws)

@@ -47,7 +47,8 @@ def farm_stats(X, weights: WeightMatrix | np.ndarray):
     """
     Xm = as_matrix(X)
     n, t = Xm.shape
-    F = estimate_factors(Xm, weights)
+    W = weights if isinstance(weights, WeightMatrix) else WeightMatrix(np.asarray(weights, dtype=float))
+    F = estimate_factors(Xm, W)
     r = F.shape[1]
     if t < r + 2:
         raise InsufficientDataError(f"need T >= R + 2, got T={t}, R={r}")

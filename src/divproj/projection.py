@@ -162,10 +162,10 @@ def common_component(loadings: np.ndarray, factors: np.ndarray) -> np.ndarray:
 def fit(panel, weights: WeightMatrix | np.ndarray) -> FactorFit:
     """Full diversified-projection fit: factors, loadings, residuals, gram."""
     X = as_matrix(panel)
-    F = estimate_factors(X, weights)
+    W = weights if isinstance(weights, WeightMatrix) else WeightMatrix(np.asarray(weights, dtype=float))
+    F = estimate_factors(X, W)
     B = estimate_loadings(X, F)
     U = X - B @ F.T
-    W = weights if isinstance(weights, WeightMatrix) else WeightMatrix(np.asarray(weights, dtype=float))
     return FactorFit(factors=F, loadings=B, residuals=U, gram=F.T @ F / F.shape[0], weights=W)
 
 

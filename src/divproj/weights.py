@@ -21,14 +21,16 @@ from .exceptions import DegenerateWeightsWarning, DimensionError, InsufficientDa
 # (a column basis) is treated as rank deficient; `projection` shares it.
 _RANK_TOL = 1e-10
 
-SCHEMES = (
-    "hadamard_pattern",
-    "walsh_hadamard",
-    "sieve",
-    "rolling_window",
-    "initial_transform",
-    "custom",
-)
+# Each name that `build_weights` (and the command line's --scheme) accepts -> its scheme.
+SCHEME_NAMES = {
+    "hadamard": "hadamard_pattern",
+    "walsh": "walsh_hadamard",
+    "sieve": "sieve",
+    "characteristic": "sieve",
+    "rolling": "rolling_window",
+    "initial": "initial_transform",
+}
+SCHEMES = (*dict.fromkeys(SCHEME_NAMES.values()), "custom")
 
 
 @dataclass(frozen=True, eq=False)  # holds arrays: == is identity, and hash() works
@@ -237,18 +239,10 @@ def build_weights(
 ) -> WeightMatrix:
     """Dispatch a scheme name to the matching constructor.
 
-    Accepts the short names used by the command line (``hadamard``,
-    ``walsh``, ``sieve``, ``rolling``, ``initial``) as well as the full
-    scheme identifiers.
+    Accepts the names of :data:`SCHEME_NAMES` (those of the command line)
+    as well as the full scheme identifiers.
     """
-    aliases = {
-        "hadamard": "hadamard_pattern",
-        "walsh": "walsh_hadamard",
-        "rolling": "rolling_window",
-        "initial": "initial_transform",
-        "characteristic": "sieve",
-    }
-    scheme = aliases.get(scheme, scheme)
+    scheme = SCHEME_NAMES.get(scheme, scheme)
     if scheme == "hadamard_pattern":
         return hadamard_pattern_weights(n_series, n_factors)
     if scheme == "walsh_hadamard":

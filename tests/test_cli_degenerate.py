@@ -121,13 +121,13 @@ CASES = [
      ["--scheme", "rolling", "--history", "{d}/history.csv"], 2),
     ("forecast_reordered_history", lambda d: _reordered(_inputs(d), "history.csv", "header"), "forecast",
      ["--scheme", "rolling", "--history", "{d}/history.csv"], 2),
-    # estimate at T = 1 < R takes a pseudo-inverse; the others need more periods
-    *[(f"T1-{c}", _panel_of((N, 1)), c, [], 0 if c == "estimate" else 2) for c in COMMANDS],
+    *[(f"T1-{c}", _panel_of((N, 1)), c, [], 2) for c in COMMANDS],
     # cov at N = R = 1 leaves no residual variance; spectest's two factors exceed N
     *[(f"N1-{c}", _panel_of((1, T)), c, [] if c == "spectest" else ["--R", "1"], 2 if c in ("cov", "spectest") else 0)
       for c in COMMANDS],
-    ("cov_R_above_T", _inputs, "cov", ["--R", "35"], 0),
-    ("estimate_R_above_T", _inputs, "estimate", ["--R", "31"], 0),
+    # R >= T would fit the panel exactly, leaving residuals of rounding size
+    ("cov_R_above_T", _inputs, "cov", ["--R", "35"], 2),
+    ("estimate_R_above_T", _inputs, "estimate", ["--R", "31"], 2),
     *[(f"fdr_q_{name}", _inputs, "fdr", ["--q", v], 2)
       for name, v in [("nan", "nan"), ("negative", "-0.1"), ("zero", "0"), ("above_one", "1.5")]],
     *[(f"infer_level_{name}", _inputs, "infer", ["--level", v], 2)
@@ -202,6 +202,19 @@ def test_simulate_postsel_at_one_replication(tmp_path, capsys):
     _assert_clean(code, err, caught, out, 0)
     with open(out / "results.csv", newline="") as fh:
         assert {row["std_z"] for row in csv.DictReader(fh)} == {"0.0"}
+
+
+@pytest.mark.parametrize("flags, required, named", [
+    (["--R", "30"], 2, "R=30 working factors need T > R periods, the panel has T=30"),
+    (["--R", "29", "--scheme", "initial"], 2, "R=29 working factors need T > R periods, the panel has T=29"),
+    (["--R", "29"], 0, None),
+], ids=["R_is_T", "initial_R_is_trimmed_T", "R_below_T"])
+def test_R_at_least_T_exits_2(tmp_path, capsys, flags, required, named):
+    """R >= T, counted after the initial observation is dropped, exits 2 and names both; R = T - 1 runs."""
+    d = _inputs(tmp_path)
+    code, err, caught = _run(_argv(d, "estimate", *flags), capsys)
+    _assert_clean(code, err, caught, d / "out" / "estimate", required)
+    assert named is None or err == f"divproj: {named}\n"
 
 
 def test_no_command_calls_lstsq(tmp_path, capsys, monkeypatch):

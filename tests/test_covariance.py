@@ -1593,3 +1593,30 @@ def test_one_warning_call_site():
                 stacklevels += [site for k in node.keywords if k.arg == "stacklevel"]
     assert warns == ["exceptions.py:_warn"]
     assert set(stacklevels) <= {"exceptions.py:_warn"}, stacklevels
+
+
+def test_no_dead_private_code():
+    """Every module-level private function, class and constant of the package is loaded somewhere in it.
+
+    A private name that only tests use, or that is imported and never
+    used, counts as dead: its import is not a load.
+    """
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(Path(divproj.__file__).parent.glob("*.py"))}
+    defined, loaded = set(), set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined |= {(module, name) for name in names if name.startswith("_") and not name.startswith("__")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    assert len(defined) > 50  # the scan sees the package's private names
+    assert sorted(f"{module}:{name}" for module, name in defined if name not in loaded) == []

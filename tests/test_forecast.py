@@ -17,7 +17,13 @@ from divproj.forecast import (
 )
 from divproj.projection import estimate_factors, pc_factors
 from divproj.simulation import SimConfig
-from divproj.weights import _warn_if_degenerate, rolling_window_weights, sieve_weights, walsh_hadamard_weights
+from divproj.weights import (
+    _warn_if_degenerate,
+    hadamard_pattern_weights,
+    rolling_window_weights,
+    sieve_weights,
+    walsh_hadamard_weights,
+)
 
 
 class TestFitAugmented:
@@ -262,6 +268,20 @@ class TestSharedWindowSVD:
                     assert out[f"{name}_R{r}"] == pytest.approx(expected.mse, rel=1e-12, abs=0)
                     assert any(np.allclose(rep.forecasts, expected.forecasts, rtol=1e-12, atol=0)
                                for rep in reports), (name, r)
+
+    @pytest.mark.parametrize("name, weights", [("walsh", walsh_hadamard_weights),
+                                               ("hadamard", hadamard_pattern_weights)])
+    def test_fixed_scheme_arms_equal_stand_alone_schemes(self, name, weights):
+        """A fixed scheme without x0 or a history is nested in R, so its leading columns give each count's forecast."""
+        cfg = SimConfig(n_series=40, n_periods=30, n_factors_true=2, rho_T=0.5, seed=5)
+        n_steps = 9
+        out = experiments._forecast_rep(cfg, 1, n_steps=n_steps, schemes=(name,), extra_factors=(0, 1, 3),
+                                        epsilon=1.0)
+        y, X, _, _ = experiments._forecast_path(cfg, 1, n_steps, np.ones(2), 1.5, 0.5)
+        assert list(out) == ["pc", f"{name}_R2", f"{name}_R3", f"{name}_R5"]
+        for r in (2, 3, 5):
+            expected = rolling_forecast(y, X, 30, n_steps, FixedWeightScheme(weights(40, r))).mse
+            assert out[f"{name}_R{r}"] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_new_panel_recomputes_the_window_svd(self):
         history, X = self._data()

@@ -6,7 +6,7 @@ import pytest
 
 from divproj import experiments, inference, projection
 from divproj.exceptions import InsufficientDataError, NumericalWarning, SingularGramError
-from divproj.experiments import _scheme_weights, experiment_postsel
+from divproj.experiments import experiment_postsel
 from divproj.inference import (
     confidence_interval,
     double_selection,
@@ -18,7 +18,7 @@ from divproj.inference import (
     _lasso,
 )
 from divproj.simulation import SimConfig, generate_panel, rep_rng
-from divproj.weights import walsh_hadamard_weights
+from divproj.weights import build_weights, walsh_hadamard_weights
 from lasso_path import objective_path, reference_homotopy
 
 
@@ -134,7 +134,7 @@ def purged_panel(seed, n, t, near_duplicate=False):
     theta[[0, 2, 3]] = (1.0, -1.5, 0.5)
     g = theta @ X + rng.standard_normal(t)
     y = g + theta @ X + rng.standard_normal(t)
-    return y, g, X, _scheme_weights("initial", sim, 2, x0)
+    return y, g, X, build_weights("initial", n, 2, x0=x0)
 
 
 def recorded_lasso_calls(run):

@@ -846,6 +846,19 @@ def test_cov_inverse_uses_the_thresholding_pass_partition(wide_panel, tmp_path, 
         assert (tmp_path / "pass" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
 
+def test_cov_characteristic_scheme_is_sieve(tmp_path):
+    """--scheme characteristic is another name of the sieve scheme: cov writes the same files."""
+    rng = np.random.default_rng(31)
+    ids = [f"s{i + 1}" for i in range(25)]
+    write_panel(tmp_path / "x.csv", PanelData(rng.standard_normal((25, 40)), series_ids=ids))
+    write_matrix(tmp_path / "z.csv", rng.uniform(-1.0, 1.0, (25, 1)), ids, ["z"], corner="series")
+    for name in ("sieve", "characteristic"):
+        assert run(["cov", "--panel", str(tmp_path / "x.csv"), "--scheme", name, "--R", "2",
+                    "--chars", str(tmp_path / "z.csv"), "--out", str(tmp_path / name)]) == 0
+    for name in ("sigma_u.csv", "sigma_u_inv.csv", "summary.json"):
+        assert (tmp_path / "sieve" / name).read_bytes() == (tmp_path / "characteristic" / name).read_bytes()
+
+
 def _library_default(func, name):
     return inspect.signature(func).parameters[name].default
 
@@ -875,7 +888,7 @@ def test_flag_defaults_are_the_library_defaults():
     assert (cov.rule, cov.C, cov.scad_a) == (rule.kind, rule.constant_C, rule.scad_a)
     spectest = parse(["spectest", *needed["spectest"]])
     assert spectest.rule == DEFAULT_RULE.kind
-    assert spectest.C is None  # resolved to DEFAULT_RULE.constant_C at run time
+    assert spectest.C == DEFAULT_RULE.constant_C
     assert spectest.draws == _library_default(spec_test, "n_draws")
     assert parse(["fdr", *needed["fdr"]]).q == _library_default(farm_test, "q")
 

@@ -390,13 +390,17 @@ class TestSingularGram:
         assert all(w.filename == __file__ for w in numerical)  # names the public call site
 
     def test_more_weights_than_series_names_the_caller(self):
-        """A 2 x 3 ndarray: the dataclass's R > N warning and the singular gram's both name this file."""
+        """A 2 x 3 ndarray: the dataclass's R > N warning and the singular gram's both name this file.
+
+        `farm_stats` wraps a raw array as `fit` does, so it gives both too.
+        """
         X = self._data(duplicate=False)[0][:2]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fit(X, np.arange(6.0).reshape(2, 3))
-        assert sorted(w.category.__name__ for w in caught) == ["DegenerateWeightsWarning", "NumericalWarning"]
-        assert all(w.filename == __file__ for w in caught), [(w.filename, w.lineno) for w in caught]
+        for call in (fit, farm_stats):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call(X, np.arange(6.0).reshape(2, 3))
+            assert sorted(w.category.__name__ for w in caught) == ["DegenerateWeightsWarning", "NumericalWarning"]
+            assert all(w.filename == __file__ for w in caught), [(w.filename, w.lineno) for w in caught]
 
     def test_refit_of_a_duplicated_control_is_the_minimum_norm_answer(self, monkeypatch):
         """Selecting a control and its copy makes the refit gram singular: one warning, lstsq's answer."""
@@ -456,6 +460,15 @@ class TestSingularGram:
         X, F, W, _, _ = self._data(duplicate=True)
         with pytest.raises(SingularGramError):
             mean_hat(F, W, np.eye(X.shape[0]))
+
+
+@pytest.mark.parametrize("call", [fit, farm_stats, farm_test])
+def test_weight_arrays_are_validated_before_use(call):
+    """A NaN weight raises WeightMatrix's error, not the SVD's LinAlgError (itself a ValueError)."""
+    W = np.ones((12, 2))
+    W[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        call(np.random.default_rng(3).standard_normal((12, 30)), W)
 
 
 class TestPseudoInverse:

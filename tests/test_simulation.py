@@ -258,7 +258,31 @@ class TestExperimentDrivers:
         assert characteristic[0] != initial[0]
         assert characteristic[1] == initial[1]  # plain arm uses no weights
         with pytest.raises(ValueError, match="weight scheme"):
-            experiment_postsel(weights="walsh", **kw)
+            experiment_postsel(weights="walshh", **kw)
+
+    FORECAST_KW = dict(window_sizes=(30,), rho_Ts=(0.5,), alphas=(1.0,), n_series=20, n_steps=4, n_reps=2,
+                       seed=1, extra_factors=(0, 1))
+
+    def test_forecast_sieve_arm_is_the_characteristic_arm(self):
+        """"sieve" is the characteristic scheme's own name: its rows carry the same values."""
+        sieve = experiment_forecast(schemes=("sieve",), **self.FORECAST_KW)
+        characteristic = experiment_forecast(schemes=("characteristic",), **self.FORECAST_KW)
+        assert [r["method"] for r in sieve] == ["sieve_R2", "sieve_R3"]
+        assert [r["method"] for r in characteristic] == ["characteristic_R2", "characteristic_R3"]
+        assert [{**r, "method": None} for r in sieve] == [{**r, "method": None} for r in characteristic]
+
+    def test_forecast_unknown_scheme_raises(self):
+        with pytest.raises(ValueError, match="unknown weight scheme"):
+            experiment_forecast(schemes=("walshh",), **self.FORECAST_KW)
+
+    def test_postsel_and_spectest_take_walsh_weights(self):
+        _, rows = experiment_postsel(weights="walsh", r_values=(2,), working_factors=(1, 2), n_series=40,
+                                     n_periods=60, n_reps=2, seed=0)
+        assert [r["method"] for r in rows] == ["dp_R1", "dp_R2", "plain"]
+        assert all(np.isfinite(r["mean_z"]) for r in rows)
+        rows = experiment_spectest(gammas=(0.0,), T_values=(60,), schemes=("walsh",), n_series=40, n_reps=2,
+                                   n_draws=50, seed=0)
+        assert len(rows) == 1 and rows[0]["scheme"] == "walsh" and 0.0 <= rows[0]["rejection_rate"] <= 1.0
 
     @pytest.mark.xfail(
         reason="initial-transform weights are weakly identified under the sin "
